@@ -89,7 +89,8 @@ class OrdinalDataset:
             self.covariate_names = [f"x{j + 1}" for j in range(self.x.shape[1])]
         if not self.category_labels:
             self.category_labels = list(range(1, self.num_categories + 1))
-        self._category_indices = None
+        self._category_runs = None
+        self._interval_index = None
 
     # -- dataset statistics ------------------------------------------------
 
@@ -108,11 +109,20 @@ class OrdinalDataset:
     def observations_per_subject(self) -> np.ndarray:
         return np.bincount(self.subject_index, minlength=self.num_subjects)
 
-    def category_indices(self) -> list[np.ndarray]:
-        """Observation indices per category c = 1..C (cached)."""
-        if self._category_indices is None:
-            self._category_indices = [np.flatnonzero(self.y == c) for c in range(1, self.num_categories + 1)]
-        return self._category_indices
+    def category_runs(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Observation indices sorted by category, the start of each
+        non-empty category's run in that order, and those categories (cached)."""
+        if self._category_runs is None:
+            order = np.argsort(self.y, kind="stable")
+            present, starts = np.unique(self.y[order], return_index=True)
+            self._category_runs = (order, starts, present.tolist())
+        return self._category_runs
+
+    def interval_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cut-point indices y - 1 and y bounding each observation's liability (cached)."""
+        if self._interval_index is None:
+            self._interval_index = (self.y - 1, self.y)
+        return self._interval_index
 
     def subjects(self) -> list[SubjectBlock]:
         blocks = []

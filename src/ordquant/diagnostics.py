@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .gibbs import PosteriorDraws
 from .model import ModelSpec
@@ -177,6 +176,8 @@ def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None, include_scal
 
 
 def _mpsrf_at(mat: np.ndarray) -> tuple[float, bool]:
+    import scipy.linalg
+
     m, n, k = mat.shape
     chain_means = mat.mean(axis=1)                      # (m, k)
     within = np.zeros((k, k))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
 # Interval bounds further than this many SDs into one tail switch the
 # truncated-normal sampler from inverse-CDF to exponential rejection.
 _TAIL_CUTOFF = 4.0
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def _validate_theta(theta: float) -> float:
@@ -100,7 +100,7 @@ def sample_gig(nu, rho1, rho2, rng, size=None):
     if not (np.all(rho1 > 0.0) and np.all(rho2 > 0.0)):
         raise ValueError("rho1 and rho2 must be strictly positive")
     if nu == 0.5:
-        return 1.0 / rng.wald(rho2 / rho1, rho2 * rho2, size=size)
+        return _gig_half(rho1, rho2, rng, size)
     if nu == -0.5:
         return rng.wald(rho1 / rho2, rho1 * rho1, size=size)
     if rho1.ndim or rho2.ndim:
@@ -110,6 +110,11 @@ def sample_gig(nu, rho1, rho2, rng, size=None):
     if size is None:
         return scale * _gig_rou_draw(nu, omega, rng)
     return scale * np.array([_gig_rou_draw(nu, omega, rng) for _ in range(int(size))])
+
+
+def _gig_half(rho1, rho2, rng, size=None):
+    """GIG(1/2) draws with no argument checks: rho1 and rho2 must be positive."""
+    return 1.0 / rng.wald(rho2 / rho1, rho2 * rho2, size=size)
 
 
 def _gig_rou_draw(nu, omega, rng):
@@ -131,6 +136,8 @@ def _gig_rou_region(nu, omega):
     # One-parameter form z^(nu-1) exp{-(omega/2)(z + 1/z)} after rescaling
     # by rho1/rho2; acceptance region bounds via the mode-shifted
     # ratio-of-uniforms construction.
+    from scipy.optimize import brentq
+
     def log_kernel(z):
         return (nu - 1.0) * math.log(z) - 0.5 * omega * (z + 1.0 / z)
 
@@ -185,34 +192,52 @@ def sample_trunc_normal(mean, variance, lower, upper, rng, size=None):
     shape = np.broadcast_shapes(mean.shape, variance.shape, lower.shape, upper.shape)
     if size is not None:
         shape = (int(size),) if np.isscalar(size) else tuple(size)
-    mean, variance, lower, upper = (np.broadcast_to(a, shape) for a in (mean, variance, lower, upper))
+    x = _trunc_normal(*(np.broadcast_to(a, shape).ravel() for a in (mean, variance, lower, upper)), rng)
+    return float(x[0]) if scalar else x.reshape(shape)
 
+
+def _trunc_normal(mean, variance, lower, upper, rng):
+    """Truncated-normal draws with no argument checks.
+
+    The four arguments are 1-D float arrays of one length, with positive
+    variances and lower < upper.  When no element is in a tail, every draw
+    takes the inverse-CDF body in one pass; the masked gather and scatter
+    run only when some interval lies beyond ``_TAIL_CUTOFF``.
+    """
     sd = np.sqrt(variance)
-    a = (lower - mean) / sd
-    b = (upper - mean) / sd
+    a = np.subtract(lower, mean)
+    a /= sd
+    b = np.subtract(upper, mean)
+    b /= sd
+    if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
+        z = _tn_body(a, b, rng)
+    else:
+        z = np.empty(a.shape, dtype=float)
+        hi_tail = a > _TAIL_CUTOFF
+        lo_tail = b < -_TAIL_CUTOFF
+        body = ~(hi_tail | lo_tail)
+        if body.any():
+            z[body] = _tn_body(a[body], b[body], rng)
+        if hi_tail.any():
+            z[hi_tail] = _tn_tail(a[hi_tail], b[hi_tail], rng)
+        if lo_tail.any():
+            z[lo_tail] = -_tn_tail(-b[lo_tail], -a[lo_tail], rng)
 
-    z = np.empty(shape, dtype=float)
-    hi_tail = a > _TAIL_CUTOFF
-    lo_tail = b < -_TAIL_CUTOFF
-    body = ~(hi_tail | lo_tail)
-    if body.any():
-        z[body] = _tn_body(a[body], b[body], rng)
-    if hi_tail.any():
-        z[hi_tail] = _tn_tail(a[hi_tail], b[hi_tail], rng)
-    if lo_tail.any():
-        z[lo_tail] = -_tn_tail(-b[lo_tail], -a[lo_tail], rng)
-
-    x = mean + sd * z
-    x = np.clip(x, np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf))
-    return float(x) if scalar and x.ndim == 0 else x
+    z *= sd
+    z += mean
+    return np.clip(z, np.nextafter(lower, np.inf, out=a), np.nextafter(upper, -np.inf, out=b), out=z)
 
 
 def _tn_body(a, b, rng):
-    pa = ndtr(a)
-    pb = ndtr(b)
-    u = pa + rng.random(a.shape) * (pb - pa)
-    u = np.clip(u, 1e-300, np.nextafter(1.0, 0.0))
-    return ndtri(u)
+    # Overwrites a and b.
+    pa = ndtr(a, out=a)
+    span = ndtr(b, out=b)
+    span -= pa
+    u = rng.random(a.shape)
+    u *= span
+    u += pa
+    np.clip(u, 1e-300, _BELOW_ONE, out=u)
+    return ndtri(u, out=u)
 
 
 def _tn_tail(a, b, rng):

@@ -16,6 +16,16 @@ liabilities.
 
 A chain is strictly sequential; chains are independent given their derived
 substreams, so multi-chain runs are reproducible regardless of scheduling.
+
+Hot-path contract.  Arguments are validated only at public boundaries:
+``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
+public samplers in ``distributions``.  Each block is a pure function of
+``(state, spec, rng)``: what it writes into the state depends on nothing
+else, and it calls the unchecked cores ``_gig_half`` and ``_trunc_normal``
+on arrays it built itself.  There is no cross-block cache; only constants
+of the dataset are cached, on the dataset.  ``run_chain`` turns a numerical
+failure inside a block, or a non-finite state after a sweep, into
+``ChainDivergedError`` naming the chain, the sweep and the block.
 """
 
 from __future__ import annotations
@@ -31,13 +41,7 @@ from . import __version__
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
 from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, initialize_state
-from .distributions import (
-    sample_gamma,
-    sample_gig,
-    sample_inverse_gamma,
-    sample_trunc_normal,
-    sample_uniform,
-)
+from .distributions import _gig_half, _trunc_normal
 from .streams import STREAM_CHAIN, substream
 
 __all__ = [
@@ -55,7 +59,6 @@ __all__ = [
     "update_phi",
     "update_l",
     "update_delta",
-    "cutpoint_bounds",
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
@@ -113,7 +116,7 @@ def _shift_location(state: ChainState, spec: ModelSpec, rng) -> None:
     variance = state.phi / n
     g = rng.normal(mean, math.sqrt(variance))
     if not lo < g < hi:
-        g = sample_trunc_normal(mean, variance, lo, hi, rng)
+        g = float(_trunc_normal(*(np.array([a]) for a in (mean, variance, lo, hi)), rng)[0])
     state.alpha += g
     cuts[1:-1] += g
     state.latent_l += g
@@ -127,105 +130,121 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
     """
     _shift_location(state, spec, rng)
     ds = spec.dataset
-    resid = state.latent_l - ds.x @ state.beta - state.alpha[ds.subject_index]
-    rho1 = np.sqrt(np.maximum(0.5 * resid * resid, RHO1_SQ_FLOOR))
-    state.latent_v = np.asarray(sample_gig(0.5, rho1, _SQRT_HALF, rng))
+    resid = ds.x @ state.beta
+    np.subtract(state.latent_l, resid, out=resid)
+    effect = state.alpha.take(ds.subject_index)
+    resid -= effect
+    rho1_sq = np.multiply(resid, 0.5, out=effect)
+    rho1_sq *= resid
+    np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
+    state.latent_v = _gig_half(np.sqrt(rho1_sq, out=rho1_sq), _SQRT_HALF, rng)
 
 
 def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
     """Coefficients, swept in ascending index against fresh partial residuals."""
     ds = spec.dataset
-    inv2v = 0.5 / state.latent_v
-    r = state.latent_l - ds.x @ state.beta - state.alpha[ds.subject_index] - spec.xi * state.latent_v
-    for k in range(ds.num_covariates):
-        xk = ds.x[:, k]
-        r_k = r + xk * state.beta[k]
-        precision = np.dot(xk * xk, inv2v) + 1.0 / state.s[k]
+    x, v, beta = ds.x, state.latent_v, state.beta
+    inv2v = np.divide(0.5, v)
+    r = x @ beta
+    np.subtract(state.latent_l, r, out=r)
+    term = state.alpha.take(ds.subject_index)
+    r -= term
+    r -= np.multiply(v, spec.xi, out=term)
+    for k, s_k in enumerate(state.s.tolist()):
+        xk = x[:, k]
+        r += np.multiply(xk, beta[k], out=term)
+        precision = np.dot(np.multiply(xk, xk, out=term), inv2v) + 1.0 / s_k
         variance = 1.0 / precision
-        mean = variance * np.dot(r_k * xk, inv2v)
-        b_new = rng.normal(mean, np.sqrt(variance))
-        state.beta[k] = b_new
-        r = r_k - xk * b_new
+        mean = variance * np.dot(np.multiply(r, xk, out=term), inv2v)
+        b_new = rng.normal(mean, math.sqrt(variance))
+        beta[k] = b_new
+        r -= np.multiply(xk, b_new, out=term)
 
 
 def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
     """Coefficient scales: GIG(1/2) with rho1^2 = beta_k^2, rho2^2 = lambda^2."""
-    rho1 = np.sqrt(np.maximum(state.beta * state.beta, RHO1_SQ_FLOOR))
-    state.s = np.asarray(sample_gig(0.5, rho1, np.sqrt(state.lambda_sq), rng))
+    rho1_sq = np.multiply(state.beta, state.beta)
+    np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
+    state.s = _gig_half(np.sqrt(rho1_sq, out=rho1_sq), math.sqrt(state.lambda_sq), rng)
 
 
 def update_lambda_sq(state: ChainState, spec: ModelSpec, rng) -> None:
     """Shrinkage rate squared: gamma(p + a1, rate = sum(s)/2 + a2)."""
-    p = spec.dataset.num_covariates
     rate = 0.5 * float(state.s.sum()) + spec.priors.a2
-    state.lambda_sq = float(sample_gamma(p + spec.priors.a1, rate, rng))
+    state.lambda_sq = rng.gamma(spec.dataset.num_covariates + spec.priors.a1, 1.0 / rate)
 
 
 def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
     """Subject effects: normal with data precision sum_j 1/(2 v_ij) + 1/phi."""
     ds = spec.dataset
-    inv2v = 0.5 / state.latent_v
-    precision = np.bincount(ds.subject_index, weights=inv2v, minlength=ds.num_subjects) + 1.0 / state.phi
-    variance = 1.0 / precision
-    eta = state.latent_l - ds.x @ state.beta - spec.xi * state.latent_v
-    mean = variance * np.bincount(ds.subject_index, weights=eta * inv2v, minlength=ds.num_subjects)
-    state.alpha = rng.normal(mean, np.sqrt(variance))
+    v = state.latent_v
+    inv2v = np.divide(0.5, v)
+    variance = np.bincount(ds.subject_index, weights=inv2v, minlength=ds.num_subjects)
+    variance += 1.0 / state.phi
+    np.divide(1.0, variance, out=variance)
+    eta = ds.x @ state.beta
+    np.subtract(state.latent_l, eta, out=eta)
+    eta -= np.multiply(v, spec.xi)
+    eta *= inv2v
+    mean = np.bincount(ds.subject_index, weights=eta, minlength=ds.num_subjects)
+    mean *= variance
+    state.alpha = rng.normal(mean, np.sqrt(variance, out=variance))
 
 
 def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
     """Random-effect variance: inverse-gamma(N/2 + b1, scale = sum(alpha^2)/2 + b2)."""
-    N = spec.dataset.num_subjects
     scale = 0.5 * float(np.dot(state.alpha, state.alpha)) + spec.priors.b2
-    state.phi = float(sample_inverse_gamma(0.5 * N + spec.priors.b1, scale, rng))
+    state.phi = 1.0 / rng.gamma(0.5 * spec.dataset.num_subjects + spec.priors.b1, 1.0 / scale)
 
 
 def update_l(state: ChainState, spec: ModelSpec, rng) -> None:
     """Liabilities: normal truncated to each observation's category interval."""
     ds = spec.dataset
-    center = ds.x @ state.beta + state.alpha[ds.subject_index] + spec.xi * state.latent_v
-    lower = state.cutpoints[ds.y - 1]
-    upper = state.cutpoints[ds.y]
-    state.latent_l = np.asarray(sample_trunc_normal(center, 2.0 * state.latent_v, lower, upper, rng))
-
-
-def cutpoint_bounds(state: ChainState, spec: ModelSpec, c: int) -> tuple[float, float]:
-    """Conditional support (L_c, U_c) for interior cut-point ``c``.
-
-    Lower bound: largest liability in category c, the previous cut-point,
-    and the prior floor; upper bound: smallest liability in category c + 1,
-    the next cut-point, and the prior ceiling.  Empty categories contribute
-    -inf / +inf, so the bound falls back to the neighbours.
-    """
-    ds = spec.dataset
-    idx = ds.category_indices()
-    below = idx[c - 1]
-    above = idx[c]
-    max_below = state.latent_l[below].max() if below.size else -np.inf
-    min_above = state.latent_l[above].min() if above.size else np.inf
-    lo = max(max_below, state.cutpoints[c - 1], spec.priors.delta_min)
-    hi = min(min_above, state.cutpoints[c + 1], spec.priors.delta_max)
-    return float(lo), float(hi)
+    v = state.latent_v
+    center = ds.x @ state.beta
+    term = state.alpha.take(ds.subject_index)
+    center += term
+    center += np.multiply(v, spec.xi, out=term)
+    variance = np.multiply(v, 2.0, out=term)
+    below, above = ds.interval_index()
+    cuts = state.cutpoints
+    state.latent_l = _trunc_normal(center, variance, cuts.take(below), cuts.take(above), rng)
 
 
 def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
-    """Interior cut-points, swept in increasing order with fresh neighbours."""
-    for c in range(1, spec.dataset.num_categories):
-        lo, hi = cutpoint_bounds(state, spec, c)
+    """Interior cut-points, swept in increasing order with fresh neighbours.
+
+    Cut-point c is uniform on (L_c, U_c).  L_c is the largest of: the
+    liabilities in category c, the freshly drawn cut-point c - 1 and the
+    prior floor.  U_c is the smallest of: the liabilities in category c + 1,
+    the next cut-point and the prior ceiling.  An empty category contributes
+    -inf / +inf, so the bound falls back to the neighbours.
+    """
+    ds = spec.dataset
+    C = ds.num_categories
+    order, starts, present = ds.category_runs()
+    runs = state.latent_l.take(order)
+    largest = [-math.inf] * (C + 1)
+    smallest = [math.inf] * (C + 1)
+    for c, top, bottom in zip(present, np.maximum.reduceat(runs, starts).tolist(),
+                              np.minimum.reduceat(runs, starts).tolist()):
+        largest[c] = top
+        smallest[c] = bottom
+    pri = spec.priors
+    cuts = state.cutpoints
+    bounds = cuts.tolist()
+    for c in range(1, C):
+        lo = max(largest[c], bounds[c - 1], pri.delta_min)
+        hi = min(smallest[c + 1], bounds[c + 1], pri.delta_max)
         if not lo < hi:
             raise ChainDivergedError(
                 f"cut-point {c} has empty conditional support [{lo}, {hi}]; "
                 "liability thresholding was inconsistent before the update"
             )
-        state.cutpoints[c] = sample_uniform(lo, hi, rng)
+        bounds[c] = cuts[c] = rng.uniform(lo, hi)
 
 
 _SWEEP = (update_v, update_beta, update_s, update_lambda_sq, update_alpha, update_phi, update_l, update_delta)
-
-
-def sweep(state: ChainState, spec: ModelSpec, rng) -> None:
-    """One full systematic-scan pass over all eight blocks."""
-    for op in _SWEEP:
-        op(state, spec, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +317,11 @@ class PosteriorDraws:
 
 
 def run_chain(spec: ModelSpec, config: SamplerConfig) -> PosteriorDraws:
-    """Run the sampler and collect retained draws from every chain."""
+    """Run the sampler and collect retained draws from every chain.
+
+    A numerical failure inside a sweep raises ``ChainDivergedError`` naming
+    the chain, the sweep and the block.
+    """
     names = parameter_names(spec, config.retain_alpha)
     rows_per_chain = config.retained_per_chain
     total = rows_per_chain * config.num_chains
@@ -311,24 +334,53 @@ def run_chain(spec: ModelSpec, config: SamplerConfig) -> PosteriorDraws:
         rng = substream(config.seed, STREAM_CHAIN, chain)
         state = initialize_state(spec, rng, overdispersed=config.overdispersed_starts)
         for t in range(1, config.iterations + 1):
-            sweep(state, spec, rng)
+            try:
+                for op in _SWEEP:
+                    op(state, spec, rng)
+            except (ValueError, ArithmeticError, ChainDivergedError) as exc:
+                bad = _nonfinite_blocks(state)
+                state_note = f" with non-finite {', '.join(bad)}" if bad else ""
+                raise ChainDivergedError(
+                    f"chain {chain}: {op.__name__} failed at sweep {t}{state_note}: {exc}"
+                ) from exc
             _check_finite(state, chain, t)
             if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-                values[row] = _flatten(state, config.retain_alpha)
+                _flatten(state, values[row], config.retain_alpha)
                 chain_ids[row] = chain
                 iterations[row] = t
                 row += 1
     return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
 
 
-def _flatten(state: ChainState, retain_alpha: bool) -> np.ndarray:
-    parts = [state.beta, state.cutpoints[1:-1], [state.lambda_sq, state.phi]]
+def _flatten(state: ChainState, out: np.ndarray, retain_alpha: bool) -> None:
+    """Write one draw into ``out`` in ``parameter_names`` order."""
+    p = state.beta.size
+    c = p + state.cutpoints.size - 2
+    out[:p] = state.beta
+    out[p:c] = state.cutpoints[1:-1]
+    out[c] = state.lambda_sq
+    out[c + 1] = state.phi
     if retain_alpha:
-        parts.append(state.alpha)
-    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+        out[c + 2:] = state.alpha
 
 
 def _check_finite(state: ChainState, chain: int, t: int) -> None:
+    """Raise ``ChainDivergedError`` naming the non-finite blocks.
+
+    An inf or NaN in any block makes its dot product or sum, and so the
+    probe, non-finite.  A finite probe therefore proves the state finite;
+    only a non-finite one (or a finite state so large that the probe
+    overflows) pays for the per-block scan.
+    """
+    probe = (np.dot(state.latent_l, state.latent_v) + np.dot(state.alpha, state.alpha)
+             + np.dot(state.beta, state.s) + state.cutpoints[1:-1].sum() + state.lambda_sq + state.phi)
+    if not math.isfinite(probe):
+        bad = _nonfinite_blocks(state)
+        if bad:
+            raise ChainDivergedError(f"chain {chain}: non-finite {', '.join(bad)} at sweep {t}")
+
+
+def _nonfinite_blocks(state: ChainState) -> list[str]:
     blocks = (
         ("beta", state.beta),
         ("alpha", state.alpha),
@@ -339,9 +391,7 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
         ("phi", state.phi),
         ("delta", state.cutpoints[1:-1]),
     )
-    for name, block in blocks:
-        if not np.all(np.isfinite(block)):
-            raise ChainDivergedError(f"chain {chain}: non-finite {name} at sweep {t}")
+    return [name for name, block in blocks if not np.all(np.isfinite(block))]
 
 
 # ---------------------------------------------------------------------------

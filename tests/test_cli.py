@@ -1,8 +1,14 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ordquant
+from ordquant import gibbs
 from ordquant.cli import main
 from ordquant.kvfile import read_kv
 
@@ -74,6 +80,24 @@ class TestFit:
         dic_kv = read_kv(out / "fit-5" / "dic-theta0.5.txt")
         assert float(dic_kv["dic"]) > 0.0
         assert "p_d" in dic_kv
+
+    def test_mid_sweep_nan_exits_3(self, tmp_path, toy_csv, monkeypatch, capsys):
+        calls = []
+
+        def update_beta(state, spec, rng):
+            gibbs.update_beta(state, spec, rng)
+            calls.append(None)
+            if len(calls) == 5:
+                state.beta[0] = np.nan
+
+        sweep = tuple(update_beta if op is gibbs.update_beta else op for op in gibbs._SWEEP)
+        monkeypatch.setattr(gibbs, "_SWEEP", sweep)
+        code = run(["fit", "--input", toy_csv, "--iterations", "20", "--burn-in", "5",
+                    "--seed", "7", "--out", tmp_path / "runs"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: chain 0: update_" in err
+        assert "at sweep 5 with non-finite beta" in err
 
     def test_schema_error_exit_2(self, tmp_path, toy_csv):
         out = tmp_path / "runs"
@@ -248,6 +272,13 @@ class TestReplay:
 class TestMisc:
     def test_no_command_exit_2(self):
         assert run([]) == 2
+
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        src = str(Path(ordquant.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, ordquant.cli; print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_version_exit_0(self, capsys):
         assert run(["--version"]) == 0

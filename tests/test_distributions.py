@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from ordquant import distributions
 from ordquant.distributions import (
+    _TAIL_CUTOFF,
     check_loss,
     sample_exponential,
     sample_gig,
@@ -207,6 +209,49 @@ class TestSampleTruncNormal:
         draws = sample_trunc_normal(0.0, 1.0, lower, upper, rng(8))
         assert draws.shape == (3,)
         assert np.all((draws > lower) & (draws <= upper))
+
+
+class TestTruncNormalPaths:
+    """All-body inputs take one unmasked inverse-CDF pass; any tail element
+    switches to the masked path, which draws the body elements first."""
+
+    def body_inputs(self, n=500):
+        g = rng(11)
+        mean = g.normal(size=n)
+        variance = g.uniform(0.2, 3.0, size=n)
+        lower = mean - g.uniform(0.0, 3.0, size=n) * np.sqrt(variance)
+        upper = lower + g.uniform(0.01, 5.0, size=n)
+        upper[::7] = np.inf
+        lower[::5] = -np.inf
+        return mean, variance, lower, upper
+
+    def test_unmasked_path_matches_masked_path_bit_for_bit(self, monkeypatch):
+        mean, variance, lower, upper = self.body_inputs()
+        fast = sample_trunc_normal(mean, variance, lower, upper, rng(12))
+        tails = []
+        monkeypatch.setattr(distributions, "_tn_tail", lambda a, b, g: tails.append(a.size) or a + 0.5)
+        # One interval 6 SDs out sends the call down the masked path; its
+        # body draws come first, from the same stream.
+        masked = sample_trunc_normal(np.append(mean, 0.0), np.append(variance, 1.0),
+                                     np.append(lower, 6.0), np.append(upper, 7.0), rng(12))
+        assert tails == [1]
+        assert fast.tobytes() == masked[:-1].tobytes()
+
+    def test_tail_elements_take_tail_branch_and_stay_inside(self, monkeypatch):
+        mean, variance, lower, upper = self.body_inputs()
+        far = np.arange(0, mean.size, 50)
+        offset = (_TAIL_CUTOFF + 6.0) * np.sqrt(variance[far])
+        width = 0.5 * np.sqrt(variance[far])
+        lower[far], upper[far] = mean[far] + offset, mean[far] + offset + width
+        low = far[::2]  # every other one sits in the lower tail instead
+        lower[low], upper[low] = mean[low] - offset[::2] - width[::2], mean[low] - offset[::2]
+        calls = []
+        real_tail = distributions._tn_tail
+        monkeypatch.setattr(distributions, "_tn_tail", lambda a, b, g: calls.append(a.size) or real_tail(a, b, g))
+        draws = sample_trunc_normal(mean, variance, lower, upper, rng(13))
+        assert calls == [far.size // 2, far.size // 2]  # upper tail, then lower tail
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws > lower) & (draws < upper))
 
 
 class TestStandardFamilies:

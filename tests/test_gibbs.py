@@ -7,7 +7,6 @@ from ordquant import gibbs
 from ordquant.gibbs import (
     PosteriorDraws,
     SamplerConfig,
-    cutpoint_bounds,
     read_draws,
     run_chain,
     update_alpha,
@@ -22,7 +21,7 @@ from ordquant.gibbs import (
 )
 from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, validate_state
 from ordquant.simulate import ScenarioConfig, generate_sim1
-from ordquant.streams import substream
+from ordquant.streams import STREAM_CHAIN, substream
 
 from .oracles import gig_moment, ks_vs_cdf, ks_vs_log_kernel
 
@@ -269,6 +268,19 @@ class TestUpdateL:
             assert np.all(state.latent_l <= state.cutpoints[ds.y])
 
 
+class BoundsRecorder:
+    """Stands in for the generator in ``update_delta``: records each uniform
+    draw's support and returns its midpoint, so the next cut-point's bounds
+    are known exactly."""
+
+    def __init__(self):
+        self.bounds = []
+
+    def uniform(self, low, high, size=None):
+        self.bounds.append((low, high))
+        return 0.5 * (low + high)
+
+
 class TestUpdateDelta:
     def delta_fixture(self):
         x = np.zeros((4, 1))
@@ -285,7 +297,9 @@ class TestUpdateDelta:
 
     def test_direct_bounds(self):
         spec, state = self.delta_fixture()
-        assert cutpoint_bounds(state, spec, 1) == (0.3, 0.7)
+        g = BoundsRecorder()
+        update_delta(state, spec, g)
+        assert g.bounds == [(0.3, 0.7)]
 
     def test_uniform_distribution_ks(self):
         spec, state = self.delta_fixture()
@@ -310,12 +324,13 @@ class TestUpdateDelta:
             s=np.ones(1), lambda_sq=1.0, phi=1.0,
             cutpoints=np.array([-np.inf, -0.5, 1.0, np.inf]),
         )
-        lo, hi = cutpoint_bounds(state, spec, 2)
-        assert lo == -0.5  # empty category 2: falls back to delta_1
-        assert hi == 2.0   # min liability in category 3
-        lo1, hi1 = cutpoint_bounds(state, spec, 1)
+        g = BoundsRecorder()
+        update_delta(state, spec, g)
+        (lo1, hi1), (lo, hi) = g.bounds
         assert lo1 == -1.0
         assert hi1 == 1.0  # empty category 2 contributes +inf; neighbour binds
+        assert lo == 0.0   # empty category 2: falls back to the fresh delta_1
+        assert hi == 2.0   # min liability in category 3
 
     def test_inconsistent_state_aborts(self):
         spec, state = self.delta_fixture()
@@ -429,7 +444,8 @@ class TestRunChain:
         state = initialize_state(spec, substream(5, 0, 0))
         g = substream(5, 0, 0)
         for _ in range(60):
-            gibbs.sweep(state, spec, g)
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
             validate_state(state, spec)
 
     def test_nan_aborts_with_location(self, monkeypatch):
@@ -441,6 +457,24 @@ class TestRunChain:
         monkeypatch.setattr(gibbs, "_SWEEP", (poisoned,))
         with pytest.raises(ChainDivergedError, match="latent_v at sweep 1"):
             run_chain(spec, SamplerConfig(iterations=5, burn_in=0, seed=3))
+
+    def test_matches_hand_loop_over_sweep_blocks(self):
+        # The benchmark's traced run times each block by running
+        # gibbs._SWEEP itself; it must reproduce run_chain's draws exactly.
+        spec = small_sim_spec()
+        cfg = SamplerConfig(iterations=30, burn_in=10, thin=2, seed=9, num_chains=2,
+                            overdispersed_starts=True, retain_alpha=True)
+        rows = []
+        for chain in range(cfg.num_chains):
+            g = substream(cfg.seed, STREAM_CHAIN, chain)
+            state = initialize_state(spec, g, overdispersed=True)
+            for t in range(1, cfg.iterations + 1):
+                for op in gibbs._SWEEP:
+                    op(state, spec, g)
+                if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+                    rows.append(np.concatenate([state.beta, state.cutpoints[1:-1],
+                                                [state.lambda_sq, state.phi], state.alpha]))
+        assert np.array_equal(run_chain(spec, cfg).values, np.array(rows))
 
     def test_alpha_retention_flag(self):
         spec = small_sim_spec()
