@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -251,9 +252,14 @@ def _run_fit(resolved: dict) -> int:
         overdispersed_starts=resolved["overdispersed-starts"],
         retain_alpha=resolved["retain-alpha"] or resolved["dic"],
     )
+    # One worker process per chain, up to the CPUs this process may run on
+    # (all CPUs where the OS has no affinity masks); the draws do not depend
+    # on the number of workers.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(config.num_chains, cpus)
     for theta in resolved["theta"]:
         spec = ModelSpec(theta=theta, dataset=dataset, priors=priors)
-        draws = run_chain(spec, config)
+        draws = run_chain(spec, config, jobs)
         tag = f"theta{theta:g}"
         write_draws(draws, out_dir / f"draws-{tag}.csv", spec)
         table = summarize(draws, level=resolved["level"])
@@ -265,19 +271,22 @@ def _run_fit(resolved: dict) -> int:
             series.to_plot_file(out_dir / f"mpsrf-{tag}.dat")
             (out_dir / f"mpsrf-{tag}.txt").write_text(series.to_text(), encoding="utf-8")
         if resolved["dic"]:
-            result = dic(draws, spec)
-            write_kv(
-                out_dir / f"dic-{tag}.txt",
-                {
-                    "dic": f"{result.dic:.17g}",
-                    "dbar": f"{result.dbar:.17g}",
-                    "d_at_posterior_mean": f"{result.d_at_mean:.17g}",
-                    "p_d": f"{result.p_d:.17g}",
-                    "floored_cells": result.floored_cells,
-                },
-            )
+            _write_dic(dic(draws, spec), out_dir / f"dic-{tag}.txt")
     _write_manifest(out_dir, "fit", OPTIONS["fit"], resolved, extra={"input_sha256": _sha256(input_path)})
     return 0
+
+
+def _write_dic(result, path) -> None:
+    write_kv(
+        path,
+        {
+            "dic": f"{result.dic:.17g}",
+            "dbar": f"{result.dbar:.17g}",
+            "d_at_posterior_mean": f"{result.d_at_mean:.17g}",
+            "p_d": f"{result.p_d:.17g}",
+            "floored_cells": result.floored_cells,
+        },
+    )
 
 
 def _run_simulate(resolved: dict) -> int:
@@ -364,17 +373,7 @@ def _run_diagnose(resolved: dict) -> int:
         resolved["data"] = str(data_path)
         dataset = ingest_csv(data_path, _schema_from(resolved))
         spec = ModelSpec(theta=resolved["theta"], dataset=dataset)
-        result = dic(draws, spec)
-        write_kv(
-            out_dir / "dic.txt",
-            {
-                "dic": f"{result.dic:.17g}",
-                "dbar": f"{result.dbar:.17g}",
-                "d_at_posterior_mean": f"{result.d_at_mean:.17g}",
-                "p_d": f"{result.p_d:.17g}",
-                "floored_cells": result.floored_cells,
-            },
-        )
+        _write_dic(dic(draws, spec), out_dir / "dic.txt")
     resolved["draws"] = [str(Path(p).resolve()) for p in resolved["draws"]]
     _write_manifest(out_dir, "diagnose", OPTIONS["diagnose"], resolved)
     return 0

@@ -10,7 +10,6 @@ import numpy as np
 
 from .gibbs import PosteriorDraws
 from .model import ModelSpec
-from .distributions import sld_cdf
 
 __all__ = [
     "SummaryTable",
@@ -27,6 +26,12 @@ __all__ = [
 # Probability floor for likelihood cells in the deviance; cells this small
 # are counted and flagged rather than producing -inf.
 _CELL_FLOOR = 1e-300
+
+# The deviance is computed for blocks of at most _DIC_BLOCK_DRAWS draws,
+# fewer when a block would exceed _DIC_BLOCK_CELLS likelihood cells (but
+# always at least one draw), so the temporaries stay small on large panels.
+_DIC_BLOCK_DRAWS = 64
+_DIC_BLOCK_CELLS = 1 << 16
 
 _MPSRF_RIDGE = 1e-10
 
@@ -246,24 +251,57 @@ def dic(draws: PosteriorDraws, spec: ModelSpec) -> DicResult:
     deltas = draws.select(delta_names)
     alphas = draws.select(alpha_names)
 
+    rows = draws.values.shape[0]
+    block = max(1, min(_DIC_BLOCK_DRAWS, _DIC_BLOCK_CELLS // ds.num_observations))
+    devs = np.empty(rows)
     floored = 0
-
-    def deviance(beta, delta_interior, alpha) -> float:
-        nonlocal floored
-        cuts = np.concatenate([[-np.inf], delta_interior, [np.inf]])
-        shift = alpha[ds.subject_index] + ds.x @ beta
-        cells = sld_cdf(cuts[ds.y] - shift, spec.theta) - sld_cdf(cuts[ds.y - 1] - shift, spec.theta)
-        small = cells < _CELL_FLOOR
-        if small.any():
-            floored += int(small.sum())
-            cells = np.maximum(cells, _CELL_FLOOR)
-        return -2.0 * float(np.log(cells).sum())
-
-    devs = np.array([deviance(betas[r], deltas[r], alphas[r]) for r in range(draws.values.shape[0])])
+    for start in range(0, rows, block):
+        part = slice(start, start + block)
+        devs[part], small = _deviances(betas[part], deltas[part], alphas[part], spec)
+        floored += small
     dbar = float(devs.mean())
-    d_hat = deviance(betas.mean(axis=0), deltas.mean(axis=0), alphas.mean(axis=0))
+    at_mean, small = _deviances(*(m.mean(axis=0, keepdims=True) for m in (betas, deltas, alphas)), spec)
+    floored += small
+    d_hat = float(at_mean[0])
     p_d = dbar - d_hat
     return DicResult(dic=dbar + p_d, dbar=dbar, d_at_mean=d_hat, p_d=p_d, floored_cells=floored)
+
+
+def _deviances(betas, deltas, alphas, spec: ModelSpec) -> tuple[np.ndarray, int]:
+    """Deviances of a block of draws (one per row) and the floored-cell count.
+
+    Each draw's linear predictor is its own ``x @ beta`` and its log
+    likelihood is its own row sum, so every deviance has the bits of the
+    one-draw computation.
+    """
+    ds = spec.dataset
+    k = betas.shape[0]
+    shift = alphas[:, ds.subject_index]
+    for j in range(k):
+        shift[j] += ds.x @ betas[j]
+    cuts = np.empty((k, ds.num_categories + 1))
+    cuts[:, 0] = -np.inf
+    cuts[:, 1:-1] = deltas
+    cuts[:, -1] = np.inf
+    below, above = ds.interval_index()
+    cells = _sld_cdf_cells(cuts[:, above] - shift, spec.theta)
+    cells -= _sld_cdf_cells(cuts[:, below] - shift, spec.theta)
+    floored = int(np.count_nonzero(cells < _CELL_FLOOR))
+    np.maximum(cells, _CELL_FLOOR, out=cells)
+    # One sum per row: a 2-D reduction along axis 1 may add in another order.
+    log_lik = [row.sum() for row in np.log(cells, out=cells)]
+    return np.multiply(log_lik, -2.0), floored
+
+
+def _sld_cdf_cells(eps: np.ndarray, theta: float) -> np.ndarray:
+    """``sld_cdf`` with one ``exp`` per cell.
+
+    The branch is picked by the sign of ``eps``; on its own side each
+    branch computes what ``sld_cdf``, which evaluates both, keeps.
+    """
+    left = eps <= 0.0
+    e = np.exp(eps * np.where(left, 1.0 - theta, -theta))
+    return np.where(left, theta * e, 1.0 - (1.0 - theta) * e)
 
 
 # ---------------------------------------------------------------------------

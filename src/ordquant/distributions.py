@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "check_loss",
@@ -229,7 +228,10 @@ def _trunc_normal(mean, variance, lower, upper, rng):
 
 
 def _tn_body(a, b, rng):
-    # Overwrites a and b.
+    # Overwrites a and b.  scipy.special is imported here, not at module
+    # level, so that commands which never sample (simulate) do not load it.
+    from scipy.special import ndtr, ndtri
+
     pa = ndtr(a, out=a)
     span = ndtr(b, out=b)
     span -= pa

@@ -14,8 +14,15 @@ The cut-point spread still mixes slowly, because the uniform cut-point
 update moves each cut-point only within the gap between neighbouring
 liabilities.
 
-A chain is strictly sequential; chains are independent given their derived
-substreams, so multi-chain runs are reproducible regardless of scheduling.
+Chain scheduling.  A chain is strictly sequential, and each chain draws
+only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
+``run_chain(spec, config, jobs)`` samples the chains one after another in
+this process when ``jobs`` is 1, and otherwise in up to ``jobs`` worker
+processes through ``parallel.ordered_map``; the parent copies each chain's
+retained rows into the preallocated draws matrix in chain order, so the
+draws are identical for any ``jobs``.  ``ordquant fit`` runs one worker per
+chain, capped by the usable CPUs; the replication study's workers call
+``run_chain`` with ``jobs=1``, so pools never nest.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -42,6 +49,7 @@ from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
 from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, initialize_state
 from .distributions import _gig_half, _trunc_normal
+from .parallel import ordered_map
 from .streams import STREAM_CHAIN, substream
 
 __all__ = [
@@ -62,6 +70,9 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
+
+# Draws converted to Python floats at a time by PosteriorDraws.to_csv.
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -306,50 +317,67 @@ class PosteriorDraws:
         return mat[order].reshape(m, self.chain_length, len(names))
 
     def to_csv(self, path) -> None:
+        """Header through ``csv.writer``, then one ``%.17g`` row per draw.
+
+        The rows are the bytes ``csv.writer`` would write for the same
+        fields (no field needs quoting), formatted with one precomputed
+        format and streamed in chunks, so no copy of the whole file is held.
+        """
         path = Path(path)
+        row_format = "%d,%d" + ",%.17g" * len(self.names) + "\r\n"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "iteration", *self.names])
-            for i in range(self.values.shape[0]):
-                writer.writerow(
-                    [int(self.chain[i]), int(self.iteration[i]), *(f"{v:.17g}" for v in self.values[i])]
+            csv.writer(fh).writerow(["chain", "iteration", *self.names])
+            for start in range(0, self.values.shape[0], _CSV_CHUNK_ROWS):
+                stop = start + _CSV_CHUNK_ROWS
+                fh.writelines(
+                    row_format % (c, t, *row)
+                    for c, t, row in zip(self.chain[start:stop].tolist(), self.iteration[start:stop].tolist(),
+                                         self.values[start:stop].tolist())
                 )
 
 
-def run_chain(spec: ModelSpec, config: SamplerConfig) -> PosteriorDraws:
+def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> PosteriorDraws:
     """Run the sampler and collect retained draws from every chain.
 
-    A numerical failure inside a sweep raises ``ChainDivergedError`` naming
-    the chain, the sweep and the block.
+    With ``jobs > 1`` the chains run in up to ``jobs`` worker processes, and
+    each chain's rows are copied into the draws matrix in chain order as they
+    arrive; the draws are identical for any ``jobs``.  A numerical failure
+    inside a sweep raises ``ChainDivergedError`` naming the chain, the sweep
+    and the block.
     """
     names = parameter_names(spec, config.retain_alpha)
-    rows_per_chain = config.retained_per_chain
-    total = rows_per_chain * config.num_chains
-    values = np.empty((total, len(names)))
-    chain_ids = np.empty(total, dtype=np.intp)
-    iterations = np.empty(total, dtype=np.intp)
-
-    row = 0
-    for chain in range(config.num_chains):
-        rng = substream(config.seed, STREAM_CHAIN, chain)
-        state = initialize_state(spec, rng, overdispersed=config.overdispersed_starts)
-        for t in range(1, config.iterations + 1):
-            try:
-                for op in _SWEEP:
-                    op(state, spec, rng)
-            except (ValueError, ArithmeticError, ChainDivergedError) as exc:
-                bad = _nonfinite_blocks(state)
-                state_note = f" with non-finite {', '.join(bad)}" if bad else ""
-                raise ChainDivergedError(
-                    f"chain {chain}: {op.__name__} failed at sweep {t}{state_note}: {exc}"
-                ) from exc
-            _check_finite(state, chain, t)
-            if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-                _flatten(state, values[row], config.retain_alpha)
-                chain_ids[row] = chain
-                iterations[row] = t
-                row += 1
+    rows = config.retained_per_chain
+    values = np.empty((rows * config.num_chains, len(names)))
+    tasks = [(spec, config, chain) for chain in range(config.num_chains)]
+    for chain, block in enumerate(ordered_map(_sample_chain, tasks, jobs)):
+        values[chain * rows:(chain + 1) * rows] = block
+    chain_ids = np.repeat(np.arange(config.num_chains, dtype=np.intp), rows)
+    iterations = np.tile(config.burn_in + config.thin * np.arange(1, rows + 1, dtype=np.intp), config.num_chains)
     return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
+
+
+def _sample_chain(task: tuple[ModelSpec, SamplerConfig, int]) -> np.ndarray:
+    """Run chain ``c`` of ``config`` and return its retained rows."""
+    spec, config, chain = task
+    rows = np.empty((config.retained_per_chain, len(parameter_names(spec, config.retain_alpha))))
+    rng = substream(config.seed, STREAM_CHAIN, chain)
+    state = initialize_state(spec, rng, overdispersed=config.overdispersed_starts)
+    row = 0
+    for t in range(1, config.iterations + 1):
+        try:
+            for op in _SWEEP:
+                op(state, spec, rng)
+        except (ValueError, ArithmeticError, ChainDivergedError) as exc:
+            bad = _nonfinite_blocks(state)
+            state_note = f" with non-finite {', '.join(bad)}" if bad else ""
+            raise ChainDivergedError(
+                f"chain {chain}: {op.__name__} failed at sweep {t}{state_note}: {exc}"
+            ) from exc
+        _check_finite(state, chain, t)
+        if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
+            _flatten(state, rows[row], config.retain_alpha)
+            row += 1
+    return rows
 
 
 def _flatten(state: ChainState, out: np.ndarray, retain_alpha: bool) -> None:

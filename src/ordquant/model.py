@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import OrdinalDataset
 from .distributions import sample_trunc_normal
@@ -157,6 +156,8 @@ def category_probability(state: ChainState, spec: ModelSpec, obs_index: int) -> 
     probability is a difference of standard-normal CDF values at the
     standardized cut-points.
     """
+    from scipy.special import ndtr
+
     ds = spec.dataset
     i = int(obs_index)
     m = ds.x[i] @ state.beta + state.alpha[ds.subject_index[i]] + spec.xi * state.latent_v[i]

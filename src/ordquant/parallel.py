@@ -1,0 +1,50 @@
+"""Process parallelism: the one place the package starts worker processes.
+
+Every task handed to ``ordered_map`` owns its random substream (see
+``streams``), so a task's result does not depend on which worker runs it or
+when; results are handed back in task order, so output is identical for any
+number of workers.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+__all__ = ["ordered_map"]
+
+
+def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
+    """Yield ``func(task)`` for every task, in task order.
+
+    With ``jobs > 1`` and more than one task, the tasks run in a pool of up
+    to ``jobs`` worker processes; otherwise they run one after another in
+    this process.  ``func`` must be a module-level function and the tasks
+    and results picklable.  An exception whose type is in ``errors`` is
+    yielded in place of its task's result; any other exception propagates
+    when its task's turn comes, and the tasks not yet started are cancelled.
+
+    Workers are forked, so they start without re-importing numpy and the
+    package.  With fork the executor starts every worker before its own
+    manager thread, and the package starts no other threads.
+    """
+    tasks = list(tasks)
+    if jobs <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            try:
+                yield func(task)
+            except errors as exc:
+                yield exc
+        return
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
+        futures = [pool.submit(func, task) for task in tasks]
+        try:
+            for future in futures:
+                try:
+                    yield future.result()
+                except errors as exc:
+                    yield exc
+        finally:
+            for future in futures:
+                future.cancel()

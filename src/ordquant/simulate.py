@@ -11,7 +11,6 @@ shift off reproduces the first scenario's draws exactly.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .errors import ChainDivergedError, ConfigError
 from .gibbs import SamplerConfig, parameter_names, run_chain
 from .kvfile import write_kv
 from .model import ModelSpec, Priors
+from .parallel import ordered_map
 from .streams import STREAM_REPLICATION, child_seed, substream
 
 __all__ = [
@@ -208,7 +208,7 @@ def _replication_worker(args):
         fit_seed = child_seed(config.seed, STREAM_REPLICATION, rep, 1 + q)
         fit_cfg = replace(sampler, seed=fit_seed)
         results[theta] = estimator(dataset, theta, fit_cfg)
-    return rep, results
+    return results
 
 
 def run_replication_study(
@@ -234,20 +234,12 @@ def run_replication_study(
     tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]
     results: dict[int, dict] = {}
     failures: list[str] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, outcome in zip(range(config.replications), pool.map(_replication_worker_safe, tasks)):
-                if isinstance(outcome, str):
-                    failures.append(f"replication {rep}: {outcome}")
-                else:
-                    results[rep] = outcome[1]
-    else:
-        for task in tasks:
-            rep = task[3]
-            try:
-                results[rep] = _replication_worker(task)[1]
-            except (ChainDivergedError, FloatingPointError) as exc:
-                failures.append(f"replication {rep}: {exc}")
+    outcomes = ordered_map(_replication_worker, tasks, jobs, errors=(ChainDivergedError, FloatingPointError))
+    for rep, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            failures.append(f"replication {rep}: {outcome}")
+        else:
+            results[rep] = outcome
 
     estimates = {}
     reports = {}
@@ -270,13 +262,6 @@ def run_replication_study(
             failures=list(failures),
         )
     return ReplicationRun(config, sampler, thetas, names, estimates, reports, failures)
-
-
-def _replication_worker_safe(args):
-    try:
-        return _replication_worker(args)
-    except (ChainDivergedError, FloatingPointError) as exc:
-        return str(exc)
 
 
 def efficiency_against(run: ReplicationRun, reference_theta: float) -> None:

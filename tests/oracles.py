@@ -49,3 +49,36 @@ def gig_moment(order: int, rho1: float, rho2: float) -> float:
     if order == 2:
         return eta * eta * (1.0 + 3.0 / omega + 3.0 / omega ** 2)
     raise ValueError("only first and second moments are tabulated")
+
+
+def dic_per_draw(draws, spec):
+    """DIC computed one draw at a time, as ``diagnostics.dic`` once did.
+
+    Returns ``(dic, dbar, d_at_mean, p_d, floored_cells)``; the vectorised
+    ``dic`` must reproduce every value bit for bit.
+    """
+    from ordquant.diagnostics import _CELL_FLOOR
+    from ordquant.distributions import sld_cdf
+
+    ds = spec.dataset
+    betas = draws.select([f"beta_{k + 1}" for k in range(ds.num_covariates)])
+    deltas = draws.select([f"delta_{c}" for c in range(1, ds.num_categories)])
+    alphas = draws.select([f"alpha_{i + 1}" for i in range(ds.num_subjects)])
+    floored = 0
+
+    def deviance(beta, delta_interior, alpha) -> float:
+        nonlocal floored
+        cuts = np.concatenate([[-np.inf], delta_interior, [np.inf]])
+        shift = alpha[ds.subject_index] + ds.x @ beta
+        cells = sld_cdf(cuts[ds.y] - shift, spec.theta) - sld_cdf(cuts[ds.y - 1] - shift, spec.theta)
+        small = cells < _CELL_FLOOR
+        if small.any():
+            floored += int(small.sum())
+            cells = np.maximum(cells, _CELL_FLOOR)
+        return -2.0 * float(np.log(cells).sum())
+
+    devs = np.array([deviance(betas[r], deltas[r], alphas[r]) for r in range(draws.values.shape[0])])
+    dbar = float(devs.mean())
+    d_hat = deviance(betas.mean(axis=0), deltas.mean(axis=0), alphas.mean(axis=0))
+    p_d = dbar - d_hat
+    return dbar + p_d, dbar, d_hat, p_d, floored

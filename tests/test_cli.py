@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -98,6 +99,47 @@ class TestFit:
         err = capsys.readouterr().err
         assert "numerical failure: chain 0: update_" in err
         assert "at sweep 5 with non-finite beta" in err
+
+    def test_nan_in_worker_chains_exits_3(self, tmp_path, toy_csv, monkeypatch, capsys):
+        # Each forked worker inherits the patched sweep with its own call count,
+        # so every chain turns non-finite at sweep 5; the error names chain 0
+        # and the block that failed on the non-finite beta.
+        calls = []
+
+        def update_beta(state, spec, rng):
+            gibbs.update_beta(state, spec, rng)
+            calls.append(None)
+            if len(calls) == 5:
+                state.beta[0] = np.nan
+
+        sweep = tuple(update_beta if op is gibbs.update_beta else op for op in gibbs._SWEEP)
+        monkeypatch.setattr(gibbs, "_SWEEP", sweep)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = run(["fit", "--input", toy_csv, "--iterations", "20", "--burn-in", "5", "--chains", "2",
+                    "--seed", "7", "--out", tmp_path / "runs"])
+        assert code == 3
+        assert not calls  # the sweeps ran in the workers
+        err = capsys.readouterr().err
+        assert "numerical failure: chain 0: update_delta failed at sweep 5 with non-finite beta" in err
+
+    def test_worker_chains_write_serial_bytes(self, tmp_path, toy_csv, monkeypatch):
+        args = ["fit", "--input", toy_csv, "--iterations", "60", "--burn-in", "10", "--chains", "2",
+                "--overdispersed-starts", "--dic", "--theta", "0.3", "--theta", "0.6", "--seed", "5"]
+        for cpus, out in (({0}, "serial"), ({0, 1}, "pooled")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert run([*args, "--out", tmp_path / out]) == 0
+
+        def digests(root):
+            files = sorted(p for p in (root / "fit-5").iterdir() if p.name != "manifest.txt")
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+        serial = digests(tmp_path / "serial")
+        assert "dic-theta0.3.txt" in serial and "mpsrf-theta0.6.csv" in serial
+        assert digests(tmp_path / "pooled") == serial
+        # Where the OS has no affinity masks, fit counts every CPU instead.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run([*args, "--out", tmp_path / "no-affinity"]) == 0
+        assert digests(tmp_path / "no-affinity") == serial
 
     def test_schema_error_exit_2(self, tmp_path, toy_csv):
         out = tmp_path / "runs"
@@ -276,7 +318,8 @@ class TestMisc:
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
         src = str(Path(ordquant.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = "import sys, ordquant.cli; print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
+        probe = ("import sys, ordquant.cli; "
+                 "print(sorted({'scipy.optimize', 'scipy.linalg', 'scipy.special'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
 

@@ -13,8 +13,12 @@ from ordquant.diagnostics import (
     relative_efficiency,
     summarize,
 )
-from ordquant.gibbs import PosteriorDraws
-from ordquant.model import ModelSpec
+from ordquant.gibbs import PosteriorDraws, SamplerConfig, run_chain
+from ordquant.model import ModelSpec, Priors
+from ordquant.simulate import ScenarioConfig, generate_sim2
+from ordquant.streams import substream
+
+from .oracles import dic_per_draw
 
 
 def make_draws(values, names=None, chains=1):
@@ -252,6 +256,18 @@ class TestDic:
         result = dic(draws, spec)
         assert result.floored_cells > 0
         assert np.isfinite(result.dic)
+
+    def test_matches_per_draw_reference_exactly(self):
+        # More draws than one block, more observations than one row of cells
+        # per draw, and one draw whose cells underflow the floor.
+        cfg = ScenarioConfig(scenario="sim2", subjects=30, obs_per_subject=7)
+        ds = generate_sim2(cfg, substream(4, 2, 0))
+        spec = ModelSpec(theta=0.3, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
+        draws = run_chain(spec, SamplerConfig(iterations=200, burn_in=50, seed=8, num_chains=2, retain_alpha=True))
+        draws.values[17, 0] = 1e6
+        result = dic(draws, spec)
+        assert result.floored_cells > 0
+        assert (result.dic, result.dbar, result.d_at_mean, result.p_d, result.floored_cells) == dic_per_draw(draws, spec)
 
 
 class TestRelativeBias:

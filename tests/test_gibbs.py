@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -476,6 +479,16 @@ class TestRunChain:
                                                 [state.lambda_sq, state.phi], state.alpha]))
         assert np.array_equal(run_chain(spec, cfg).values, np.array(rows))
 
+    def test_worker_processes_give_identical_draws(self):
+        spec = small_sim_spec()
+        cfg = SamplerConfig(iterations=40, burn_in=10, thin=2, seed=4, num_chains=3,
+                            overdispersed_starts=True, retain_alpha=True)
+        serial = run_chain(spec, cfg)
+        pooled = run_chain(spec, cfg, jobs=2)
+        assert np.array_equal(pooled.values, serial.values)
+        assert np.array_equal(pooled.chain, serial.chain)
+        assert np.array_equal(pooled.iteration, serial.iteration)
+
     def test_alpha_retention_flag(self):
         spec = small_sim_spec()
         cfg = SamplerConfig(iterations=10, burn_in=0, seed=1, retain_alpha=True)
@@ -591,6 +604,22 @@ class TestPosteriorDrawsIO:
 
         with pytest.raises(SchemaError):
             read_draws([pa, pb])
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gibbs, "_CSV_CHUNK_ROWS", 2)  # three rows span two chunks
+        values = np.array([[-0.0, 1e-300, 5e-324, 3.0],
+                           [2.0, -1.5, 0.1, 1e22],
+                           [np.pi, -7.0, 123456789.0, -2.5e-310]])
+        draws = PosteriorDraws(["beta_1", "delta_1", "lambda_sq", "phi"], values,
+                               np.array([0, 0, 0]), np.array([5, 7, 9]))
+        path = tmp_path / "draws.csv"
+        draws.to_csv(path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["chain", "iteration", *draws.names])
+        for c, t, row in zip(draws.chain, draws.iteration, values):
+            writer.writerow([int(c), int(t), *(f"{v:.17g}" for v in row)])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_unequal_chain_lengths_rejected(self):
         with pytest.raises(ValueError):
