@@ -9,7 +9,7 @@ liability to the observed categories.
 
 __version__ = "0.1.0"
 
-from .data import CsvSchema, OrdinalDataset, SubjectBlock, ingest_csv, write_csv
+from .data import CsvSchema, OrdinalDataset, ingest_csv, write_csv
 from .diagnostics import (
     DicResult,
     MpsrfSeries,
@@ -38,7 +38,6 @@ __all__ = [
     "__version__",
     "CsvSchema",
     "OrdinalDataset",
-    "SubjectBlock",
     "ingest_csv",
     "write_csv",
     "Priors",

@@ -3,26 +3,32 @@
 A dataset is a panel of subjects, each observed at one or more occasions.
 Each observation carries an ordinal response in ``1..C`` and a length-``p``
 covariate vector.  Storage is flat (one row per observation, grouped by
-subject in first-appearance order) which is what the sampler consumes;
-per-subject views are derived on demand.
+subject in first-appearance order), which is what the sampler consumes.
 
 CSV interface: header row required, UTF-8, missing values not permitted in
-model columns.  The writer emits the same schema it reads, so datasets
-round-trip unchanged.
-"""
+model columns.  Both directions work on chunks of ``_CHUNK_ROWS`` rows:
+ingest converts a chunk one column at a time and keeps one string per
+distinct subject, and the writer formats a chunk with one row format.  The
+writer emits the same schema it reads, with the bytes ``csv.writer``
+writes, so datasets round-trip unchanged."""
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, SchemaError
 
-__all__ = ["CsvSchema", "SubjectBlock", "OrdinalDataset", "ingest_csv", "write_csv"]
+__all__ = ["CsvSchema", "OrdinalDataset", "ingest_csv", "write_csv"]
+
+# Records parsed, or rows formatted, at a time by ingest_csv and write_csv.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -40,14 +46,6 @@ class CsvSchema:
     covariates: tuple[str, ...] | None = None
     time: str | None = "time"
     num_categories: int | None = None
-
-
-@dataclass(frozen=True)
-class SubjectBlock:
-    subject_id: str
-    y: np.ndarray
-    x: np.ndarray
-    time_index: np.ndarray
 
 
 @dataclass
@@ -106,9 +104,6 @@ class OrdinalDataset:
     def num_observations(self) -> int:
         return self.y.shape[0]
 
-    def observations_per_subject(self) -> np.ndarray:
-        return np.bincount(self.subject_index, minlength=self.num_subjects)
-
     def category_runs(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Observation indices sorted by category, the start of each
         non-empty category's run in that order, and those categories (cached)."""
@@ -124,13 +119,6 @@ class OrdinalDataset:
             self._interval_index = (self.y - 1, self.y)
         return self._interval_index
 
-    def subjects(self) -> list[SubjectBlock]:
-        blocks = []
-        for i, sid in enumerate(self.subject_ids):
-            rows = np.flatnonzero(self.subject_index == i)
-            blocks.append(SubjectBlock(sid, self.y[rows].copy(), self.x[rows].copy(), self.time_index[rows].copy()))
-        return blocks
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrdinalDataset):
             return NotImplemented
@@ -145,21 +133,12 @@ class OrdinalDataset:
             and np.array_equal(self.time_index, other.time_index)
         )
 
-    @classmethod
-    def from_blocks(cls, blocks, num_categories=None, covariate_names=None):
-        if not blocks:
-            raise DataError("dataset holds no subjects")
-        sid = [b.subject_id for b in blocks]
-        idx = np.concatenate([np.full(len(b.y), i, dtype=np.intp) for i, b in enumerate(blocks)])
-        y = np.concatenate([np.asarray(b.y, dtype=np.intp) for b in blocks])
-        x = np.vstack([np.atleast_2d(np.asarray(b.x, dtype=float)) for b in blocks])
-        t = np.concatenate([np.asarray(b.time_index, dtype=np.intp) for b in blocks])
-        C = int(num_categories) if num_categories is not None else int(y.max())
-        return cls(sid, idx, y, x, t, C, covariate_names=list(covariate_names or []))
-
 
 def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
-    """Read, validate, and re-index a dataset CSV per ``schema``."""
+    """Read, validate, and re-index a dataset CSV per ``schema``.
+
+    A bad file is reported at its first bad cell in row order and, within a
+    row, in check order: width, subject, response, covariates, time."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -169,10 +148,34 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         columns = _resolve_columns(path, header, schema)
-        rows = _parse_rows(path, reader, header, columns, schema)
-    if not rows:
+        ids: dict[str, int] = {}
+        chunks = [_parse_chunk(path, records, 2 + k * _CHUNK_ROWS, len(header), columns, schema, ids)
+                  for k, records in enumerate(iter(lambda: list(islice(reader, _CHUNK_ROWS)), []))]
+    if not ids:
         raise DataError(f"{path}: no data rows")
-    return _assemble(rows, columns, schema)
+
+    subject, y, x, t = (np.concatenate(parts) for parts in zip(*chunks))
+    order = np.argsort(subject, kind="stable")
+    subject, y, x, t = subject[order], y[order], x[order], t[order]
+    if columns["time"] is None:
+        counts = np.bincount(subject)
+        t = np.arange(subject.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    labels = np.unique(y)
+    if schema.num_categories is not None:
+        C = schema.num_categories
+        category_labels = list(range(1, C + 1))
+        empty = np.setdiff1d(category_labels, labels).tolist()
+        if empty:
+            warnings.warn(f"categories {empty} have no observations", stacklevel=2)
+    else:
+        C = labels.size
+        if C < 2:
+            raise DataError("an ordinal response needs at least two distinct categories")
+        y = np.searchsorted(labels, y) + 1
+        category_labels = labels.tolist()
+    return OrdinalDataset(list(ids), subject, y, x, t, C, category_labels=category_labels,
+                          covariate_names=[name for name, _ in columns["covariates"]])
 
 
 def _resolve_columns(path, header, schema):
@@ -199,102 +202,97 @@ def _resolve_columns(path, header, schema):
     }
 
 
-def _parse_rows(path, reader, header, columns, schema):
-    rows = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
-        if len(raw) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
-        subject = raw[columns["subject"]].strip()
-        if not subject:
-            raise DataError(f"{path}:{lineno}: empty subject id")
-        y_raw = raw[columns["response"]].strip()
+def _parse_chunk(path, records, line, width, columns, schema, ids):
+    """Subject indices, responses, covariates and times of the non-blank ``records``
+    (the first on ``line``), adding new subject ids to ``ids`` as they appear."""
+    s = columns["subject"]
+    errors = []  # (position among the records kept, message), in check order
+    keep = range(len(records))
+    cells = list(zip(*records)) if set(map(len, records)) == {width} else None
+    if cells is None or not all(map(str.strip, cells[s])):
+        odd = [i for i, raw in enumerate(records) if len(raw) != width or not raw[s].strip()]
+        blank = {i for i in odd if all(not cell.strip() for cell in records[i])}
+        fault = next((i for i in odd if i not in blank), None)
+        keep = [i for i in keep[:fault] if i not in blank]
+        if fault is not None:
+            got = len(records[fault])
+            errors.append((len(keep), f"expected {width} fields, got {got}" if got != width else "empty subject id"))
+        records = [records[i] for i in keep]
+        keep.append(fault)
+        cells = list(zip(*records)) or [()] * width
+    n = len(records)
+
+    subjects = list(map(str.strip, cells[s]))
+    local = dict.fromkeys(subjects)
+    for sid in local:
+        local[sid] = ids.setdefault(sid, len(ids))
+    subject = np.fromiter(map(local.__getitem__, subjects), np.intp, n)
+
+    y = _convert(cells[columns["response"]], int, errors, lambda cell: f"response {cell!r} is not an integer category")
+    C = schema.num_categories
+    if C is not None:
+        outside = np.flatnonzero((y < 1) | (y > C))
+        if outside.size:
+            errors.append((outside[0], f"category {y[outside[0]]} outside declared range 1..{C}"))
+    x = np.empty((n, len(columns["covariates"])))
+    for j, (name, col) in enumerate(columns["covariates"]):
+        values = _convert(cells[col], float, errors, lambda cell: f"covariate {name!r} value {cell!r} is not numeric"
+                          if cell else f"missing value in covariate {name!r}")
+        if values.size == n:
+            x[:, j] = values
+    t = np.zeros(n, dtype=np.intp)
+    if columns["time"] is not None:
+        t = _convert(cells[columns["time"]], int, errors, lambda cell: f"time index {cell!r} is not an integer")
+    if errors:
+        first, message = min(errors, key=lambda error: error[0])
+        raise DataError(f"{path}:{line + keep[first]}: {message}")
+    return subject, y, x, t
+
+
+def _convert(cells, kind, errors, describe):
+    """``cells`` converted by ``kind`` into an array.  At the first cell that
+    does not convert, its position and ``describe(cell.strip())`` are added to
+    ``errors`` and the values before it are returned.  ``int`` and ``float``
+    skip what ``str.strip`` does but U+001C..U+001F, and an integer may not fit
+    in ``intp``, so a chunk that fails is converted again cell by cell after
+    ``strip`` into Python numbers."""
+    try:
+        return np.fromiter(map(kind, cells), np.intp if kind is int else np.float64, len(cells))
+    except (ValueError, OverflowError):
+        values = np.empty(len(cells), object)
+    for i, cell in enumerate(cells):
         try:
-            y = int(y_raw)
+            values[i] = kind(cell.strip())
         except ValueError:
-            raise DataError(f"{path}:{lineno}: response {y_raw!r} is not an integer category") from None
-        if schema.num_categories is not None and not 1 <= y <= schema.num_categories:
-            raise DataError(
-                f"{path}:{lineno}: category {y} outside declared range 1..{schema.num_categories}"
-            )
-        xs = []
-        for name, j in columns["covariates"]:
-            cell = raw[j].strip()
-            if not cell:
-                raise DataError(f"{path}:{lineno}: missing value in covariate {name!r}")
-            try:
-                xs.append(float(cell))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: covariate {name!r} value {cell!r} is not numeric") from None
-        if columns["time"] is not None:
-            t_raw = raw[columns["time"]].strip()
-            try:
-                t = int(t_raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: time index {t_raw!r} is not an integer") from None
-        else:
-            t = None
-        rows.append((subject, y, xs, t))
-    return rows
-
-
-def _assemble(rows, columns, schema):
-    order: dict[str, int] = {}
-    for subject, *_ in rows:
-        order.setdefault(subject, len(order))
-    subject_ids = list(order)
-
-    labels = sorted({y for _, y, _, _ in rows})
-    if schema.num_categories is not None:
-        C = schema.num_categories
-        category_labels = list(range(1, C + 1))
-        remap = {c: c for c in category_labels}
-        empty = sorted(set(category_labels) - set(labels))
-        if empty:
-            warnings.warn(f"categories {empty} have no observations", stacklevel=3)
-    else:
-        C = len(labels)
-        if C < 2:
-            raise DataError("an ordinal response needs at least two distinct categories")
-        remap = {lab: i + 1 for i, lab in enumerate(labels)}
-        category_labels = labels
-
-    rows = sorted(enumerate(rows), key=lambda item: (order[item[1][0]], item[0]))
-    subject_index = np.array([order[r[0]] for _, r in rows], dtype=np.intp)
-    y = np.array([remap[r[1]] for _, r in rows], dtype=np.intp)
-    x = np.array([r[2] for _, r in rows], dtype=float)
-    times = []
-    counters = dict.fromkeys(subject_ids, 0)
-    for _, (subject, _, _, t) in rows:
-        times.append(counters[subject] if t is None else t)
-        counters[subject] += 1
-    return OrdinalDataset(
-        subject_ids,
-        subject_index,
-        y,
-        x,
-        np.array(times, dtype=np.intp),
-        C,
-        covariate_names=[name for name, _ in columns["covariates"]],
-        category_labels=category_labels,
-    )
+            errors.append((i, describe(cell.strip())))
+            return values[:i]
+    return values
 
 
 def write_csv(dataset: OrdinalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
     """Write ``dataset`` using the same column layout ``ingest_csv`` reads."""
-    path = Path(path)
-    time_col = schema.time or "time"
-    header = [schema.subject, schema.response, *dataset.covariate_names, time_col]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.num_observations):
-            label = dataset.category_labels[dataset.y[i] - 1]
-            row = [
-                dataset.subject_ids[dataset.subject_index[i]],
-                label,
-                *(f"{v:.17g}" for v in dataset.x[i]),
-                dataset.time_index[i],
-            ]
-            writer.writerow(row)
+    header = [schema.subject, schema.response, *dataset.covariate_names, schema.time or "time"]
+    ids = _csv_cells(dataset.subject_ids)
+    labels = _csv_cells([None, *dataset.category_labels])  # indexed by y in 1..C
+    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates + ",%d\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, dataset.num_observations, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            fh.writelines(
+                row_format % (ids[i], labels[c], *xs, t)
+                for i, c, xs, t in zip(dataset.subject_index[start:stop].tolist(), dataset.y[start:stop].tolist(),
+                                       dataset.x[start:stop].tolist(), dataset.time_index[start:stop].tolist())
+            )
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value as ``csv.writer`` writes it in a row of several cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    ends = [0]
+    for value in values:
+        writer.writerow((value, None))  # the empty second cell is never quoted
+        ends.append(buf.tell())
+    text = buf.getvalue()
+    return [text[start:end - len(",\r\n")] for start, end in zip(ends, ends[1:])]

@@ -224,7 +224,12 @@ def _trunc_normal(mean, variance, lower, upper, rng):
 
     z *= sd
     z += mean
-    return np.clip(z, np.nextafter(lower, np.inf, out=a), np.nextafter(upper, -np.inf, out=b), out=z)
+    # A draw strictly inside its bounds is left unchanged by the clip, so
+    # only the draws at or past a bound are clipped.
+    at = (z <= lower) | (z >= upper)
+    if at.any():
+        z[at] = np.clip(z[at], np.nextafter(lower[at], np.inf), np.nextafter(upper[at], -np.inf))
+    return z
 
 
 def _tn_body(a, b, rng):

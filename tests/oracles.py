@@ -82,3 +82,124 @@ def dic_per_draw(draws, spec):
     d_hat = deviance(betas.mean(axis=0), deltas.mean(axis=0), alphas.mean(axis=0))
     p_d = dbar - d_hat
     return dbar + p_d, dbar, d_hat, p_d, floored
+
+
+def ingest_csv_rowwise(path, schema=None):
+    """Dataset ingest one row at a time, as ``data.ingest_csv`` once did.
+
+    The columnar ``ingest_csv`` must return an equal dataset and raise the
+    same errors and warnings with the same text.
+    """
+    import csv
+    import warnings
+    from pathlib import Path
+
+    from ordquant.data import CsvSchema, OrdinalDataset, _resolve_columns
+    from ordquant.errors import DataError
+
+    schema = schema or CsvSchema()
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        columns = _resolve_columns(path, header, schema)
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            if len(raw) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
+            subject = raw[columns["subject"]].strip()
+            if not subject:
+                raise DataError(f"{path}:{lineno}: empty subject id")
+            y_raw = raw[columns["response"]].strip()
+            try:
+                y = int(y_raw)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: response {y_raw!r} is not an integer category") from None
+            if schema.num_categories is not None and not 1 <= y <= schema.num_categories:
+                raise DataError(
+                    f"{path}:{lineno}: category {y} outside declared range 1..{schema.num_categories}"
+                )
+            xs = []
+            for name, j in columns["covariates"]:
+                cell = raw[j].strip()
+                if not cell:
+                    raise DataError(f"{path}:{lineno}: missing value in covariate {name!r}")
+                try:
+                    xs.append(float(cell))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: covariate {name!r} value {cell!r} is not numeric") from None
+            if columns["time"] is not None:
+                t_raw = raw[columns["time"]].strip()
+                try:
+                    t = int(t_raw)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: time index {t_raw!r} is not an integer") from None
+            else:
+                t = None
+            rows.append((subject, y, xs, t))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    order: dict[str, int] = {}
+    for subject, *_ in rows:
+        order.setdefault(subject, len(order))
+    subject_ids = list(order)
+    labels = sorted({y for _, y, _, _ in rows})
+    if schema.num_categories is not None:
+        C = schema.num_categories
+        category_labels = list(range(1, C + 1))
+        remap = {c: c for c in category_labels}
+        empty = sorted(set(category_labels) - set(labels))
+        if empty:
+            warnings.warn(f"categories {empty} have no observations", stacklevel=2)
+    else:
+        C = len(labels)
+        if C < 2:
+            raise DataError("an ordinal response needs at least two distinct categories")
+        remap = {lab: i + 1 for i, lab in enumerate(labels)}
+        category_labels = labels
+    rows = sorted(enumerate(rows), key=lambda item: (order[item[1][0]], item[0]))
+    times = []
+    counters = dict.fromkeys(subject_ids, 0)
+    for _, (subject, _, _, t) in rows:
+        times.append(counters[subject] if t is None else t)
+        counters[subject] += 1
+    return OrdinalDataset(
+        subject_ids,
+        np.array([order[r[0]] for _, r in rows], dtype=np.intp),
+        np.array([remap[r[1]] for _, r in rows], dtype=np.intp),
+        np.array([r[2] for _, r in rows], dtype=float),
+        np.array(times, dtype=np.intp),
+        C,
+        covariate_names=[name for name, _ in columns["covariates"]],
+        category_labels=category_labels,
+    )
+
+
+def write_csv_rowwise(dataset, path, schema=None):
+    """Dataset CSV written one cell at a time through ``csv.writer``, as
+    ``data.write_csv`` once did; the chunked writer must give the same bytes."""
+    import csv
+    from pathlib import Path
+
+    from ordquant.data import CsvSchema
+
+    schema = schema or CsvSchema()
+    time_col = schema.time or "time"
+    header = [schema.subject, schema.response, *dataset.covariate_names, time_col]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(dataset.num_observations):
+            writer.writerow([
+                dataset.subject_ids[dataset.subject_index[i]],
+                dataset.category_labels[dataset.y[i] - 1],
+                *(f"{v:.17g}" for v in dataset.x[i]),
+                dataset.time_index[i],
+            ])

@@ -254,6 +254,33 @@ class TestTruncNormalPaths:
         assert np.all((draws > lower) & (draws < upper))
 
 
+    @pytest.mark.parametrize("with_tail", [False, True])
+    def test_final_clip_matches_clipping_every_draw(self, monkeypatch, with_tail):
+        # Pre-clip draws placed at, one ulp inside and past each bound,
+        # including bounds of -0.0 and 0.0 and infinite bounds.
+        inf, up, down = np.inf, lambda v: np.nextafter(v, inf), lambda v: np.nextafter(v, -inf)
+        cases = [  # (lower, upper, standardized draw)
+            (1.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.0, 2.0, up(1.0)), (1.0, 2.0, down(2.0)),
+            (1.0, 2.0, 0.5), (1.0, 2.0, 2.5), (-0.0, 1.0, 0.0), (-0.0, 1.0, -0.0),
+            (0.0, 1.0, 5e-324), (-1.0, 0.0, -0.0), (-1.0, -0.0, 0.0), (-1.0, -0.0, -5e-324),
+            (-inf, inf, 0.3), (-inf, inf, -inf), (-inf, inf, inf), (-inf, 0.5, 0.5), (0.5, inf, 0.5),
+        ]
+        lower, upper, values = (np.array(c) for c in zip(*cases))
+        mean, variance = np.zeros(len(cases)), np.ones(len(cases))
+        mean[:2], variance[:2] = 0.25, 2.0  # draw * sd + mean lands exactly on a bound
+        lower[:2], upper[:2] = 0.25 + np.sqrt(2.0) * np.array([1.0, -1.0]), 0.25 + np.sqrt(2.0) * 2.0
+        if with_tail:  # one interval beyond the cutoff takes the tail branch and lands on its bound
+            mean, variance = np.append(mean, 0.0), np.append(variance, 1.0)
+            lower, upper, values = np.append(lower, 6.0), np.append(upper, 7.0), np.append(values, 6.0)
+        tail = lower - mean > _TAIL_CUTOFF * np.sqrt(variance)
+        monkeypatch.setattr(distributions, "_tn_body", lambda a, b, g: values[~tail].copy())
+        monkeypatch.setattr(distributions, "_tn_tail", lambda a, b, g: values[tail].copy())
+        got = distributions._trunc_normal(mean, variance, lower, upper, rng(0))
+        z = values * np.sqrt(variance) + mean
+        want = np.clip(z, np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf))
+        assert got.tobytes() == want.tobytes()
+        assert 0 < np.sum(want != z) < len(z)
+
 class TestStandardFamilies:
     def test_gamma_rate_parameterization(self):
         draws = sample_standard("gamma", rng(1), size=100000, shape=4.0, rate=4.0)

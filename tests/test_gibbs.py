@@ -503,9 +503,9 @@ class TestRunChain:
         cfg = ScenarioConfig(scenario="sim1", subjects=10, obs_per_subject=4)
         ds = generate_sim1(cfg, substream(31, 2, 0))
         perm = [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]
-        blocks = ds.subjects()
-        ds_perm = OrdinalDataset.from_blocks([blocks[i] for i in perm],
-                                             num_categories=ds.num_categories)
+        rows = np.concatenate([np.flatnonzero(ds.subject_index == i) for i in perm])
+        ds_perm = OrdinalDataset([ds.subject_ids[i] for i in perm], np.argsort(perm)[ds.subject_index[rows]],
+                                 ds.y[rows], ds.x[rows], ds.time_index[rows], ds.num_categories)
         sampler = SamplerConfig(iterations=24000, burn_in=4000, seed=13)
         pri = Priors(delta_min=-3, delta_max=3)
         a = run_chain(ModelSpec(theta=0.5, dataset=ds, priors=pri), sampler)

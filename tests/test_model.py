@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from ordquant import data
 from ordquant.data import CsvSchema, OrdinalDataset, ingest_csv, write_csv
 from ordquant.errors import ConfigError, DataError, SchemaError
 from ordquant.model import (
@@ -14,8 +15,10 @@ from ordquant.model import (
     interior_cutpoints,
     validate_state,
 )
-from ordquant.simulate import ScenarioConfig, generate_sim1
+from ordquant.simulate import ScenarioConfig, generate, generate_sim1
 from ordquant.streams import substream
+
+from .oracles import ingest_csv_rowwise, write_csv_rowwise
 
 
 def write_lines(path, lines):
@@ -31,7 +34,7 @@ class TestIngest:
         assert ds.num_observations == 3
         assert ds.num_categories == 2
         assert ds.num_covariates == 1
-        assert list(ds.observations_per_subject()) == [3]
+        assert list(np.bincount(ds.subject_index)) == [3]
 
     def test_out_of_range_category_names_row(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -114,7 +117,164 @@ class TestIngest:
         subj_counts = {}
         for c in cells:
             subj_counts[c[0]] = subj_counts.get(c[0], 0) + 1
-        assert list(ds.observations_per_subject()) == [subj_counts[s] for s in ds.subject_ids]
+        assert list(np.bincount(ds.subject_index)) == [subj_counts[s] for s in ds.subject_ids]
+
+
+@pytest.fixture(params=["chunk-2", "chunk-default"])
+def chunk_rows(request, monkeypatch):
+    """Run a test with 2-record chunks, so records span chunks, and with the real size."""
+    if request.param == "chunk-2":
+        monkeypatch.setattr(data, "_CHUNK_ROWS", 2)
+
+
+def ingest_error(call, path, schema):
+    with pytest.raises(DataError) as info:
+        call(path, schema)
+    return str(info.value)
+
+
+@pytest.mark.usefixtures("chunk_rows")
+class TestIngestErrors:
+    """Each bad file is reported with the row-wise reference's text and
+    ``file:line``: the first bad cell in row order, then in check order
+    (width, subject, response, covariates, time), with blank records counted."""
+
+    CASES = {
+        "too-many-fields": (["subject,y,x1", "a,1,0.5", "a,2,0.1,7"], None,
+                            "3: expected 3 fields, got 4"),
+        "too-few-fields": (["subject,y,x1", "a,1,0.5", "a,2"], None, "3: expected 3 fields, got 2"),
+        "every-row-too-wide": (["subject,y,x1", "a,1,0.5,9", "b,2,0.1,7"], None, "2: expected 3 fields, got 4"),
+        "empty-subject": (["subject,y,x1", "a,1,0.5", "  ,2,0.1"], None, "3: empty subject id"),
+        "non-numeric-covariate": (["subject,y,x1,x2", "a,1,0.5,1", "a,2,0.1, abc "], None,
+                                  "3: covariate 'x2' value 'abc' is not numeric"),
+        "missing-covariate": (["subject,y,x1,x2", "a,1,0.5,1", "a,2, \t,1"], None,
+                              "3: missing value in covariate 'x1'"),
+        "non-integer-time": (["subject,y,x1,time", "a,1,0.5,0", "a,2,0.1,1.5"], None,
+                             "3: time index '1.5' is not an integer"),
+        "blank-rows-counted": (["subject,y,x1", "a,1,0.5", "", ",,", " , \t,", "   ", "a,two,0.1"], None,
+                               "7: response 'two' is not an integer category"),
+        "first-bad-row-wins": (["subject,y,x1,x2", "a,1,0.5,1", "a,1,0.5,bad", "a,x,0.5,1"], None,
+                               "3: covariate 'x2' value 'bad' is not numeric"),
+        "check-order-within-row": (["subject,time,x1,y", "a,0,0.5,1", "a,zz,no,q"], None,
+                                   "3: response 'q' is not an integer category"),
+        "covariate-before-time": (["subject,time,x1,y", "a,0,0.5,1", "a,zz,no,2"], None,
+                                  "3: covariate 'x1' value 'no' is not numeric"),
+        "cell-error-before-width-error": (["subject,y,x1", "a,1,bad", "a,1"], None,
+                                          "2: covariate 'x1' value 'bad' is not numeric"),
+        "width-error-before-cell-error": (["subject,y,x1", "a,1", "a,1,bad"], None,
+                                          "2: expected 3 fields, got 2"),
+        "range-before-later-parse-error": (["subject,y,x1", "a,1,0.5", "a,7,0.5", "a,x,0.5"], 4,
+                                           "3: category 7 outside declared range 1..4"),
+        "label-beyond-64-bits": (["subject,y,x1", "a,1,0.5", "a,99999999999999999999,0.1"], 4,
+                                 "3: category 99999999999999999999 outside declared range 1..4"),
+        "parse-before-later-range-error": (["subject,y,x1", "a,1,0.5", "a,x,0.5", "a,7,0.5"], 4,
+                                           "3: response 'x' is not an integer category"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message_and_line_match_reference(self, tmp_path, case):
+        lines, categories, expected = self.CASES[case]
+        f = tmp_path / "bad.csv"
+        write_lines(f, lines)
+        schema = CsvSchema(num_categories=categories)
+        assert ingest_error(ingest_csv, f, schema) == f"{f}:{expected}"
+        assert ingest_error(ingest_csv_rowwise, f, schema) == f"{f}:{expected}"
+
+
+def assert_same_dataset(got, want):
+    assert got == want
+    assert repr(got.subject_ids) == repr(want.subject_ids)
+    assert repr(got.category_labels) == repr(want.category_labels)
+    for name in ("subject_index", "y", "x", "time_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.usefixtures("chunk_rows")
+class TestCsvMatchesRowwiseReference:
+    """``ingest_csv`` and ``write_csv`` against the row-wise reference
+    implementations kept in ``tests/oracles.py``."""
+
+    def check_ingest(self, f, schema=CsvSchema()):
+        got = ingest_csv(f, schema)
+        assert_same_dataset(got, ingest_csv_rowwise(f, schema))
+        return got
+
+    def check_write(self, ds, tmp_path):
+        write_csv(ds, tmp_path / "new.csv")
+        write_csv_rowwise(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        return tmp_path / "new.csv"
+
+    def test_panel_larger_than_one_chunk(self, tmp_path):
+        cfg = ScenarioConfig(scenario="sim2", subjects=1100, obs_per_subject=4)
+        ds = generate(cfg, substream(7, 2, 0))
+        f = self.check_write(ds, tmp_path)
+        assert_same_dataset(self.check_ingest(f, CsvSchema(num_categories=5)), ds)
+        self.check_ingest(f)
+
+    def test_interleaved_subjects(self, tmp_path):
+        f = tmp_path / "mix.csv"
+        write_lines(f, ["subject,y,x1,time", "b,1,1.0,4", "a,2,2.0,3", "c,3,2.5,0", "b,2,3.0,1",
+                        "a,1,4.0,0", "c,1,5.0,9", "b,3,6.0,2"])
+        ds = self.check_ingest(f)
+        assert ds.subject_ids == ["b", "a", "c"]
+        assert list(ds.time_index) == [4, 1, 2, 3, 0, 0, 9]
+        self.check_write(ds, tmp_path)
+
+    def test_no_time_column_ranks_within_subject(self, tmp_path):
+        f = tmp_path / "notime.csv"
+        write_lines(f, ["subject,y,x1", "b,1,1.0", "a,2,2.0", "b,2,3.0", "a,1,4.0", "b,1,5.0"])
+        ds = self.check_ingest(f)
+        assert list(ds.time_index) == [0, 1, 2, 0, 1]
+        self.check_write(ds, tmp_path)
+
+    def test_declared_empty_category_warns_at_caller(self, tmp_path):
+        f = tmp_path / "sparse.csv"
+        write_lines(f, ["subject,y,x1", "a,1,0.5", "a,2,0.1", "b,5,0.2"])
+        for ingest in (ingest_csv, ingest_csv_rowwise):
+            with pytest.warns(UserWarning, match=r"^categories \[3, 4\] have no observations$") as record:
+                ingest(f, CsvSchema(num_categories=5))
+            assert record[0].filename == __file__
+        with pytest.warns(UserWarning):
+            ds = self.check_ingest(f, CsvSchema(num_categories=5))
+        self.check_write(ds, tmp_path)
+
+    def test_original_labels_kept(self, tmp_path):
+        f = tmp_path / "labels.csv"
+        write_lines(f, ["subject,y,x1", "a,9,0.5", "a,2,0.1", "b,5,0.2", "b,2,-0.1"])
+        ds = self.check_ingest(f)
+        assert ds.category_labels == [2, 5, 9]
+        assert self.check_write(ds, tmp_path).read_text().splitlines()[1] == "a,9,0.5,0"
+        write_lines(f, ["subject,y,x1", "a,-3,0.5", "a,99999999999999999999,0.1"])
+        assert self.check_ingest(f).category_labels == [-3, 99999999999999999999]
+
+    def test_subject_ids_that_need_quoting(self, tmp_path):
+        ids = ["plain", "has,comma", 'has "quote"', "has\nnewline", "has\r\nCRLF"]
+        ds = OrdinalDataset(ids, np.repeat(np.arange(5), 2), np.tile([1, 2], 5),
+                            np.linspace(-1.0, 1.0, 10)[:, None], np.tile([0, 1], 5), 2)
+        f = self.check_write(ds, tmp_path)
+        assert_same_dataset(self.check_ingest(f), ds)
+
+    def test_padded_cells(self, tmp_path):
+        f = tmp_path / "pad.csv"
+        f.write_text("subject , y,x1,\ttime\n"
+                     " a\t, 1 ,\t0.5\xa0, 0\n"
+                     "\xa0b,\t2\xa0,\x1f-1.25\x1c,\xa01\t\n"
+                     "a ,\x1f3\x1c,\u2003 7 ,\x1c2\n", encoding="utf-8")
+        ds = self.check_ingest(f)
+        assert ds.subject_ids == ["a", "b"]
+        assert ds.x[:, 0].tolist() == [0.5, 7.0, -1.25]
+
+    def test_float_extremes_round_trip(self, tmp_path):
+        values = [-0.0, 5e-324, 1e22, 3.0, -2.0, 0.1, 1e-300, 123456789012345.0]
+        f = tmp_path / "floats.csv"
+        write_lines(f, ["subject,y,x1"] + [f"s{i % 3},{1 + i % 2},{v!r}" for i, v in enumerate(values)])
+        ds = self.check_ingest(f)
+        grouped = np.array(values)[np.argsort(np.arange(len(values)) % 3, kind="stable")]
+        assert ds.x[:, 0].tobytes() == grouped.tobytes()
+        again = self.check_write(ds, tmp_path)
+        assert_same_dataset(self.check_ingest(again), ds)
 
 
 class TestPriors:
