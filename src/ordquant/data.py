@@ -29,6 +29,7 @@ __all__ = ["CsvSchema", "OrdinalDataset", "ingest_csv", "write_csv"]
 
 # Records parsed, or rows formatted, at a time by ingest_csv and write_csv.
 _CHUNK_ROWS = 4096
+_INTP = np.iinfo(np.intp)
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,10 @@ def _parse_chunk(path, records, line, width, columns, schema, ids):
     t = np.zeros(n, dtype=np.intp)
     if columns["time"] is not None:
         t = _convert(cells[columns["time"]], int, errors, lambda cell: f"time index {cell!r} is not an integer")
+        if t.dtype == object:  # converted cell by cell, so a value may not fit in intp
+            wide = next((i for i, v in enumerate(t) if not _INTP.min <= v <= _INTP.max), None)
+            if wide is not None:
+                errors.append((wide, f"time index {t[wide]} does not fit in a {_INTP.bits}-bit integer"))
     if errors:
         first, message = min(errors, key=lambda error: error[0])
         raise DataError(f"{path}:{line + keep[first]}: {message}")
@@ -270,11 +275,15 @@ def _convert(cells, kind, errors, describe):
 
 
 def write_csv(dataset: OrdinalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
-    """Write ``dataset`` using the same column layout ``ingest_csv`` reads."""
-    header = [schema.subject, schema.response, *dataset.covariate_names, schema.time or "time"]
+    """Write ``dataset`` using the same column layout ``ingest_csv`` reads.
+
+    With ``schema.time=None`` no time column is written; ``ingest_csv``
+    then ranks each subject's observations in file order."""
+    header = [schema.subject, schema.response, *dataset.covariate_names, *([schema.time] if schema.time else [])]
     ids = _csv_cells(dataset.subject_ids)
     labels = _csv_cells([None, *dataset.category_labels])  # indexed by y in 1..C
-    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates + ",%d\r\n"
+    # Without a time column the time is formatted with "%.0s", which writes nothing.
+    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates + (",%d" if schema.time else "%.0s") + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, dataset.num_observations, _CHUNK_ROWS):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributions import sld_cdf
 from .gibbs import PosteriorDraws
 from .model import ModelSpec
 
@@ -139,25 +140,20 @@ class MpsrfSeries:
         return "\n".join(lines) + "\n"
 
 
-def default_mpsrf_parameters(names) -> list[str]:
-    return [n for n in names if n.startswith("beta_") or n.startswith("delta_")]
-
-
-def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None, include_scale_params: bool = False) -> MpsrfSeries:
+def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None) -> MpsrfSeries:
     """Brooks-Gelman multivariate shrink factor at cumulative checkpoints.
 
     At a checkpoint t the statistic uses every retained draw with sweep
     index <= t from each chain: (n-1)/n + ((m+1)/m) lambda_1, where
     lambda_1 is the top generalized eigenvalue of the between-chain against
     the within-chain covariance.  A singular within-chain matrix gets a
-    trace-proportional ridge and the checkpoint is flagged.
+    trace-proportional ridge and the checkpoint is flagged.  The default
+    parameters are the coefficients and the cut-points.
     """
     if draws.num_chains < 2:
         raise ValueError("the multivariate shrink factor needs at least two chains")
     if parameters is None:
-        parameters = default_mpsrf_parameters(draws.names)
-        if include_scale_params:
-            parameters += [n for n in ("lambda_sq", "phi") if n in draws.names]
+        parameters = [n for n in draws.names if n.startswith(("beta_", "delta_"))]
     mat = draws.by_chain(parameters)  # (m, n, k)
     m, n_total, _ = mat.shape
     iters = np.sort(draws.iteration[draws.chain == draws.chain[0]])
@@ -284,24 +280,13 @@ def _deviances(betas, deltas, alphas, spec: ModelSpec) -> tuple[np.ndarray, int]
     cuts[:, 1:-1] = deltas
     cuts[:, -1] = np.inf
     below, above = ds.interval_index()
-    cells = _sld_cdf_cells(cuts[:, above] - shift, spec.theta)
-    cells -= _sld_cdf_cells(cuts[:, below] - shift, spec.theta)
+    cells = sld_cdf(cuts[:, above] - shift, spec.theta)
+    cells -= sld_cdf(cuts[:, below] - shift, spec.theta)
     floored = int(np.count_nonzero(cells < _CELL_FLOOR))
     np.maximum(cells, _CELL_FLOOR, out=cells)
     # One sum per row: a 2-D reduction along axis 1 may add in another order.
     log_lik = [row.sum() for row in np.log(cells, out=cells)]
     return np.multiply(log_lik, -2.0), floored
-
-
-def _sld_cdf_cells(eps: np.ndarray, theta: float) -> np.ndarray:
-    """``sld_cdf`` with one ``exp`` per cell.
-
-    The branch is picked by the sign of ``eps``; on its own side each
-    branch computes what ``sld_cdf``, which evaluates both, keeps.
-    """
-    left = eps <= 0.0
-    e = np.exp(eps * np.where(left, 1.0 - theta, -theta))
-    return np.where(left, theta * e, 1.0 - (1.0 - theta) * e)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +341,6 @@ class ReplicationReport:
     @property
     def attrition(self) -> int:
         return self.replications - self.completed
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["theta", "parameter", "truth", "relative_bias"]
-            models = sorted(self.efficiency)
-            header += [f"efficiency_{m}" for m in models]
-            writer.writerow(header)
-            for name, b in self.bias.items():
-                row = [f"{self.theta:.17g}", name, f"{self.truth[name]:.17g}", f"{b:.17g}"]
-                row += [f"{self.efficiency[m][name]:.17g}" for m in models]
-                writer.writerow(row)
 
     def to_text(self) -> str:
         width = max([len(p) for p in self.bias] + [9])

@@ -1,13 +1,12 @@
 """Densities and random-variate generators for the ordinal quantile sampler.
 
-Parameterizations are pinned here once so every full conditional reads the
-same way everywhere:
+The module defines the quantile check loss, the skewed-Laplace density and
+CDF, and the two samplers the Gibbs sweep needs beyond the generator's own
+gamma, normal and uniform draws:
 
-* ``gamma(shape, rate)``: density ~ x^(shape-1) exp(-rate x)
-* ``inverse_gamma(shape, scale)``: density ~ x^(-shape-1) exp(-scale / x)
-* ``gig(nu, rho1, rho2)``: density ~ x^(nu-1) exp{-(rho1^2 / x + rho2^2 x) / 2}
-* ``exponential(rate)``, ``uniform(low, high)``, ``logistic(loc, scale)``,
-  ``normal(mean, variance)``
+* ``gig(1/2, rho1, rho2)``: density ~ x^(-1/2) exp{-(rho1^2 / x + rho2^2 x) / 2}
+* ``trunc_normal(mean, variance, lower, upper)``: N(mean, variance)
+  restricted to (lower, upper)
 
 All samplers draw from an explicit ``numpy.random.Generator``.  A generator
 is single-owner and must not be shared across concurrent callers; distinct
@@ -17,8 +16,6 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -27,13 +24,6 @@ __all__ = [
     "sld_cdf",
     "sample_gig",
     "sample_trunc_normal",
-    "sample_normal",
-    "sample_gamma",
-    "sample_inverse_gamma",
-    "sample_exponential",
-    "sample_uniform",
-    "sample_logistic",
-    "sample_standard",
 ]
 
 # Interval bounds further than this many SDs into one tail switch the
@@ -68,13 +58,14 @@ def sld_cdf(eps, theta):
     """Exact CDF of the skewed-Laplace law with unit scale.
 
     F(e) = theta exp{(1-theta) e} for e <= 0 and
-    F(e) = 1 - (1-theta) exp{-theta e} for e > 0, so F(0) = theta.
+    F(e) = 1 - (1-theta) exp{-theta e} for e > 0, so F(0) = theta.  The
+    sign of ``eps`` picks the exponent, so each cell costs one ``exp``.
     """
     theta = _validate_theta(theta)
     eps = np.asarray(eps, dtype=float)
-    left = theta * np.exp((1.0 - theta) * np.minimum(eps, 0.0))
-    right = 1.0 - (1.0 - theta) * np.exp(-theta * np.maximum(eps, 0.0))
-    out = np.where(eps <= 0.0, left, right)
+    left = eps <= 0.0
+    e = np.exp(eps * np.where(left, 1.0 - theta, -theta))
+    out = np.where(left, theta * e, 1.0 - (1.0 - theta) * e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,84 +76,24 @@ def sld_cdf(eps, theta):
 def sample_gig(nu, rho1, rho2, rng, size=None):
     """Draw from the GIG law with kernel x^(nu-1) exp{-(rho1^2/x + rho2^2 x)/2}.
 
-    For nu = +1/2 and nu = -1/2 the draw is exact and O(1) through the
-    reciprocal identity with the inverse Gaussian law: if Y is inverse
-    Gaussian with mean rho2/rho1 and shape rho2^2 then 1/Y has the nu = 1/2
-    kernel above, and Y itself with mean rho1/rho2 and shape rho1^2 has the
-    nu = -1/2 kernel.  These two orders are the only ones the Gibbs sweep
-    uses.  Other orders fall back to a mode-shifted ratio-of-uniforms
-    rejection sampler (scalar parameters only).
+    Only nu = 1/2, the order every GIG draw of the Gibbs sweep has, is
+    supported; other orders raise ``ValueError``.  The draw is exact and
+    O(1) through the reciprocal identity with the inverse Gaussian law: if
+    Y is inverse Gaussian with mean rho2/rho1 and shape rho2^2 then 1/Y has
+    the kernel above.
     """
-    nu = float(nu)
+    if float(nu) != 0.5:
+        raise ValueError(f"only GIG order nu = 1/2 is supported, got {nu}")
     rho1 = np.asarray(rho1, dtype=float)
     rho2 = np.asarray(rho2, dtype=float)
     if not (np.all(rho1 > 0.0) and np.all(rho2 > 0.0)):
         raise ValueError("rho1 and rho2 must be strictly positive")
-    if nu == 0.5:
-        return _gig_half(rho1, rho2, rng, size)
-    if nu == -0.5:
-        return rng.wald(rho1 / rho2, rho1 * rho1, size=size)
-    if rho1.ndim or rho2.ndim:
-        raise ValueError("general-order GIG sampling supports scalar parameters only")
-    scale = float(rho1 / rho2)
-    omega = float(rho1 * rho2)
-    if size is None:
-        return scale * _gig_rou_draw(nu, omega, rng)
-    return scale * np.array([_gig_rou_draw(nu, omega, rng) for _ in range(int(size))])
+    return _gig_half(rho1, rho2, rng, size)
 
 
 def _gig_half(rho1, rho2, rng, size=None):
     """GIG(1/2) draws with no argument checks: rho1 and rho2 must be positive."""
     return 1.0 / rng.wald(rho2 / rho1, rho2 * rho2, size=size)
-
-
-def _gig_rou_draw(nu, omega, rng):
-    mode, log_kernel, v_lo, v_hi = _gig_rou_region(nu, omega)
-    lk_mode = log_kernel(mode)
-    while True:
-        u = rng.random()
-        if u == 0.0:
-            continue
-        v = v_lo + rng.random() * (v_hi - v_lo)
-        x = mode + v / u
-        if x <= 0.0:
-            continue
-        if 2.0 * math.log(u) <= log_kernel(x) - lk_mode:
-            return x
-
-
-def _gig_rou_region(nu, omega):
-    # One-parameter form z^(nu-1) exp{-(omega/2)(z + 1/z)} after rescaling
-    # by rho1/rho2; acceptance region bounds via the mode-shifted
-    # ratio-of-uniforms construction.
-    from scipy.optimize import brentq
-
-    def log_kernel(z):
-        return (nu - 1.0) * math.log(z) - 0.5 * omega * (z + 1.0 / z)
-
-    mode = ((nu - 1.0) + math.sqrt((nu - 1.0) ** 2 + omega * omega)) / omega
-    lk_mode = log_kernel(mode)
-
-    def d_upper(z):
-        # derivative of 2 log(z - mode) + log_kernel(z), z > mode
-        return 2.0 / (z - mode) + (nu - 1.0) / z - 0.5 * omega * (1.0 - 1.0 / (z * z))
-
-    hi = mode + max(1.0, mode)
-    while d_upper(hi) > 0.0:
-        hi = mode + 2.0 * (hi - mode)
-    z_hi = brentq(d_upper, mode * (1.0 + 1e-12) + 1e-300, hi)
-    v_hi = (z_hi - mode) * math.exp(0.5 * (log_kernel(z_hi) - lk_mode))
-
-    def d_lower(z):
-        # derivative of 2 log(mode - z) + log_kernel(z), 0 < z < mode
-        return -2.0 / (mode - z) + (nu - 1.0) / z - 0.5 * omega * (1.0 - 1.0 / (z * z))
-
-    lo = 0.5 * mode
-    while d_lower(lo) < 0.0:
-        lo *= 0.5
-    z_lo = brentq(d_lower, lo, mode * (1.0 - 1e-12))
-    v_lo = (z_lo - mode) * math.exp(0.5 * (log_kernel(z_lo) - lk_mode))
-    return mode, log_kernel, v_lo, v_hi
 
 
 # ---------------------------------------------------------------------------
@@ -266,66 +197,3 @@ def _tn_tail(a, b, rng):
         todo[hit] = False
     return out
 
-
-# ---------------------------------------------------------------------------
-# Standard families with pinned parameterizations
-# ---------------------------------------------------------------------------
-
-def _positive(value, name):
-    if not np.all(np.asarray(value) > 0.0):
-        raise ValueError(f"{name} must be strictly positive")
-    return value
-
-
-def sample_normal(mean, variance, rng, size=None):
-    _positive(variance, "variance")
-    return rng.normal(mean, np.sqrt(variance), size=size)
-
-
-def sample_gamma(shape, rate, rng, size=None):
-    _positive(shape, "shape")
-    _positive(rate, "rate")
-    return rng.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size=size)
-
-
-def sample_inverse_gamma(shape, scale, rng, size=None):
-    _positive(shape, "shape")
-    _positive(scale, "scale")
-    return 1.0 / rng.gamma(shape, 1.0 / np.asarray(scale, dtype=float), size=size)
-
-
-def sample_exponential(rate, rng, size=None):
-    _positive(rate, "rate")
-    return rng.exponential(1.0 / np.asarray(rate, dtype=float), size=size)
-
-
-def sample_uniform(low, high, rng, size=None):
-    if not np.all(np.asarray(low) < np.asarray(high)):
-        raise ValueError("uniform requires low < high")
-    return rng.uniform(low, high, size=size)
-
-
-def sample_logistic(loc, scale, rng, size=None):
-    _positive(scale, "scale")
-    return rng.logistic(loc, scale, size=size)
-
-
-_STANDARD = {
-    "normal": (sample_normal, ("mean", "variance")),
-    "gamma": (sample_gamma, ("shape", "rate")),
-    "inverse_gamma": (sample_inverse_gamma, ("shape", "scale")),
-    "exponential": (sample_exponential, ("rate",)),
-    "uniform": (sample_uniform, ("low", "high")),
-    "logistic": (sample_logistic, ("loc", "scale")),
-}
-
-
-def sample_standard(dist: str, rng, size=None, **params):
-    """Dispatch to a standard family by name with its pinned parameters."""
-    try:
-        func, names = _STANDARD[dist]
-    except KeyError:
-        raise ValueError(f"unknown distribution {dist!r}; expected one of {sorted(_STANDARD)}") from None
-    if set(params) != set(names):
-        raise ValueError(f"{dist} takes parameters {names}, got {tuple(sorted(params))}")
-    return func(*(params[n] for n in names), rng, size=size)

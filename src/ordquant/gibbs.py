@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
-from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, initialize_state
+from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, initialize_state, nonfinite_blocks
 from .distributions import _gig_half, _trunc_normal
 from .parallel import ordered_map
 from .streams import STREAM_CHAIN, substream
@@ -368,7 +368,7 @@ def _sample_chain(task: tuple[ModelSpec, SamplerConfig, int]) -> np.ndarray:
             for op in _SWEEP:
                 op(state, spec, rng)
         except (ValueError, ArithmeticError, ChainDivergedError) as exc:
-            bad = _nonfinite_blocks(state)
+            bad = nonfinite_blocks(state)
             state_note = f" with non-finite {', '.join(bad)}" if bad else ""
             raise ChainDivergedError(
                 f"chain {chain}: {op.__name__} failed at sweep {t}{state_note}: {exc}"
@@ -403,23 +403,9 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
     probe = (np.dot(state.latent_l, state.latent_v) + np.dot(state.alpha, state.alpha)
              + np.dot(state.beta, state.s) + state.cutpoints[1:-1].sum() + state.lambda_sq + state.phi)
     if not math.isfinite(probe):
-        bad = _nonfinite_blocks(state)
+        bad = nonfinite_blocks(state)
         if bad:
             raise ChainDivergedError(f"chain {chain}: non-finite {', '.join(bad)} at sweep {t}")
-
-
-def _nonfinite_blocks(state: ChainState) -> list[str]:
-    blocks = (
-        ("beta", state.beta),
-        ("alpha", state.alpha),
-        ("latent_l", state.latent_l),
-        ("latent_v", state.latent_v),
-        ("s", state.s),
-        ("lambda_sq", state.lambda_sq),
-        ("phi", state.phi),
-        ("delta", state.cutpoints[1:-1]),
-    )
-    return [name for name, block in blocks if not np.all(np.isfinite(block))]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import ChainDivergedError, ConfigError
 # degenerate zero-residual boundary case while staying below sampling noise.
 RHO1_SQ_FLOOR = 1e-12
 
-__all__ = ["Priors", "ModelSpec", "ChainState", "initialize_state", "validate_state", "category_probability"]
+__all__ = ["Priors", "ModelSpec", "ChainState", "initialize_state", "validate_state"]
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,32 @@ def initialize_state(spec: ModelSpec, rng, overdispersed: bool = False) -> Chain
     return ChainState(beta, alpha, np.asarray(l), v, np.ones(p), 1.0, 1.0, cuts)
 
 
+def nonfinite_blocks(state: ChainState) -> list[str]:
+    """Names of the state blocks that hold an inf or NaN, in ``ChainState`` field order."""
+    blocks = (
+        ("beta", state.beta),
+        ("alpha", state.alpha),
+        ("latent_l", state.latent_l),
+        ("latent_v", state.latent_v),
+        ("s", state.s),
+        ("lambda_sq", state.lambda_sq),
+        ("phi", state.phi),
+        ("delta", state.cutpoints[1:-1]),
+    )
+    return [name for name, block in blocks if not np.all(np.isfinite(block))]
+
+
 def validate_state(state: ChainState, spec: ModelSpec) -> None:
     """Raise ``ChainDivergedError`` if any state invariant is broken."""
+    bad = nonfinite_blocks(state)
+    if bad:
+        raise ChainDivergedError(f"non-finite {', '.join(bad)}")
     ds = spec.dataset
     checks = [
-        (np.isfinite(state.beta).all(), "coefficients must be finite"),
-        (np.isfinite(state.alpha).all(), "random effects must be finite"),
-        (np.isfinite(state.latent_l).all(), "liabilities must be finite"),
-        (np.all(state.latent_v > 0.0) and np.isfinite(state.latent_v).all(), "mixing variables must be positive"),
-        (np.all(state.s > 0.0) and np.isfinite(state.s).all(), "coefficient scales must be positive"),
-        (state.lambda_sq > 0.0 and np.isfinite(state.lambda_sq), "shrinkage rate must be positive"),
-        (state.phi > 0.0 and np.isfinite(state.phi), "random-effect variance must be positive"),
+        (np.all(state.latent_v > 0.0), "mixing variables must be positive"),
+        (np.all(state.s > 0.0), "coefficient scales must be positive"),
+        (state.lambda_sq > 0.0, "shrinkage rate must be positive"),
+        (state.phi > 0.0, "random-effect variance must be positive"),
         (state.cutpoints[0] == -np.inf and state.cutpoints[-1] == np.inf, "cut-point endpoints must be fixed"),
         (np.all(np.diff(state.cutpoints) > 0.0), "cut-points must be strictly increasing"),
         (
@@ -147,21 +162,3 @@ def validate_state(state: ChainState, spec: ModelSpec) -> None:
     for ok, message in checks:
         if not ok:
             raise ChainDivergedError(message)
-
-
-def category_probability(state: ChainState, spec: ModelSpec, obs_index: int) -> np.ndarray:
-    """Conditional category probabilities for one observation.
-
-    Given the mixing variable, the liability is Gaussian, so each
-    probability is a difference of standard-normal CDF values at the
-    standardized cut-points.
-    """
-    from scipy.special import ndtr
-
-    ds = spec.dataset
-    i = int(obs_index)
-    m = ds.x[i] @ state.beta + state.alpha[ds.subject_index[i]] + spec.xi * state.latent_v[i]
-    sd = np.sqrt(2.0 * state.latent_v[i])
-    z = (state.cutpoints - m) / sd
-    probs = np.diff(ndtr(z))
-    return probs

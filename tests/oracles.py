@@ -51,6 +51,18 @@ def gig_moment(order: int, rho1: float, rho2: float) -> float:
     raise ValueError("only first and second moments are tabulated")
 
 
+def sld_cdf_two_branch(eps, theta):
+    """The skewed-Laplace CDF evaluating both branches, as ``sld_cdf`` once did.
+
+    ``distributions.sld_cdf`` computes one ``exp`` per cell and must keep
+    every bit of this expression.
+    """
+    eps = np.asarray(eps, dtype=float)
+    left = theta * np.exp((1.0 - theta) * np.minimum(eps, 0.0))
+    right = 1.0 - (1.0 - theta) * np.exp(-theta * np.maximum(eps, 0.0))
+    return np.where(eps <= 0.0, left, right)
+
+
 def dic_per_draw(draws, spec):
     """DIC computed one draw at a time, as ``diagnostics.dic`` once did.
 

@@ -152,6 +152,12 @@ class TestFit:
         bad.write_text("subject,y,x1\na,1,0.5\na,huh,0.2\n", encoding="utf-8")
         assert run(["fit", "--input", bad, "--seed", "1", "--out", tmp_path / "r"]) == 2
 
+    def test_time_index_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "wide.csv"
+        bad.write_text("subject,y,x1,time\na,1,0.5,0\na,2,0.1,99999999999999999999\n", encoding="utf-8")
+        assert run(["fit", "--input", bad, "--seed", "1", "--out", tmp_path / "r"]) == 2
+        assert f"{bad}:3: time index 99999999999999999999 does not fit in a 64-bit integer" in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, tmp_path, toy_csv):
         cfg = tmp_path / "fit.conf"
         cfg.write_text("iterations = 60\nburn-in = 10\ntheta = 0.25\n", encoding="utf-8")

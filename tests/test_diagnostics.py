@@ -136,8 +136,6 @@ class TestMpsrf:
         draws = make_draws(g.normal(size=(200, 4)), names=names, chains=2)
         series = mpsrf(draws, checkpoints=[100])
         assert series.parameters == ["beta_1", "delta_1"]
-        wide = mpsrf(draws, checkpoints=[100], include_scale_params=True)
-        assert wide.parameters == names
 
     def test_plot_file_two_columns(self, tmp_path):
         g = np.random.default_rng(7)

@@ -461,6 +461,38 @@ class TestRunChain:
         with pytest.raises(ChainDivergedError, match="latent_v at sweep 1"):
             run_chain(spec, SamplerConfig(iterations=5, burn_in=0, seed=3))
 
+    @pytest.mark.parametrize("block", ["beta", "alpha", "latent_l", "latent_v", "s", "lambda_sq", "phi", "delta"])
+    def test_nonfinite_block_named_alike(self, monkeypatch, block):
+        spec = small_sim_spec()
+        config = SamplerConfig(iterations=5, burn_in=0, seed=3)
+
+        def poison(state):
+            if block in ("lambda_sq", "phi"):
+                setattr(state, block, np.nan)
+            else:
+                (state.cutpoints[1:-1] if block == "delta" else getattr(state, block))[0] = np.nan
+
+        state = initialize_state(spec, substream(3, 0, 0))
+        poison(state)
+        with pytest.raises(ChainDivergedError, match=f"^non-finite {block}$"):
+            validate_state(state, spec)
+
+        def poisoned(state, spec_, rng_):
+            poison(state)
+
+        monkeypatch.setattr(gibbs, "_SWEEP", (poisoned,))
+        with pytest.raises(ChainDivergedError, match=f"^chain 0: non-finite {block} at sweep 1$"):
+            run_chain(spec, config)
+
+        def failing(state, spec_, rng_):
+            poison(state)
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(gibbs, "_SWEEP", (failing,))
+        with pytest.raises(ChainDivergedError,
+                           match=f"^chain 0: failing failed at sweep 1 with non-finite {block}: overflow$"):
+            run_chain(spec, config)
+
     def test_matches_hand_loop_over_sweep_blocks(self):
         # The benchmark's traced run times each block by running
         # gibbs._SWEEP itself; it must reproduce run_chain's draws exactly.

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from ordquant import data
 from ordquant.data import CsvSchema, OrdinalDataset, ingest_csv, write_csv
 from ordquant.errors import ConfigError, DataError, SchemaError
 from ordquant.model import (
-    ChainState,
     ModelSpec,
     Priors,
-    category_probability,
     initialize_state,
     interior_cutpoints,
     validate_state,
@@ -103,6 +99,16 @@ class TestIngest:
         again = ingest_csv(f, CsvSchema(num_categories=5))
         assert again == ds
 
+    def test_roundtrip_without_time_column(self, tmp_path):
+        cfg = ScenarioConfig(scenario="sim1", subjects=40, obs_per_subject=5)
+        ds = generate_sim1(cfg, substream(99, 2, 0))
+        assert ds.time_index.tolist() == list(range(5)) * 40  # the within-subject rank
+        f = tmp_path / "notime.csv"
+        schema = CsvSchema(time=None, num_categories=5)
+        write_csv(ds, f, schema)
+        assert f.read_text().splitlines()[0] == "subject,y,x1,x2,x3"
+        assert ingest_csv(f, schema) == ds
+
     def test_statistics_match_brute_force(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=7, obs_per_subject=3)
         ds = generate_sim1(cfg, substream(5, 2, 0))
@@ -179,6 +185,35 @@ class TestIngestErrors:
         schema = CsvSchema(num_categories=categories)
         assert ingest_error(ingest_csv, f, schema) == f"{f}:{expected}"
         assert ingest_error(ingest_csv_rowwise, f, schema) == f"{f}:{expected}"
+
+
+@pytest.mark.usefixtures("chunk_rows")
+class TestIngestTimeRange:
+    """A time index must fit in ``intp``; a wider one is bad input, reported
+    like any other bad cell: first in row order, last in check order."""
+
+    @pytest.mark.parametrize("lines,expected", [
+        (["subject,y,x1,time", "a,1,0.5,0", "a,2,0.1,99999999999999999999", "a,1,0.2,-99999999999999999999"],
+         "3: time index 99999999999999999999 does not fit in a 64-bit integer"),
+        (["subject,y,x1,time", "a,1,0.5,0", "a,2,0.1,-9223372036854775809", "a,1,0.2,2"],
+         "3: time index -9223372036854775809 does not fit in a 64-bit integer"),
+        (["subject,y,x1,time", "a,1,0.5,9223372036854775808", "a,2,0.1,1.5"],
+         "2: time index 9223372036854775808 does not fit in a 64-bit integer"),
+        (["subject,y,x1,time", "a,1,0.5,0", "a,2,0.1,x", "a,1,0.2,99999999999999999999"],
+         "3: time index 'x' is not an integer"),
+        (["subject,y,x1,time", "a,1,0.5,0", "a,2,bad,99999999999999999999"],
+         "3: covariate 'x1' value 'bad' is not numeric"),
+    ])
+    def test_wide_time_index_is_a_data_error(self, tmp_path, lines, expected):
+        f = tmp_path / "wide.csv"
+        write_lines(f, lines)
+        assert ingest_error(ingest_csv, f, CsvSchema()) == f"{f}:{expected}"
+
+    def test_extreme_time_indices_that_fit(self, tmp_path):
+        # U+001F padding makes the fast conversion fail, so the cells are converted one by one.
+        f = tmp_path / "edge.csv"
+        write_lines(f, ["subject,y,x1,time", "a,1,0.5,\x1f-9223372036854775808", "a,2,0.1,9223372036854775807\x1f"])
+        assert ingest_csv(f).time_index.tolist() == [-9223372036854775808, 9223372036854775807]
 
 
 def assert_same_dataset(got, want):
@@ -335,56 +370,6 @@ class TestInitializeState:
         assert np.all(st.alpha == 0.0)
         assert st.lambda_sq == 1.0 and st.phi == 1.0
         assert np.all(st.s == 1.0)
-
-
-class TestCategoryProbability:
-    def test_centered_binary_split(self):
-        ds = toy_dataset()
-        spec = ModelSpec(theta=0.3, dataset=ds)
-        v = 0.7
-        xi = spec.xi
-        # place the single cut-point exactly at the conditional center of obs 0
-        center = 0.5 * 1.2 + 0.1 + xi * v
-        state = ChainState(
-            beta=np.array([1.2]), alpha=np.array([0.1, -0.4]),
-            latent_l=np.array([center + 0.1, center - 1, center + 0.1, center - 1]),
-            latent_v=np.full(4, v), s=np.ones(1), lambda_sq=1.0, phi=1.0,
-            cutpoints=np.array([-np.inf, center, np.inf]),
-        )
-        probs = category_probability(state, spec, 0)
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-14)
-
-    def test_rows_sum_to_one(self):
-        cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3)
-        ds = generate_sim1(cfg, substream(2, 2, 0))
-        spec = ModelSpec(theta=0.7, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
-        state = initialize_state(spec, substream(2, 0, 0))
-        for i in range(ds.num_observations):
-            probs = category_probability(state, spec, i)
-            assert probs.shape == (5,)
-            assert np.all(probs >= 0.0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_gaussian_quadrature(self):
-        # five categories, neutral state: cell c is the Gaussian mass of its interval
-        cuts = np.array([-0.8416, -0.2533, 0.2533, 0.8416])
-        x = np.zeros((2, 1))
-        ds = OrdinalDataset(["s"], np.zeros(2, dtype=int), np.array([1, 5]), x, np.arange(2), 5)
-        spec = ModelSpec(theta=0.5, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
-        state = ChainState(
-            beta=np.zeros(1), alpha=np.zeros(1),
-            latent_l=np.array([-1.0, 1.0]), latent_v=np.ones(2),
-            s=np.ones(1), lambda_sq=1.0, phi=1.0,
-            cutpoints=np.concatenate([[-np.inf], cuts, [np.inf]]),
-        )
-        probs = category_probability(state, spec, 0)
-        sd = np.sqrt(2.0)
-        edges = np.concatenate([[-30.0], cuts, [30.0]])
-        expected = [
-            quad(lambda t: norm.pdf(t, scale=sd), edges[c], edges[c + 1], limit=200)[0]
-            for c in range(5)
-        ]
-        np.testing.assert_allclose(probs, expected, atol=1e-10)
 
 
 class TestValidateState:
