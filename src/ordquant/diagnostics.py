@@ -1,4 +1,10 @@
-"""Posterior summaries, convergence diagnostics, and replication metrics."""
+"""Posterior summaries, convergence diagnostics, and replication metrics.
+
+The module needs only numpy.  The shrink factor's generalized eigenproblem
+is reduced to a symmetric one with a Cholesky factor of the within-chain
+covariance, so a process that diagnoses draws without sampling them (the
+parent of a multi-chain fit, ``ordquant diagnose``) never imports scipy.
+"""
 
 from __future__ import annotations
 
@@ -147,8 +153,9 @@ def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None) -> MpsrfSeri
     index <= t from each chain: (n-1)/n + ((m+1)/m) lambda_1, where
     lambda_1 is the top generalized eigenvalue of the between-chain against
     the within-chain covariance.  A singular within-chain matrix gets a
-    trace-proportional ridge and the checkpoint is flagged.  The default
-    parameters are the coefficients and the cut-points.
+    trace-proportional ridge and the checkpoint is flagged.  Non-finite
+    draws raise ``ValueError``.  The default parameters are the
+    coefficients and the cut-points.
     """
     if draws.num_chains < 2:
         raise ValueError("the multivariate shrink factor needs at least two chains")
@@ -177,8 +184,6 @@ def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None) -> MpsrfSeri
 
 
 def _mpsrf_at(mat: np.ndarray) -> tuple[float, bool]:
-    import scipy.linalg
-
     m, n, k = mat.shape
     chain_means = mat.mean(axis=1)                      # (m, k)
     within = np.zeros((k, k))
@@ -193,15 +198,21 @@ def _mpsrf_at(mat: np.ndarray) -> tuple[float, bool]:
     floor = (n - 1) / n
     if not np.any(between_over_n):
         return floor, False
+    if not (np.isfinite(between_over_n).all() and np.isfinite(within).all()):
+        raise ValueError("the multivariate shrink factor needs finite draws")
     ridged = False
     w = within
     for _ in range(2):
         try:
-            eigvals = scipy.linalg.eigh(between_over_n, w, eigvals_only=True)
+            # W = L L^T turns B x = lambda W x into the symmetric standard
+            # problem L^-1 B L^-T y = lambda y.
+            chol = np.linalg.cholesky(w)
+            reduced = np.linalg.solve(chol, np.linalg.solve(chol, between_over_n).T)
+            eigvals = np.linalg.eigvalsh(reduced)
             if np.isfinite(eigvals).all():
                 lam = float(eigvals[-1])
                 return floor + (m + 1) / m * lam, ridged
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
         ridge = _MPSRF_RIDGE * max(np.trace(within), 1e-30) / k
         w = within + ridge * np.eye(k)

@@ -174,7 +174,7 @@ def _tn_body(a, b, rng):
     u = rng.random(a.shape)
     u *= span
     u += pa
-    np.clip(u, 1e-300, _BELOW_ONE, out=u)
+    u.clip(1e-300, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
 
 

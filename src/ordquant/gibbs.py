@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -173,10 +174,15 @@ def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
 
 
 def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
-    """Coefficient scales: GIG(1/2) with rho1^2 = beta_k^2, rho2^2 = lambda^2."""
-    rho1_sq = np.multiply(state.beta, state.beta)
-    np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
-    state.s = _gig_half(np.sqrt(rho1_sq, out=rho1_sq), math.sqrt(state.lambda_sq), rng)
+    """Coefficient scales: GIG(1/2) with rho1^2 = beta_k^2, rho2^2 = lambda^2.
+
+    One scalar draw per coefficient, in index order: the generator gives the
+    same numbers as one call with an array of means, without that call's
+    fixed cost of about 10 microseconds.
+    """
+    rho2 = math.sqrt(state.lambda_sq)
+    state.s = np.array([_gig_half(math.sqrt(max(b_k * b_k, RHO1_SQ_FLOOR)), rho2, rng)
+                        for b_k in state.beta.tolist()])
 
 
 def update_lambda_sq(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -199,7 +205,11 @@ def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
     eta *= inv2v
     mean = np.bincount(ds.subject_index, weights=eta, minlength=ds.num_subjects)
     mean *= variance
-    state.alpha = rng.normal(mean, np.sqrt(variance, out=variance))
+    # The draws rng.normal(mean, sd) would make, without its array-parameter cost.
+    alpha = rng.standard_normal(ds.num_subjects)
+    alpha *= np.sqrt(variance, out=variance)
+    alpha += mean
+    state.alpha = alpha
 
 
 def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -436,11 +446,18 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec | None = None) -> N
 
 
 def read_draws(paths) -> PosteriorDraws:
-    """Load one or more draws CSVs; each extra file appends its chains."""
+    """Load one or more draws CSVs; each extra file appends its chains.
+
+    A row with the wrong number of fields, a ``chain`` or ``iteration`` that
+    is not an integer, a negative ``chain``, or a draw that is not a finite
+    number raises ``SchemaError`` naming the file, the line and the column.
+    """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     names: list[str] | None = None
     values, chains, iters = [], [], []
+    lines = array("q")  # each row's line number, for error messages
+    sources = []  # (first row, path, header) of each file
     offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -452,16 +469,48 @@ def read_draws(paths) -> PosteriorDraws:
                 names = header[2:]
             elif header[2:] != names:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
+            sources.append((len(values), path, header))
             local_max = -1
             for rec in reader:
-                c = int(rec[0])
+                if len(rec) != len(header):
+                    # A short row names its first missing column, a long one
+                    # the number of its first extra column.
+                    column = header[len(rec)] if len(rec) < len(header) else len(header) + 1
+                    raise SchemaError(f"{path}:{reader.line_num}: column {column}: "
+                                      f"expected {len(header)} fields, got {len(rec)}")
+                try:
+                    c = int(rec[0])
+                    t = int(rec[1])
+                    row = [float(v) for v in rec[2:]]
+                except ValueError:
+                    raise _bad_cell(path, reader.line_num, header, rec) from None
+                if c < 0:
+                    raise SchemaError(f"{path}:{reader.line_num}: column chain: {c} is negative")
                 local_max = max(local_max, c)
                 chains.append(offset + c)
-                iters.append(int(rec[1]))
-                values.append([float(v) for v in rec[2:]])
+                iters.append(t)
+                values.append(row)
+                lines.append(reader.line_num)
         offset += local_max + 1
     if not values:
         raise SchemaError("draws files contain no rows")
-    draws = PosteriorDraws(names, np.array(values), np.array(chains), np.array(iters))
+    matrix = np.array(values)
+    del values  # the row lists take several times the matrix's memory
+    if not np.isfinite(matrix).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
+        _, path, header = next(src for src in reversed(sources) if src[0] <= row)
+        raise SchemaError(f"{path}:{lines[row]}: column {header[col + 2]}: {matrix[row, col]} is not finite")
+    draws = PosteriorDraws(names, matrix, np.array(chains), np.array(iters))
     order = np.lexsort((draws.iteration, draws.chain))
     return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])
+
+
+def _bad_cell(path, line: int, header: list[str], rec: list[str]) -> SchemaError:
+    """The error naming the first cell of a draws row that does not parse."""
+    for j, (name, cell) in enumerate(zip(header, rec)):
+        try:
+            int(cell) if j < 2 else float(cell)
+        except ValueError:
+            kind = "an integer" if j < 2 else "a number"
+            return SchemaError(f"{path}:{line}: column {name}: {cell!r} is not {kind}")
+    return SchemaError(f"{path}:{line}: row does not parse")

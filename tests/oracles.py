@@ -215,3 +215,72 @@ def write_csv_rowwise(dataset, path, schema=None):
                 *(f"{v:.17g}" for v in dataset.x[i]),
                 dataset.time_index[i],
             ])
+
+
+def mpsrf_top_eigh(mat):
+    """The shrink factor at one checkpoint through ``scipy.linalg.eigh``, as
+    ``diagnostics._mpsrf_at`` once computed it; returns ``(value, ridged)``.
+
+    ``mat`` is a (chains, draws, parameters) array.  The numpy Cholesky
+    reduction must agree with it to rounding and flag the same ridges.
+    """
+    import scipy.linalg
+
+    from ordquant.diagnostics import _MPSRF_RIDGE
+
+    m, n, k = mat.shape
+    chain_means = mat.mean(axis=1)
+    within = np.zeros((k, k))
+    for j in range(m):
+        dev = mat[j] - chain_means[j]
+        within += dev.T @ dev / (n - 1)
+    within /= m
+    dev_means = chain_means - chain_means.mean(axis=0)
+    between_over_n = dev_means.T @ dev_means / (m - 1)
+    floor = (n - 1) / n
+    if not np.any(between_over_n):
+        return floor, False
+    ridged = False
+    w = within
+    for _ in range(2):
+        try:
+            eigvals = scipy.linalg.eigh(between_over_n, w, eigvals_only=True)
+            if np.isfinite(eigvals).all():
+                return floor + (m + 1) / m * float(eigvals[-1]), ridged
+        except scipy.linalg.LinAlgError:
+            pass
+        w = within + _MPSRF_RIDGE * max(np.trace(within), 1e-30) / k * np.eye(k)
+        ridged = True
+    raise ArithmeticError("within-chain covariance is singular even after ridging")
+
+
+def update_s_array_call(state, spec, rng):
+    """Coefficient scales from one array-parameter ``wald`` call, as
+    ``gibbs.update_s`` once drew them; the scalar calls must give the same bits."""
+    import math
+
+    from ordquant.distributions import _gig_half
+    from ordquant.model import RHO1_SQ_FLOOR
+
+    rho1_sq = np.multiply(state.beta, state.beta)
+    np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
+    state.s = _gig_half(np.sqrt(rho1_sq, out=rho1_sq), math.sqrt(state.lambda_sq), rng)
+
+
+def update_alpha_normal_call(state, spec, rng):
+    """Subject effects from ``rng.normal(mean, sd)`` with array parameters, as
+    ``gibbs.update_alpha`` once drew them; the standard-normal path must give
+    the same bits."""
+    ds = spec.dataset
+    v = state.latent_v
+    inv2v = np.divide(0.5, v)
+    variance = np.bincount(ds.subject_index, weights=inv2v, minlength=ds.num_subjects)
+    variance += 1.0 / state.phi
+    np.divide(1.0, variance, out=variance)
+    eta = ds.x @ state.beta
+    np.subtract(state.latent_l, eta, out=eta)
+    eta -= np.multiply(v, spec.xi)
+    eta *= inv2v
+    mean = np.bincount(ds.subject_index, weights=eta, minlength=ds.num_subjects)
+    mean *= variance
+    state.alpha = rng.normal(mean, np.sqrt(variance, out=variance))

@@ -288,6 +288,17 @@ class TestDiagnose:
         assert run(["diagnose", "--seed", "0", "--out", tmp_path / "d",
                     two_chain_files[0], fits / "fit-41" / "draws-theta0.5.csv"]) == 2
 
+    def test_bad_draws_cell_exit_2(self, tmp_path, two_chain_files, capsys):
+        lines = two_chain_files[1].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "abc"
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diagnose", "--mpsrf", "--seed", "0", "--out", tmp_path / "d",
+                    two_chain_files[0], bad]) == 2
+        assert f"error: {bad}:4: column beta_1: 'abc' is not a number" in capsys.readouterr().err
+
 
 class TestReplay:
     def test_fit_replay_byte_identical(self, tmp_path, toy_csv):
@@ -328,6 +339,30 @@ class TestMisc:
                  "print(sorted({'scipy.optimize', 'scipy.linalg', 'scipy.special'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    def test_multi_chain_fit_and_diagnose_leave_scipy_unloaded(self, tmp_path, toy_csv):
+        # Two chains on two CPUs sample in forked workers, so only the workers
+        # need scipy.special; the shrink factor and DIC in the parent need none.
+        src = str(Path(ordquant.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "runs"
+        probe = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from ordquant.cli import main\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"code = main(['fit', '--input', {str(toy_csv)!r}, '--iterations', '40', '--burn-in', '10',\n"
+            f"             '--chains', '2', '--dic', '--seed', '3', '--out', {str(out)!r}])\n"
+            "print(code, scipy_modules())\n"
+            f"code = main(['diagnose', '--mpsrf', '--seed', '0', '--out', {str(out)!r},\n"
+            f"             {str(out / 'fit-3' / 'draws-theta0.5.csv')!r}])\n"
+            "print(code, scipy_modules())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == ["0 []", "0 []"]
+        assert (out / "fit-3" / "mpsrf-theta0.5.csv").is_file()
+        assert (out / "diagnose-0" / "mpsrf.csv").is_file()
 
     def test_version_exit_0(self, capsys):
         assert run(["--version"]) == 0

@@ -18,7 +18,7 @@ from ordquant.model import ModelSpec, Priors
 from ordquant.simulate import ScenarioConfig, generate_sim2
 from ordquant.streams import substream
 
-from .oracles import dic_per_draw
+from .oracles import dic_per_draw, mpsrf_top_eigh
 
 
 def make_draws(values, names=None, chains=1):
@@ -129,6 +129,45 @@ class TestMpsrf:
         series = mpsrf(draws, checkpoints=[n])
         assert series.ridged == [True]
         assert series.values[0] > 1.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_matches_eigh_reference(self, m, k):
+        g = np.random.default_rng(10 * m + k)
+        for n in (20, 60, 400):
+            # Correlated parameters on scales 0.1 to 10, chains offset from each
+            # other.  The mix's condition number is 100, so both reductions are
+            # accurate to rounding; an ill-conditioned W makes both err alike.
+            q, _ = np.linalg.qr(g.normal(size=(k, k)))
+            mix = np.logspace(-1, 1, k)[:, None] * q
+            mat = g.normal(size=(m, n, k)) @ mix + g.normal(scale=0.3, size=(m, 1, k))
+            names = [f"beta_{j + 1}" for j in range(k)]
+            series = mpsrf(make_draws(mat.reshape(-1, k), names=names, chains=m), checkpoints=[n // 2, n])
+            for t, value, ridged in zip(series.iterations, series.values, series.ridged):
+                expected, expected_ridged = mpsrf_top_eigh(mat[:, :t, :])
+                assert value == pytest.approx(expected, rel=1e-12, abs=0)
+                assert ridged == expected_ridged is False
+
+    def test_singular_within_matches_eigh_reference(self):
+        m, n = 2, 50
+        base = np.random.default_rng(5).normal(size=(m, n))
+        const = np.stack([np.zeros(n), np.ones(n)])
+        mat = np.stack([base, const], axis=2)
+        draws = make_draws(mat.reshape(-1, 2), names=["beta_1", "beta_2"], chains=m)
+        series = mpsrf(draws, checkpoints=[10, 30, n])
+        for t, value, ridged in zip(series.iterations, series.values, series.ridged):
+            expected, expected_ridged = mpsrf_top_eigh(mat[:, :t, :])
+            assert ridged is expected_ridged is True
+            assert value == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_draws_raise_value_error(self, bad):
+        g = np.random.default_rng(8)
+        values = g.normal(size=(200, 2))
+        values[150, 1] = bad
+        draws = make_draws(values, names=["beta_1", "beta_2"], chains=2)
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            mpsrf(draws, checkpoints=[100])
 
     def test_default_parameters_exclude_scales(self):
         g = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ordquant.data import OrdinalDataset
-from ordquant.errors import ChainDivergedError, ConfigError
+from ordquant.errors import ChainDivergedError, ConfigError, SchemaError
 from ordquant import gibbs
 from ordquant.gibbs import (
     PosteriorDraws,
@@ -26,7 +27,7 @@ from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, vali
 from ordquant.simulate import ScenarioConfig, generate_sim1
 from ordquant.streams import STREAM_CHAIN, substream
 
-from .oracles import gig_moment, ks_vs_cdf, ks_vs_log_kernel
+from .oracles import gig_moment, ks_vs_cdf, ks_vs_log_kernel, update_alpha_normal_call, update_s_array_call
 
 
 def rng(seed=0):
@@ -215,6 +216,50 @@ class TestUpdateAlpha:
             update_alpha(state, spec, g)
             draws[i] = state.alpha[0]
         assert draws.mean() == pytest.approx(0.0, abs=3 / np.sqrt(m))
+
+
+def random_state_spec(subjects, covariates, n_i=3, seed=0):
+    """A random dataset and a random state on it, for comparing draw paths."""
+    g = rng(seed)
+    n = subjects * n_i
+    ds = OrdinalDataset([f"s{i}" for i in range(subjects)], np.repeat(np.arange(subjects), n_i),
+                        np.resize([1, 2, 3], n), g.normal(size=(n, covariates)),
+                        np.tile(np.arange(n_i), subjects), 3)
+    spec = ModelSpec(theta=0.3, dataset=ds)
+    state = initialize_state(spec, g, overdispersed=True)
+    state.latent_v = g.exponential(size=n) + 0.05
+    state.s = g.exponential(size=covariates) + 0.1
+    state.lambda_sq, state.phi = 0.7, 1.9
+    return state, spec
+
+
+class TestScalarGeneratorPaths:
+    """update_s and update_alpha draw the bits of the array-parameter calls they replaced."""
+
+    BLOCKS = [(update_s, update_s_array_call, "s"), (update_alpha, update_alpha_normal_call, "alpha")]
+
+    @pytest.mark.parametrize("block, reference, field", BLOCKS)
+    @pytest.mark.parametrize("subjects, covariates", [(1, 1), (3000, 40)])
+    def test_same_bits_and_stream_position(self, block, reference, field, subjects, covariates):
+        for seed in range(3):
+            state, spec = random_state_spec(subjects, covariates, seed=seed)
+            twin = copy.deepcopy(state)
+            g, g_ref = rng(100 + seed), rng(100 + seed)
+            block(state, spec, g)
+            reference(twin, spec, g_ref)
+            assert getattr(state, field).tobytes() == getattr(twin, field).tobytes()
+            assert g.bit_generator.state == g_ref.bit_generator.state
+
+    @pytest.mark.parametrize("block, reference, field", BLOCKS)
+    def test_nan_beta_gives_nan_on_both_paths(self, block, reference, field):
+        state, spec = random_state_spec(50, 4)
+        state.beta[1] = np.nan
+        twin = copy.deepcopy(state)
+        block(state, spec, rng(5))
+        reference(twin, spec, rng(5))
+        out = getattr(state, field)
+        assert np.isnan(out).any()
+        np.testing.assert_array_equal(out, getattr(twin, field))
 
 
 class TestUpdatePhi:
@@ -652,6 +697,30 @@ class TestPosteriorDrawsIO:
         for c, t, row in zip(draws.chain, draws.iteration, values):
             writer.writerow([int(c), int(t), *(f"{v:.17g}" for v in row)])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (3, lambda f: f[:5] + ["abc"] + f[6:], "draws.csv:3: column delta_1: 'abc' is not a number"),
+        (4, lambda f: f[:-1], "draws.csv:4: column phi: expected 11 fields, got 10"),
+        (4, lambda f: f + ["1"], "draws.csv:4: column 12: expected 11 fields, got 12"),
+        (5, lambda f: f[:6] + ["nan"] + f[7:], "draws.csv:5: column delta_2: nan is not finite"),
+        (6, lambda f: f[:-1] + ["-inf"], "draws.csv:6: column phi: -inf is not finite"),
+        (2, lambda f: ["0.5"] + f[1:], "draws.csv:2: column chain: '0.5' is not an integer"),
+        (3, lambda f: ["-1"] + f[1:], "draws.csv:3: column chain: -1 is negative"),
+        (7, lambda f: f[:1] + ["x"] + f[2:], "draws.csv:7: column iteration: 'x' is not an integer"),
+    ])
+    def test_bad_cells_name_file_line_and_column(self, tmp_path, line, edit, message):
+        spec = small_sim_spec()
+        draws = run_chain(spec, SamplerConfig(iterations=20, burn_in=10, seed=3))
+        assert draws.names[:5] == ["beta_1", "beta_2", "beta_3", "delta_1", "delta_2"]
+        good = tmp_path / "good.csv"
+        draws.to_csv(good)
+        lines = good.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            read_draws([good, path])
+        assert str(info.value).endswith(message)
 
     def test_unequal_chain_lengths_rejected(self):
         with pytest.raises(ValueError):
