@@ -27,6 +27,9 @@ from .model import ModelSpec, Priors
 from .simulate import ScenarioConfig, efficiency_against, generate, run_replication_study, write_scenario_dataset
 from .streams import STREAM_DATASET, fresh_seed, substream
 
+# Bytes read at a time when hashing an input file for the manifest.
+_HASH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Opt:
@@ -210,8 +213,13 @@ def _write_manifest(out_dir: Path, command: str, opts: list[Opt], resolved: dict
 
 
 def _sha256(path) -> str:
+    """Hex SHA-256 of a file, read through one ``_HASH_BLOCK``-byte buffer."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with Path(path).open("rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            h.update(view[:size])
     return h.hexdigest()
 
 

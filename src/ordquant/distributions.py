@@ -130,48 +130,79 @@ def _trunc_normal(mean, variance, lower, upper, rng):
     """Truncated-normal draws with no argument checks.
 
     The four arguments are 1-D float arrays of one length, with positive
-    variances and lower < upper.  When no element is in a tail, every draw
-    takes the inverse-CDF body in one pass; the masked gather and scatter
-    run only when some interval lies beyond ``_TAIL_CUTOFF``.
+    variances and lower < upper.
     """
-    sd = np.sqrt(variance)
-    a = np.subtract(lower, mean)
-    a /= sd
-    b = np.subtract(upper, mean)
-    b /= sd
-    if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
-        z = _tn_body(a, b, rng)
-    else:
-        z = np.empty(a.shape, dtype=float)
-        hi_tail = a > _TAIL_CUTOFF
-        lo_tail = b < -_TAIL_CUTOFF
-        body = ~(hi_tail | lo_tail)
-        if body.any():
-            z[body] = _tn_body(a[body], b[body], rng)
-        if hi_tail.any():
-            z[hi_tail] = _tn_tail(a[hi_tail], b[hi_tail], rng)
-        if lo_tail.any():
-            z[lo_tail] = -_tn_tail(-b[lo_tail], -a[lo_tail], rng)
+    return _trunc_normal_gathered(mean, np.sqrt(variance), lower, upper, np.arange(mean.size), rng,
+                                  np.empty(mean.size))
 
+
+def _trunc_normal_gathered(mean, sd, lower, upper, index, rng, out):
+    """Draw i from N(mean[i], sd[i]^2) restricted to (lower[index[i]], upper[index[i]]).
+
+    No argument checks: ``mean``, ``sd`` and ``out`` are 1-D float arrays of
+    one length, ``index`` holds valid indices into ``lower`` and ``upper``,
+    the standard deviations are positive and each interval is non-empty.
+    The draws are written into ``out``, which is returned.  The bounds are
+    gathered into two arrays for the standardized draw and again for the
+    final clip, so besides ``mean``, ``sd`` and ``out`` the call holds two
+    full-length arrays, or three when some interval lies in a tail.
+    """
+    z = _tn_standard(mean, sd, lower, upper, index, rng, out)
     z *= sd
     z += mean
     # A draw strictly inside its bounds is left unchanged by the clip, so
     # only the draws at or past a bound are clipped.
-    at = (z <= lower) | (z >= upper)
+    lower = lower.take(index, mode="clip")
+    at = z <= lower
+    upper = upper.take(index, mode="clip")
+    at |= z >= upper
     if at.any():
         z[at] = np.clip(z[at], np.nextafter(lower[at], np.inf), np.nextafter(upper[at], -np.inf))
     return z
 
 
-def _tn_body(a, b, rng):
-    # Overwrites a and b.  scipy.special is imported here, not at module
-    # level, so that commands which never sample (simulate) do not load it.
+def _tn_standard(mean, sd, lower, upper, index, rng, out):
+    """Standard-normal draws, each restricted to its standardized interval,
+    written into ``out``.  When no interval lies beyond ``_TAIL_CUTOFF``, the
+    uniforms are drawn into ``out`` and every draw takes the inverse-CDF body
+    in one pass; otherwise the body elements are drawn first, then the upper
+    tail and the lower tail.  The standardized bounds are freed on return,
+    before the caller gathers the bounds again for its clip."""
+    # Every index is valid, so mode="clip" only skips take's bounds check.
+    a = lower.take(index, mode="clip")
+    a -= mean
+    a /= sd
+    b = upper.take(index, mode="clip")
+    b -= mean
+    b /= sd
+    if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
+        return _tn_body(a, b, rng.random(out=out))
+    hi_tail = a > _TAIL_CUTOFF
+    lo_tail = b < -_TAIL_CUTOFF
+    hi = a[hi_tail], b[hi_tail]
+    lo = -b[lo_tail], -a[lo_tail]
+    body = ~(hi_tail | lo_tail)
+    a = a[body]  # one full-length array is released before the next is gathered
+    b = b[body]
+    if a.size:
+        out[body] = _tn_body(a, b, rng.random(a.size))
+    if hi[0].size:
+        out[hi_tail] = _tn_tail(*hi, rng)
+    if lo[0].size:
+        out[lo_tail] = -_tn_tail(*lo, rng)
+    return out
+
+
+def _tn_body(a, b, u):
+    # Inverse CDF of N(0,1) restricted to (a, b) at the uniforms u.
+    # Overwrites a, b and u and returns u.  scipy.special is imported here,
+    # not at module level, so that commands which never sample (simulate)
+    # do not load it.
     from scipy.special import ndtr, ndtri
 
     pa = ndtr(a, out=a)
     span = ndtr(b, out=b)
     span -= pa
-    u = rng.random(a.shape)
     u *= span
     u += pa
     u.clip(1e-300, _BELOW_ONE, out=u)

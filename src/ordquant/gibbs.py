@@ -28,19 +28,26 @@ Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
 public samplers in ``distributions``.  Each block is a pure function of
 ``(state, spec, rng)``: what it writes into the state depends on nothing
-else, and it calls the unchecked cores ``_gig_half`` and ``_trunc_normal``
-on arrays it built itself.  There is no cross-block cache; only constants
-of the dataset are cached, on the dataset.  ``run_chain`` turns a numerical
-failure inside a block, or a non-finite state after a sweep, into
-``ChainDivergedError`` naming the chain, the sweep and the block.
+else, and it calls the unchecked cores ``_gig_half``, ``_trunc_normal`` and,
+through ``model.draw_liabilities``, ``_trunc_normal_gathered`` on arrays it
+built itself.  There is no cross-block cache; only constants of the dataset are
+cached, on the dataset.  ``run_chain`` turns a numerical failure inside a
+block, or a non-finite state after a sweep, into ``ChainDivergedError``
+naming the chain, the sweep and the block.
+
+Aliasing.  Blocks write into the state's arrays in place where they can:
+the location move shifts ``alpha``, the cut-points and ``latent_l``, and
+``update_l`` draws the new liabilities over the previous ``latent_l``
+array.  An array taken from the state before a block therefore holds the
+block's new values after it; ``ChainState.copy()`` keeps a draw.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +55,7 @@ import numpy as np
 from . import __version__
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
-from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, initialize_state, nonfinite_blocks
+from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, draw_liabilities, initialize_state, nonfinite_blocks
 from .distributions import _gig_half, _trunc_normal
 from .parallel import ordered_map
 from .streams import STREAM_CHAIN, substream
@@ -72,8 +79,10 @@ __all__ = [
 
 _SQRT_HALF = float(np.sqrt(0.5))
 
-# Draws converted to Python floats at a time by PosteriorDraws.to_csv.
+# Draws rows formatted at a time by PosteriorDraws.to_csv, and parsed at a
+# time by read_draws.
 _CSV_CHUNK_ROWS = 1024
+_INTP = np.iinfo(np.intp)
 
 
 @dataclass(frozen=True)
@@ -219,17 +228,9 @@ def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
 
 
 def update_l(state: ChainState, spec: ModelSpec, rng) -> None:
-    """Liabilities: normal truncated to each observation's category interval."""
-    ds = spec.dataset
-    v = state.latent_v
-    center = ds.x @ state.beta
-    term = state.alpha.take(ds.subject_index)
-    center += term
-    center += np.multiply(v, spec.xi, out=term)
-    variance = np.multiply(v, 2.0, out=term)
-    below, above = ds.interval_index()
-    cuts = state.cutpoints
-    state.latent_l = _trunc_normal(center, variance, cuts.take(below), cuts.take(above), rng)
+    """Liabilities: normal truncated to each observation's category interval,
+    drawn over the previous liability array (``model.draw_liabilities``)."""
+    draw_liabilities(state, spec, rng)
 
 
 def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -448,17 +449,19 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec | None = None) -> N
 def read_draws(paths) -> PosteriorDraws:
     """Load one or more draws CSVs; each extra file appends its chains.
 
-    A row with the wrong number of fields, a ``chain`` or ``iteration`` that
-    is not an integer, a negative ``chain``, or a draw that is not a finite
-    number raises ``SchemaError`` naming the file, the line and the column.
+    Each file is parsed ``_CSV_CHUNK_ROWS`` records at a time, one column at
+    a time.  A row with the wrong number of fields, a ``chain`` or
+    ``iteration`` that is not an integer or does not fit in 64 bits, a
+    negative ``chain``, or a draw that is not a finite number raises
+    ``SchemaError`` naming the file, the line and the column of the first
+    bad cell in row order.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     names: list[str] | None = None
-    values, chains, iters = [], [], []
-    lines = array("q")  # each row's line number, for error messages
+    chains, iters, values = [], [], []
     sources = []  # (first row, path, header) of each file
-    offset = 0
+    rows = offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -469,48 +472,83 @@ def read_draws(paths) -> PosteriorDraws:
                 names = header[2:]
             elif header[2:] != names:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
-            sources.append((len(values), path, header))
+            sources.append((rows, path, header))
+            start = rows
             local_max = -1
-            for rec in reader:
-                if len(rec) != len(header):
-                    # A short row names its first missing column, a long one
-                    # the number of its first extra column.
-                    column = header[len(rec)] if len(rec) < len(header) else len(header) + 1
-                    raise SchemaError(f"{path}:{reader.line_num}: column {column}: "
-                                      f"expected {len(header)} fields, got {len(rec)}")
-                try:
-                    c = int(rec[0])
-                    t = int(rec[1])
-                    row = [float(v) for v in rec[2:]]
-                except ValueError:
-                    raise _bad_cell(path, reader.line_num, header, rec) from None
-                if c < 0:
-                    raise SchemaError(f"{path}:{reader.line_num}: column chain: {c} is negative")
-                local_max = max(local_max, c)
-                chains.append(offset + c)
-                iters.append(t)
-                values.append(row)
-                lines.append(reader.line_num)
+            for records in iter(lambda: list(islice(reader, _CSV_CHUNK_ROWS)), []):
+                chain, iteration, block = _parse_draws(path, header, records, rows - start)
+                local_max = max(local_max, int(chain.max()))
+                chain += offset
+                chains.append(chain)
+                iters.append(iteration)
+                values.append(block)
+                rows += len(records)
         offset += local_max + 1
-    if not values:
+    if not rows:
         raise SchemaError("draws files contain no rows")
-    matrix = np.array(values)
-    del values  # the row lists take several times the matrix's memory
+    matrix = np.concatenate(values)
+    del values  # the chunks take as much memory as the matrix
     if not np.isfinite(matrix).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
-        _, path, header = next(src for src in reversed(sources) if src[0] <= row)
-        raise SchemaError(f"{path}:{lines[row]}: column {header[col + 2]}: {matrix[row, col]} is not finite")
-    draws = PosteriorDraws(names, matrix, np.array(chains), np.array(iters))
+        first, path, header = next(src for src in reversed(sources) if src[0] <= row)
+        raise SchemaError(f"{path}:{_line_of(path, row - first)}: column {header[col + 2]}: "
+                          f"{matrix[row, col]} is not finite")
+    draws = PosteriorDraws(names, matrix, np.concatenate(chains), np.concatenate(iters))
     order = np.lexsort((draws.iteration, draws.chain))
     return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])
 
 
-def _bad_cell(path, line: int, header: list[str], rec: list[str]) -> SchemaError:
-    """The error naming the first cell of a draws row that does not parse."""
+def _parse_draws(path, header: list[str], records: list[list[str]], first: int):
+    """Chains, iterations and draws of ``records``, the records of ``path``
+    from index ``first`` on, converted one column at a time.  A chunk that
+    does not convert is searched row by row for its first bad cell."""
+    n, width = len(records), len(header)
+    if set(map(len, records)) == {width}:
+        cells = list(zip(*records))
+        try:
+            chain = np.fromiter(map(int, cells[0]), np.intp, n)
+            iteration = np.fromiter(map(int, cells[1]), np.intp, n)
+            block = np.empty((n, width - 2))
+            for j, column in enumerate(cells[2:]):
+                block[:, j] = np.fromiter(map(float, column), np.float64, n)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if chain.min() >= 0:
+                return chain, iteration, block
+    for i, rec in enumerate(records):
+        fault = _row_fault(header, rec)
+        if fault:
+            raise SchemaError(f"{path}:{_line_of(path, first + i)}: {fault}")
+    raise SchemaError(f"{path}: records {first + 1}..{first + n} do not parse")
+
+
+def _row_fault(header: list[str], rec: list[str]) -> str | None:
+    """What is wrong with one draws record, at its first bad cell, or None."""
+    if len(rec) != len(header):
+        # A short row names its first missing column, a long one the
+        # number of its first extra column.
+        column = header[len(rec)] if len(rec) < len(header) else len(header) + 1
+        return f"column {column}: expected {len(header)} fields, got {len(rec)}"
     for j, (name, cell) in enumerate(zip(header, rec)):
         try:
             int(cell) if j < 2 else float(cell)
         except ValueError:
-            kind = "an integer" if j < 2 else "a number"
-            return SchemaError(f"{path}:{line}: column {name}: {cell!r} is not {kind}")
-    return SchemaError(f"{path}:{line}: row does not parse")
+            return f"column {name}: {cell!r} is not {'an integer' if j < 2 else 'a number'}"
+    c, t = int(rec[0]), int(rec[1])
+    if c < 0:
+        return f"column chain: {c} is negative"
+    for name, value in (("chain", c), ("iteration", t)):
+        if not _INTP.min <= value <= _INTP.max:
+            return f"column {name}: {value} does not fit in a {_INTP.bits}-bit integer"
+    return None
+
+
+def _line_of(path, index: int) -> int:
+    """The line on which record ``index`` of a draws file ends (record 0
+    follows the header)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 2):
+            pass
+        return reader.line_num

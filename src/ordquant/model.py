@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import OrdinalDataset
-from .distributions import sample_trunc_normal
+from .distributions import _trunc_normal_gathered
 from .errors import ChainDivergedError, ConfigError
 
 # Floor for the rho1^2 argument of latent-scale GIG draws; avoids the
@@ -116,9 +116,33 @@ def initialize_state(spec: ModelSpec, rng, overdispersed: bool = False) -> Chain
     alpha = np.zeros(N)
     cuts = np.concatenate([[-np.inf], interior_cutpoints(C, spec.priors.delta_min, spec.priors.delta_max), [np.inf]])
     v = rng.exponential(1.0 / spec.zeta, size=ds.num_observations)
-    center = ds.x @ beta + alpha[ds.subject_index] + spec.xi * v
-    l = sample_trunc_normal(center, 2.0 * v, cuts[ds.y - 1], cuts[ds.y], rng)
-    return ChainState(beta, alpha, np.asarray(l), v, np.ones(p), 1.0, 1.0, cuts)
+    state = ChainState(beta, alpha, np.empty(ds.num_observations), v, np.ones(p), 1.0, 1.0, cuts)
+    draw_liabilities(state, spec, rng)
+    return state
+
+
+def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
+    """Draw every liability from its full conditional, over ``state.latent_l``.
+
+    L_ij is N(x_ij beta + alpha_i + xi v_ij, 2 v_ij) truncated to the
+    interval (delta_{y_ij - 1}, delta_{y_ij}) of its category.  The centre
+    and the standard deviation take two arrays, the uniforms are drawn into
+    the previous liability array, whose values are lost, and the cut-point
+    bounds are gathered inside the truncated-normal draw.
+    """
+    ds = spec.dataset
+    v = state.latent_v
+    center = ds.x @ state.beta
+    sd = state.alpha.take(ds.subject_index)
+    center += sd
+    center += np.multiply(v, spec.xi, out=sd)
+    np.sqrt(np.multiply(v, 2.0, out=sd), out=sd)
+    cuts = state.cutpoints
+    # below[y] is cuts[y - 1], so both bounds are gathered by y; below[0] is
+    # never read, because y >= 1.
+    below = np.empty_like(cuts)
+    below[1:] = cuts[:-1]
+    state.latent_l = _trunc_normal_gathered(center, sd, below, cuts, ds.y, rng, state.latent_l)
 
 
 def nonfinite_blocks(state: ChainState) -> list[str]:

@@ -284,3 +284,147 @@ def update_alpha_normal_call(state, spec, rng):
     mean = np.bincount(ds.subject_index, weights=eta, minlength=ds.num_subjects)
     mean *= variance
     state.alpha = rng.normal(mean, np.sqrt(variance, out=variance))
+
+
+def trunc_normal_full_bounds(mean, variance, lower, upper, rng):
+    """Truncated-normal draws from full-length bound arrays and a fresh array
+    of uniforms, as ``distributions._trunc_normal`` once drew them."""
+    from scipy.special import ndtr, ndtri
+
+    from ordquant.distributions import _BELOW_ONE, _TAIL_CUTOFF, _tn_tail
+
+    def body(a, b):
+        pa = ndtr(a, out=a)
+        span = ndtr(b, out=b)
+        span -= pa
+        u = rng.random(a.shape)
+        u *= span
+        u += pa
+        u.clip(1e-300, _BELOW_ONE, out=u)
+        return ndtri(u, out=u)
+
+    sd = np.sqrt(variance)
+    a = np.subtract(lower, mean)
+    a /= sd
+    b = np.subtract(upper, mean)
+    b /= sd
+    if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
+        z = body(a, b)
+    else:
+        z = np.empty(a.shape, dtype=float)
+        hi_tail = a > _TAIL_CUTOFF
+        lo_tail = b < -_TAIL_CUTOFF
+        mid = ~(hi_tail | lo_tail)
+        if mid.any():
+            z[mid] = body(a[mid], b[mid])
+        if hi_tail.any():
+            z[hi_tail] = _tn_tail(a[hi_tail], b[hi_tail], rng)
+        if lo_tail.any():
+            z[lo_tail] = -_tn_tail(-b[lo_tail], -a[lo_tail], rng)
+    z *= sd
+    z += mean
+    at = (z <= lower) | (z >= upper)
+    if at.any():
+        z[at] = np.clip(z[at], np.nextafter(lower[at], np.inf), np.nextafter(upper[at], -np.inf))
+    return z
+
+
+def initialize_state_full_bounds(spec, rng, overdispersed=False):
+    """The starting state as ``model.initialize_state`` once built it, with
+    the liabilities drawn from out-of-place sums and full-length bounds."""
+    from ordquant.model import ChainState, interior_cutpoints
+
+    ds = spec.dataset
+    p, N, C = ds.num_covariates, ds.num_subjects, ds.num_categories
+    beta = np.zeros(p)
+    if overdispersed:
+        beta = beta + rng.normal(0.0, 2.0, size=p)
+    alpha = np.zeros(N)
+    cuts = np.concatenate([[-np.inf], interior_cutpoints(C, spec.priors.delta_min, spec.priors.delta_max), [np.inf]])
+    v = rng.exponential(1.0 / spec.zeta, size=ds.num_observations)
+    center = ds.x @ beta + alpha[ds.subject_index] + spec.xi * v
+    l = trunc_normal_full_bounds(center, 2.0 * v, cuts[ds.y - 1], cuts[ds.y], rng)
+    return ChainState(beta, alpha, l, v, np.ones(p), 1.0, 1.0, cuts)
+
+
+def update_l_full_bounds(state, spec, rng):
+    """Liabilities into a new array from full-length bounds, as
+    ``gibbs.update_l`` once drew them."""
+    ds = spec.dataset
+    v = state.latent_v
+    center = ds.x @ state.beta
+    term = state.alpha.take(ds.subject_index)
+    center += term
+    center += np.multiply(v, spec.xi, out=term)
+    variance = np.multiply(v, 2.0, out=term)
+    cuts = state.cutpoints
+    state.latent_l = trunc_normal_full_bounds(center, variance, cuts.take(ds.y - 1), cuts.take(ds.y), rng)
+
+
+def read_draws_rowwise(paths):
+    """Draws files parsed row by row into Python lists, as ``gibbs.read_draws``
+    once parsed them; the chunked parse must give the same draws and the same
+    ``SchemaError`` texts."""
+    import csv
+    from array import array
+    from dataclasses import replace
+    from pathlib import Path
+
+    from ordquant.errors import SchemaError
+    from ordquant.gibbs import PosteriorDraws
+
+    def bad_cell(path, line, header, rec):
+        for j, (name, cell) in enumerate(zip(header, rec)):
+            try:
+                int(cell) if j < 2 else float(cell)
+            except ValueError:
+                kind = "an integer" if j < 2 else "a number"
+                return SchemaError(f"{path}:{line}: column {name}: {cell!r} is not {kind}")
+        return SchemaError(f"{path}:{line}: row does not parse")
+
+    names = None
+    values, chains, iters = [], [], []
+    lines = array("q")
+    sources = []
+    offset = 0
+    for path in paths:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[:2] != ["chain", "iteration"]:
+                raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
+            if names is None:
+                names = header[2:]
+            elif header[2:] != names:
+                raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
+            sources.append((len(values), path, header))
+            local_max = -1
+            for rec in reader:
+                if len(rec) != len(header):
+                    column = header[len(rec)] if len(rec) < len(header) else len(header) + 1
+                    raise SchemaError(f"{path}:{reader.line_num}: column {column}: "
+                                      f"expected {len(header)} fields, got {len(rec)}")
+                try:
+                    c = int(rec[0])
+                    t = int(rec[1])
+                    row = [float(v) for v in rec[2:]]
+                except ValueError:
+                    raise bad_cell(path, reader.line_num, header, rec) from None
+                if c < 0:
+                    raise SchemaError(f"{path}:{reader.line_num}: column chain: {c} is negative")
+                local_max = max(local_max, c)
+                chains.append(offset + c)
+                iters.append(t)
+                values.append(row)
+                lines.append(reader.line_num)
+        offset += local_max + 1
+    if not values:
+        raise SchemaError("draws files contain no rows")
+    matrix = np.array(values)
+    if not np.isfinite(matrix).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
+        _, path, header = next(src for src in reversed(sources) if src[0] <= row)
+        raise SchemaError(f"{path}:{lines[row]}: column {header[col + 2]}: {matrix[row, col]} is not finite")
+    draws = PosteriorDraws(names, matrix, np.array(chains), np.array(iters))
+    order = np.lexsort((draws.iteration, draws.chain))
+    return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])

@@ -3,13 +3,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ordquant
-from ordquant import gibbs
+from ordquant import cli, gibbs
 from ordquant.cli import main
 from ordquant.kvfile import read_kv
 
@@ -326,6 +327,25 @@ class TestReplay:
 
     def test_replay_missing_manifest_exit_2(self, tmp_path):
         assert run(["replay", tmp_path / "nope.txt"]) == 2
+
+
+class TestInputHash:
+    @pytest.mark.parametrize("size", [0, 1, cli._HASH_BLOCK, 3 * cli._HASH_BLOCK + 5])
+    def test_streamed_hash_matches_whole_file(self, tmp_path, size):
+        path = tmp_path / "input.csv"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_holds_one_block(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(bytes(4 * cli._HASH_BLOCK))
+        tracemalloc.start()
+        try:
+            cli._sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * cli._HASH_BLOCK
 
 
 class TestMisc:
