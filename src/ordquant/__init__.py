@@ -28,8 +28,6 @@ from .simulate import (
     ReplicationRun,
     ScenarioConfig,
     generate,
-    generate_sim1,
-    generate_sim2,
     run_replication_study,
 )
 from .streams import child_seed, fresh_seed, substream
@@ -63,8 +61,6 @@ __all__ = [
     "ScenarioConfig",
     "ReplicationRun",
     "generate",
-    "generate_sim1",
-    "generate_sim2",
     "run_replication_study",
     "substream",
     "child_seed",

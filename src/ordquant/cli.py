@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import CsvSchema, ingest_csv
+from .data import CsvSchema, _csv_cells, _write_table, ingest_csv
 from .diagnostics import dic, mpsrf, summarize
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
 from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
@@ -268,33 +268,37 @@ def _run_fit(resolved: dict) -> int:
     for theta in resolved["theta"]:
         spec = ModelSpec(theta=theta, dataset=dataset, priors=priors)
         draws = run_chain(spec, config, jobs)
-        tag = f"theta{theta:g}"
-        write_draws(draws, out_dir / f"draws-{tag}.csv", spec)
-        table = summarize(draws, level=resolved["level"])
-        table.to_csv(out_dir / f"summary-{tag}.csv")
-        (out_dir / f"summary-{tag}.txt").write_text(table.to_text(), encoding="utf-8")
-        if config.num_chains >= 2:
-            series = mpsrf(draws, checkpoints=resolved["checkpoints"])
-            series.to_csv(out_dir / f"mpsrf-{tag}.csv")
-            series.to_plot_file(out_dir / f"mpsrf-{tag}.dat")
-            (out_dir / f"mpsrf-{tag}.txt").write_text(series.to_text(), encoding="utf-8")
-        if resolved["dic"]:
-            _write_dic(dic(draws, spec), out_dir / f"dic-{tag}.txt")
+        write_draws(draws, out_dir / f"draws-theta{theta:g}.csv", spec)
+        _write_reports(out_dir, f"-theta{theta:g}", draws, resolved, config.num_chains >= 2,
+                       spec if resolved["dic"] else None)
     _write_manifest(out_dir, "fit", OPTIONS["fit"], resolved, extra={"input_sha256": _sha256(input_path)})
     return 0
 
 
-def _write_dic(result, path) -> None:
-    write_kv(
-        path,
-        {
-            "dic": f"{result.dic:.17g}",
-            "dbar": f"{result.dbar:.17g}",
-            "d_at_posterior_mean": f"{result.d_at_mean:.17g}",
-            "p_d": f"{result.p_d:.17g}",
-            "floored_cells": result.floored_cells,
-        },
-    )
+def _write_reports(out_dir: Path, tag: str, draws, resolved: dict, with_mpsrf: bool, dic_spec) -> None:
+    """The summary files of ``draws``, the shrink-factor files when
+    ``with_mpsrf``, and DIC under ``dic_spec`` unless it is None, each named
+    ``<kind><tag>.<ext>``."""
+    table = summarize(draws, level=resolved["level"])
+    table.to_csv(out_dir / f"summary{tag}.csv")
+    (out_dir / f"summary{tag}.txt").write_text(table.to_text(), encoding="utf-8")
+    if with_mpsrf:
+        series = mpsrf(draws, checkpoints=resolved["checkpoints"])
+        series.to_csv(out_dir / f"mpsrf{tag}.csv")
+        series.to_plot_file(out_dir / f"mpsrf{tag}.dat")
+        (out_dir / f"mpsrf{tag}.txt").write_text(series.to_text(), encoding="utf-8")
+    if dic_spec is not None:
+        result = dic(draws, dic_spec)
+        write_kv(
+            out_dir / f"dic{tag}.txt",
+            {
+                "dic": f"{result.dic:.17g}",
+                "dbar": f"{result.dbar:.17g}",
+                "d_at_posterior_mean": f"{result.d_at_mean:.17g}",
+                "p_d": f"{result.p_d:.17g}",
+                "floored_cells": result.floored_cells,
+            },
+        )
 
 
 def _run_simulate(resolved: dict) -> int:
@@ -347,41 +351,30 @@ def _run_replicate(resolved: dict) -> int:
 
 
 def _write_report_csv(run, path) -> None:
-    import csv
-
     models = sorted({m for t in run.thetas for m in run.reports[t].efficiency})
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "parameter", "truth", "relative_bias", *(f"efficiency_{m}" for m in models)])
-        for theta in run.thetas:
-            report = run.reports[theta]
-            for name, bias in report.bias.items():
-                row = [f"{theta:.17g}", name, f"{report.truth[name]:.17g}", f"{bias:.17g}"]
-                row += [f"{report.efficiency[m][name]:.17g}" if m in report.efficiency else "" for m in models]
-                writer.writerow(row)
+    reports = [run.reports[theta] for theta in run.thetas]
+    rows = [(report.theta, report.truth[name], bias,
+             *(f"{report.efficiency[m][name]:.17g}" if m in report.efficiency else "" for m in models))
+            for report in reports for name, bias in report.bias.items()]
+    theta, truth, bias, *efficiency = zip(*rows)
+    names = _csv_cells([name for report in reports for name in report.bias])
+    _write_table(path, ["theta", "parameter", "truth", "relative_bias", *(f"efficiency_{m}" for m in models)],
+                 "%.17g,%s,%.17g,%.17g" + ",%s" * len(models), [theta, names, truth, bias, *efficiency])
 
 
 def _run_diagnose(resolved: dict) -> int:
     out_dir = _prepare_out(resolved, "diagnose")
     draws = read_draws(resolved["draws"])
-    table = summarize(draws, level=resolved["level"])
-    table.to_csv(out_dir / "summary.csv")
-    (out_dir / "summary.txt").write_text(table.to_text(), encoding="utf-8")
-    if resolved["mpsrf"]:
-        if draws.num_chains < 2:
-            raise ConfigError("the multivariate shrink factor needs at least two chains")
-        series = mpsrf(draws, checkpoints=resolved["checkpoints"])
-        series.to_csv(out_dir / "mpsrf.csv")
-        series.to_plot_file(out_dir / "mpsrf.dat")
-        (out_dir / "mpsrf.txt").write_text(series.to_text(), encoding="utf-8")
+    if resolved["mpsrf"] and draws.num_chains < 2:
+        raise ConfigError("the multivariate shrink factor needs at least two chains")
+    spec = None
     if resolved["dic"]:
         if not resolved["data"] or resolved["theta"] is None:
             raise ConfigError("DIC needs --data and --theta")
         data_path = Path(resolved["data"]).resolve()
         resolved["data"] = str(data_path)
-        dataset = ingest_csv(data_path, _schema_from(resolved))
-        spec = ModelSpec(theta=resolved["theta"], dataset=dataset)
-        _write_dic(dic(draws, spec), out_dir / "dic.txt")
+        spec = ModelSpec(theta=resolved["theta"], dataset=ingest_csv(data_path, _schema_from(resolved)))
+    _write_reports(out_dir, "", draws, resolved, resolved["mpsrf"], spec)
     resolved["draws"] = [str(Path(p).resolve()) for p in resolved["draws"]]
     _write_manifest(out_dir, "diagnose", OPTIONS["diagnose"], resolved)
     return 0

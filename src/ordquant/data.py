@@ -6,11 +6,16 @@ covariate vector.  Storage is flat (one row per observation, grouped by
 subject in first-appearance order), which is what the sampler consumes.
 
 CSV interface: header row required, UTF-8, missing values not permitted in
-model columns.  Both directions work on chunks of ``_CHUNK_ROWS`` rows:
-ingest converts a chunk one column at a time and keeps one string per
-distinct subject, and the writer formats a chunk with one row format.  The
-writer emits the same schema it reads, with the bytes ``csv.writer``
-writes, so datasets round-trip unchanged."""
+model columns.  The writer emits the same schema ingest reads, with the
+bytes ``csv.writer`` writes, so datasets round-trip unchanged.
+
+This module also holds the package's one CSV table layer.  Every table
+ordquant writes goes through ``_write_table``, which formats a chunk of
+rows with one row format.  Both readers, ``ingest_csv`` here and
+``gibbs.read_draws``, take records from ``_record_chunks`` and convert a
+chunk one column at a time, each with its own cell rules, and name a bad
+record's line with ``_line_of``.  A chunk holds about ``_CHUNK_CELLS``
+cells, so its row count follows the table's width."""
 
 from __future__ import annotations
 
@@ -27,8 +32,10 @@ from .errors import DataError, SchemaError
 
 __all__ = ["CsvSchema", "OrdinalDataset", "ingest_csv", "write_csv"]
 
-# Records parsed, or rows formatted, at a time by ingest_csv and write_csv.
-_CHUNK_ROWS = 4096
+# Cells parsed, or formatted, per chunk by every CSV reader and writer: a
+# chunk holds max(1, _CHUNK_CELLS // columns) rows, so a wide draws file and
+# a narrow dataset hold about the same memory per chunk.
+_CHUNK_CELLS = 1 << 15
 _INTP = np.iinfo(np.intp)
 
 
@@ -89,7 +96,6 @@ class OrdinalDataset:
         if not self.category_labels:
             self.category_labels = list(range(1, self.num_categories + 1))
         self._category_runs = None
-        self._interval_index = None
 
     # -- dataset statistics ------------------------------------------------
 
@@ -113,12 +119,6 @@ class OrdinalDataset:
             present, starts = np.unique(self.y[order], return_index=True)
             self._category_runs = (order, starts, present.tolist())
         return self._category_runs
-
-    def interval_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cut-point indices y - 1 and y bounding each observation's liability (cached)."""
-        if self._interval_index is None:
-            self._interval_index = (self.y - 1, self.y)
-        return self._interval_index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrdinalDataset):
@@ -150,8 +150,8 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
         header = [h.strip() for h in header]
         columns = _resolve_columns(path, header, schema)
         ids: dict[str, int] = {}
-        chunks = [_parse_chunk(path, records, 2 + k * _CHUNK_ROWS, len(header), columns, schema, ids)
-                  for k, records in enumerate(iter(lambda: list(islice(reader, _CHUNK_ROWS)), []))]
+        chunks = [_parse_chunk(path, records, first, len(header), columns, schema, ids)
+                  for first, records in _record_chunks(reader, len(header))]
     if not ids:
         raise DataError(f"{path}: no data rows")
 
@@ -203,9 +203,9 @@ def _resolve_columns(path, header, schema):
     }
 
 
-def _parse_chunk(path, records, line, width, columns, schema, ids):
+def _parse_chunk(path, records, first, width, columns, schema, ids):
     """Subject indices, responses, covariates and times of the non-blank ``records``
-    (the first on ``line``), adding new subject ids to ``ids`` as they appear."""
+    (the file's records from index ``first`` on), adding new subject ids to ``ids`` as they appear."""
     s = columns["subject"]
     errors = []  # (position among the records kept, message), in check order
     keep = range(len(records))
@@ -249,8 +249,8 @@ def _parse_chunk(path, records, line, width, columns, schema, ids):
             if wide is not None:
                 errors.append((wide, f"time index {t[wide]} does not fit in a {_INTP.bits}-bit integer"))
     if errors:
-        first, message = min(errors, key=lambda error: error[0])
-        raise DataError(f"{path}:{line + keep[first]}: {message}")
+        bad, message = min(errors, key=lambda error: error[0])
+        raise DataError(f"{path}:{_line_of(path, first + keep[bad])}: {message}")
     return subject, y, x, t
 
 
@@ -279,24 +279,54 @@ def write_csv(dataset: OrdinalDataset, path, schema: CsvSchema = CsvSchema()) ->
 
     With ``schema.time=None`` no time column is written; ``ingest_csv``
     then ranks each subject's observations in file order."""
-    header = [schema.subject, schema.response, *dataset.covariate_names, *([schema.time] if schema.time else [])]
-    ids = _csv_cells(dataset.subject_ids)
+    header = [schema.subject, schema.response, *dataset.covariate_names]
     labels = _csv_cells([None, *dataset.category_labels])  # indexed by y in 1..C
-    # Without a time column the time is formatted with "%.0s", which writes nothing.
-    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates + (",%d" if schema.time else "%.0s") + "\r\n"
+    columns = [_csv_cells(dataset.subject_ids)[dataset.subject_index], labels[dataset.y], *dataset.x.T]
+    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates
+    if schema.time:
+        header.append(schema.time)
+        columns.append(dataset.time_index)
+        row_format += ",%d"
+    _write_table(path, header, row_format, columns)
+
+
+def _write_table(path, header: list[str], row_format: str, columns) -> None:
+    """Write a CSV table: ``header`` through ``csv.writer``, then the rows
+    ``zip(*columns)`` formatted by ``row_format`` and ``csv.writer``'s line
+    terminator, one chunk at a time.
+
+    Each column is a 1-D array or a list of numbers, and a text column is
+    as ``_csv_cells`` gives it.  A number's format must need no quoting, so
+    the bytes are those ``csv.writer`` writes."""
+    columns = [np.asarray(column) for column in columns]
+    row_format += "\r\n"
+    rows = max(1, _CHUNK_CELLS // len(columns))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, dataset.num_observations, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            fh.writelines(
-                row_format % (ids[i], labels[c], *xs, t)
-                for i, c, xs, t in zip(dataset.subject_index[start:stop].tolist(), dataset.y[start:stop].tolist(),
-                                       dataset.x[start:stop].tolist(), dataset.time_index[start:stop].tolist())
-            )
+        for start in range(0, len(columns[0]), rows):
+            fh.writelines(map(row_format.__mod__, zip(*(column[start:start + rows].tolist() for column in columns))))
 
 
-def _csv_cells(values) -> list[str]:
-    """Each value as ``csv.writer`` writes it in a row of several cells."""
+def _record_chunks(reader, width: int):
+    """Successive chunks of ``reader``'s records, of ``width`` fields each
+    when well formed, as (index of the chunk's first record, records)."""
+    rows = max(1, _CHUNK_CELLS // width)
+    return ((k * rows, records) for k, records in enumerate(iter(lambda: list(islice(reader, rows)), [])))
+
+
+def _line_of(path, index: int) -> int:
+    """The line on which record ``index`` of a CSV file ends, as
+    ``csv.reader`` counts lines (record 0 follows the header)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 2):
+            pass
+        return reader.line_num
+
+
+def _csv_cells(values) -> np.ndarray:
+    """Each value as ``csv.writer`` writes it in a row of several cells, in
+    an object array: a text column for ``_write_table``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     ends = [0]
@@ -304,4 +334,4 @@ def _csv_cells(values) -> list[str]:
         writer.writerow((value, None))  # the empty second cell is never quoted
         ends.append(buf.tell())
     text = buf.getvalue()
-    return [text[start:end - len(",\r\n")] for start, end in zip(ends, ends[1:])]
+    return np.array([text[start:end - len(",\r\n")] for start, end in zip(ends, ends[1:])], dtype=object)

@@ -8,15 +8,15 @@ parent of a multi-chain fit, ``ordquant diagnose``) never imports scipy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .data import _csv_cells, _write_table
 from .distributions import sld_cdf
 from .gibbs import PosteriorDraws
-from .model import ModelSpec
+from .model import ModelSpec, _shifted_cutpoints
 
 __all__ = [
     "SummaryTable",
@@ -73,15 +73,9 @@ class SummaryTable:
         }
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "mean", "sd", "lower", "upper", "level"])
-            for i, name in enumerate(self.parameters):
-                writer.writerow(
-                    [name]
-                    + [f"{v:.17g}" for v in (self.mean[i], self.sd[i], self.lower[i], self.upper[i])]
-                    + [f"{self.level:.17g}"]
-                )
+        _write_table(path, ["parameter", "mean", "sd", "lower", "upper", "level"], "%s" + ",%.17g" * 5,
+                     [_csv_cells(self.parameters), self.mean, self.sd, self.lower, self.upper,
+                      [self.level] * len(self.parameters)])
 
     def to_text(self) -> str:
         width = max([len(p) for p in self.parameters] + [9])
@@ -126,11 +120,7 @@ class MpsrfSeries:
     parameters: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "mpsrf", "ridged"])
-            for t, v, r in zip(self.iterations, self.values, self.ridged):
-                writer.writerow([t, f"{v:.17g}", int(r)])
+        _write_table(path, ["iteration", "mpsrf", "ridged"], "%d,%.17g,%d", [self.iterations, self.values, self.ridged])
 
     def to_plot_file(self, path) -> None:
         """Two whitespace-separated columns (iteration, value), no header."""
@@ -290,9 +280,8 @@ def _deviances(betas, deltas, alphas, spec: ModelSpec) -> tuple[np.ndarray, int]
     cuts[:, 0] = -np.inf
     cuts[:, 1:-1] = deltas
     cuts[:, -1] = np.inf
-    below, above = ds.interval_index()
-    cells = sld_cdf(cuts[:, above] - shift, spec.theta)
-    cells -= sld_cdf(cuts[:, below] - shift, spec.theta)
+    cells = sld_cdf(cuts[:, ds.y] - shift, spec.theta)
+    cells -= sld_cdf(_shifted_cutpoints(cuts)[:, ds.y] - shift, spec.theta)
     floored = int(np.count_nonzero(cells < _CELL_FLOOR))
     np.maximum(cells, _CELL_FLOOR, out=cells)
     # One sum per row: a 2-D reduction along axis 1 may add in another order.

@@ -47,12 +47,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .data import _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
 from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, draw_liabilities, initialize_state, nonfinite_blocks
@@ -78,10 +78,6 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
-
-# Draws rows formatted at a time by PosteriorDraws.to_csv, and parsed at a
-# time by read_draws.
-_CSV_CHUNK_ROWS = 1024
 _INTP = np.iinfo(np.intp)
 
 
@@ -328,23 +324,10 @@ class PosteriorDraws:
         return mat[order].reshape(m, self.chain_length, len(names))
 
     def to_csv(self, path) -> None:
-        """Header through ``csv.writer``, then one ``%.17g`` row per draw.
-
-        The rows are the bytes ``csv.writer`` would write for the same
-        fields (no field needs quoting), formatted with one precomputed
-        format and streamed in chunks, so no copy of the whole file is held.
-        """
-        path = Path(path)
-        row_format = "%d,%d" + ",%.17g" * len(self.names) + "\r\n"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(["chain", "iteration", *self.names])
-            for start in range(0, self.values.shape[0], _CSV_CHUNK_ROWS):
-                stop = start + _CSV_CHUNK_ROWS
-                fh.writelines(
-                    row_format % (c, t, *row)
-                    for c, t, row in zip(self.chain[start:stop].tolist(), self.iteration[start:stop].tolist(),
-                                         self.values[start:stop].tolist())
-                )
+        """One row per draw, each draw written with ``%.17g``, streamed in
+        chunks, so no copy of the whole file is held."""
+        _write_table(path, ["chain", "iteration", *self.names], "%d,%d" + ",%.17g" * len(self.names),
+                     [self.chain, self.iteration, *self.values.T])
 
 
 def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> PosteriorDraws:
@@ -449,12 +432,14 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec | None = None) -> N
 def read_draws(paths) -> PosteriorDraws:
     """Load one or more draws CSVs; each extra file appends its chains.
 
-    Each file is parsed ``_CSV_CHUNK_ROWS`` records at a time, one column at
-    a time.  A row with the wrong number of fields, a ``chain`` or
-    ``iteration`` that is not an integer or does not fit in 64 bits, a
-    negative ``chain``, or a draw that is not a finite number raises
-    ``SchemaError`` naming the file, the line and the column of the first
-    bad cell in row order.
+    Each file is parsed in chunks of records, one column at a time.  A row
+    with the wrong number of fields, a ``chain`` or ``iteration`` that is not
+    an integer or does not fit in 64 bits, a negative ``chain``, or a draw
+    that does not parse as a number raises ``SchemaError`` naming the file,
+    the line and the column, at the first such row in file order.  A draw
+    that parses but is not finite (``nan``, ``inf``) is reported the same
+    way, but only after every cell of every file has parsed, so a later cell
+    that does not parse wins over an earlier ``nan``.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
@@ -473,10 +458,9 @@ def read_draws(paths) -> PosteriorDraws:
             elif header[2:] != names:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
             sources.append((rows, path, header))
-            start = rows
             local_max = -1
-            for records in iter(lambda: list(islice(reader, _CSV_CHUNK_ROWS)), []):
-                chain, iteration, block = _parse_draws(path, header, records, rows - start)
+            for first, records in _record_chunks(reader, len(header)):
+                chain, iteration, block = _parse_draws(path, header, records, first)
                 local_max = max(local_max, int(chain.max()))
                 chain += offset
                 chains.append(chain)
@@ -543,12 +527,3 @@ def _row_fault(header: list[str], rec: list[str]) -> str | None:
             return f"column {name}: {value} does not fit in a {_INTP.bits}-bit integer"
     return None
 
-
-def _line_of(path, index: int) -> int:
-    """The line on which record ``index`` of a draws file ends (record 0
-    follows the header)."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, index + 2):
-            pass
-        return reader.line_num

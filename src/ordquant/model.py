@@ -138,11 +138,16 @@ def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
     center += np.multiply(v, spec.xi, out=sd)
     np.sqrt(np.multiply(v, 2.0, out=sd), out=sd)
     cuts = state.cutpoints
-    # below[y] is cuts[y - 1], so both bounds are gathered by y; below[0] is
-    # never read, because y >= 1.
+    state.latent_l = _trunc_normal_gathered(center, sd, _shifted_cutpoints(cuts), cuts, ds.y, rng, state.latent_l)
+
+
+def _shifted_cutpoints(cuts: np.ndarray) -> np.ndarray:
+    """``cuts`` shifted one step along its last axis: entry y is cut-point
+    y - 1, so both bounds of category y are gathered by y.  Entry 0 is never
+    read, because y >= 1."""
     below = np.empty_like(cuts)
-    below[1:] = cuts[:-1]
-    state.latent_l = _trunc_normal_gathered(center, sd, below, cuts, ds.y, rng, state.latent_l)
+    below[..., 1:] = cuts[..., :-1]
+    return below
 
 
 def nonfinite_blocks(state: ChainState) -> list[str]:

@@ -2,21 +2,21 @@
 
 Two scenarios share one design: covariates uniform on [-0.1, 0.1],
 coefficients (-5, -10, 15), unit-scale logistic liability errors (normal
-optionally), and five response categories cut at (-0.8416, -0.2533,
-0.2533, 0.8416).  The second scenario adds a per-subject standard-normal
-location shift, drawn from a spawned child stream so that switching the
-shift off reproduces the first scenario's draws exactly.
+optionally), a per-subject normal location shift, and five response
+categories cut at (-0.8416, -0.2533, 0.2533, 0.8416).  The scenarios differ
+only in the shift's default SD: 0 for the first (fixed effects), 1 for the
+second.  The shift is drawn from a spawned child stream, so a dataset
+depends on its SD and not on its scenario name.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import OrdinalDataset, write_csv
+from .data import OrdinalDataset, _write_table, write_csv
 from .diagnostics import ReplicationReport, relative_bias, relative_efficiency
 from .errors import ChainDivergedError, ConfigError
 from .gibbs import SamplerConfig, parameter_names, run_chain
@@ -31,8 +31,6 @@ __all__ = [
     "ScenarioConfig",
     "ReplicationRun",
     "liability_to_category",
-    "generate_sim1",
-    "generate_sim2",
     "generate",
     "run_replication_study",
     "efficiency_against",
@@ -103,43 +101,21 @@ def _build_dataset(config: ScenarioConfig, x, liability) -> OrdinalDataset:
     )
 
 
-def _error_draw(config: ScenarioConfig, rng, n: int) -> np.ndarray:
-    if config.error == "normal":
-        return rng.normal(0.0, 1.0, size=n)
-    return rng.logistic(0.0, 1.0, size=n)
+def generate(config: ScenarioConfig, rng) -> OrdinalDataset:
+    """Liability = x'beta + alpha_i + noise, with alpha_i ~ N(0, effect_sd^2).
 
-
-def generate_sim1(config: ScenarioConfig, rng) -> OrdinalDataset:
-    """Fixed-effects design: liability = x'beta + noise."""
-    n = config.subjects * config.obs_per_subject
-    p = len(config.true_beta)
-    x = rng.uniform(-0.1, 0.1, size=(n, p))
-    eps = _error_draw(config, rng, n)
-    liability = x @ np.asarray(config.true_beta) + eps
-    return _build_dataset(config, x, liability)
-
-
-def generate_sim2(config: ScenarioConfig, rng) -> OrdinalDataset:
-    """Random-effects design: adds a constant per-subject normal shift.
-
-    The shift comes from a spawned child stream, so the covariate and error
-    draws occupy exactly the positions they would in ``generate_sim1``.
+    The effects come from a child stream spawned before any draw, so the
+    covariate and noise draws occupy the same positions at every SD, and
+    SD 0 gives the fixed-effects design.
     """
     n = config.subjects * config.obs_per_subject
-    p = len(config.true_beta)
     effect_rng = rng.spawn(1)[0]
-    x = rng.uniform(-0.1, 0.1, size=(n, p))
-    eps = _error_draw(config, rng, n)
+    x = rng.uniform(-0.1, 0.1, size=(n, len(config.true_beta)))
+    noise = rng.normal if config.error == "normal" else rng.logistic
+    eps = noise(0.0, 1.0, size=n)
     alpha = config.effect_sd * effect_rng.standard_normal(config.subjects)
-    subject_index = np.repeat(np.arange(config.subjects), config.obs_per_subject)
-    liability = alpha[subject_index] + x @ np.asarray(config.true_beta) + eps
+    liability = alpha.repeat(config.obs_per_subject) + x @ np.asarray(config.true_beta) + eps
     return _build_dataset(config, x, liability)
-
-
-def generate(config: ScenarioConfig, rng) -> OrdinalDataset:
-    if config.scenario == "sim1":
-        return generate_sim1(config, rng)
-    return generate_sim2(config, rng)
 
 
 def write_scenario_dataset(dataset: OrdinalDataset, config: ScenarioConfig, path) -> None:
@@ -189,13 +165,10 @@ class ReplicationRun:
     failures: list[str]
 
     def estimates_to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replication", "theta", *self.parameters])
-            for theta in self.thetas:
-                mat = self.estimates[theta]
-                for r in range(mat.shape[0]):
-                    writer.writerow([r, f"{theta:.17g}", *(f"{v:.17g}" for v in mat[r])])
+        mats = [self.estimates[theta] for theta in self.thetas]
+        _write_table(path, ["replication", "theta", *self.parameters], "%d" + ",%.17g" * (1 + len(self.parameters)),
+                     [np.concatenate([np.arange(len(mat)) for mat in mats]),
+                      np.repeat(self.thetas, [len(mat) for mat in mats]), *np.concatenate(mats).T])
 
 
 def _replication_worker(args):

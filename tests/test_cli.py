@@ -1,5 +1,7 @@
+import csv
 import filecmp
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -10,9 +12,12 @@ import numpy as np
 import pytest
 
 import ordquant
-from ordquant import cli, gibbs
+from ordquant import cli, data, gibbs
 from ordquant.cli import main
+from ordquant.diagnostics import MpsrfSeries, ReplicationReport, SummaryTable, summarize
+from ordquant.gibbs import PosteriorDraws, SamplerConfig, read_draws
 from ordquant.kvfile import read_kv
+from ordquant.simulate import ReplicationRun, ScenarioConfig
 
 
 def run(args):
@@ -212,6 +217,17 @@ class TestSimulate:
         b = (o2 / "simulate-4" / "dataset.csv").read_text()
         assert a == b
 
+    def test_random_effect_sd_overrides_either_scenario(self, tmp_path):
+        datasets = {}
+        for scenario, sd in [("sim1", "2"), ("sim2", "2"), ("sim1", "0")]:
+            out = tmp_path / f"{scenario}-sd{sd}"
+            assert run(["simulate", "--scenario", scenario, "--random-effect-sd", sd, "--subjects", "8",
+                        "--n-per-subject", "3", "--seed", "4", "--out", out]) == 0
+            assert read_kv(out / "simulate-4" / "dataset.meta")["random_effect_sd"] == sd
+            datasets[scenario, sd] = (out / "simulate-4" / "dataset.csv").read_bytes()
+        assert datasets["sim1", "2"] == datasets["sim2", "2"]
+        assert datasets["sim1", "2"] != datasets["sim1", "0"]
+
 
 class TestReplicate:
     def test_smoke_report_structure(self, tmp_path):
@@ -299,6 +315,86 @@ class TestDiagnose:
         assert run(["diagnose", "--mpsrf", "--seed", "0", "--out", tmp_path / "d",
                     two_chain_files[0], bad]) == 2
         assert f"error: {bad}:4: column beta_1: 'abc' is not a number" in capsys.readouterr().err
+
+
+def csv_writer_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def g17(values):
+    return [f"{v:.17g}" for v in values]
+
+
+class TestTableBytes:
+    """Every CSV table is written with the bytes ``csv.writer`` writes for
+    the rows the former row-at-a-time writers built."""
+
+    NAMES = ["plain", "has,comma", 'has "quote"', "has\nnewline"]
+    VALUES = [-0.0, 5e-324, 1e22, float("nan")]
+
+    @pytest.fixture(autouse=True, params=["chunk-1", "chunk-default"])
+    def chunk_cells(self, request, monkeypatch):
+        if request.param == "chunk-1":
+            monkeypatch.setattr(data, "_CHUNK_CELLS", 1)
+
+    def test_summary_table(self, tmp_path):
+        v = np.array(self.VALUES)
+        table = SummaryTable(self.NAMES, v, v[::-1], v - 1.0, v + 0.1, 0.9)
+        table.to_csv(tmp_path / "summary.csv")
+        rows = [[name, *g17(cells), "0.90000000000000002"]
+                for name, *cells in zip(self.NAMES, v, v[::-1], v - 1.0, v + 0.1)]
+        assert (tmp_path / "summary.csv").read_bytes() == csv_writer_bytes(
+            ["parameter", "mean", "sd", "lower", "upper", "level"], rows)
+
+    def test_mpsrf_series(self, tmp_path):
+        series = MpsrfSeries([5, 10, 15], [1.5, 1.0000000000000002, 0.9], [False, True, False], 2)
+        series.to_csv(tmp_path / "mpsrf.csv")
+        rows = [[t, f"{v:.17g}", int(r)] for t, v, r in zip(series.iterations, series.values, series.ridged)]
+        assert (tmp_path / "mpsrf.csv").read_bytes() == csv_writer_bytes(["iteration", "mpsrf", "ridged"], rows)
+
+    def replication_run(self):
+        estimates = {0.25: np.array([self.VALUES[:2], self.VALUES[2:]]), 0.5: np.array([[3.0, -1.25]]),
+                     0.75: np.empty((0, 2))}
+        reports = {
+            theta: ReplicationReport(theta, 2, len(mat), {"beta_1": -5.0, "delta_1": 0.1},
+                                     dict(zip(["beta_1", "delta_1"], self.VALUES[k:k + 2])))
+            for k, (theta, mat) in enumerate(estimates.items())
+        }
+        reports[0.25].efficiency["theta=0.25"] = {"beta_1": 1.0, "delta_1": 1.0}
+        reports[0.5].efficiency["theta=0.25"] = {"beta_1": 0.1, "delta_1": 1e-300}
+        return ReplicationRun(ScenarioConfig(), SamplerConfig(), list(estimates), ["beta_1", "delta_1"],
+                              estimates, reports, [])
+
+    def test_replication_estimates(self, tmp_path):
+        run = self.replication_run()
+        run.estimates_to_csv(tmp_path / "estimates.csv")
+        rows = [[r, f"{theta:.17g}", *g17(mat[r])] for theta, mat in run.estimates.items() for r in range(len(mat))]
+        assert (tmp_path / "estimates.csv").read_bytes() == csv_writer_bytes(
+            ["replication", "theta", "beta_1", "delta_1"], rows)
+
+    def test_replication_report(self, tmp_path):
+        run = self.replication_run()
+        cli._write_report_csv(run, tmp_path / "report.csv")
+        rows = [[f"{theta:.17g}", name, f"{report.truth[name]:.17g}", f"{bias:.17g}",
+                 f"{report.efficiency['theta=0.25'][name]:.17g}" if report.efficiency else ""]
+                for theta, report in run.reports.items() for name, bias in report.bias.items()]
+        assert (tmp_path / "report.csv").read_bytes() == csv_writer_bytes(
+            ["theta", "parameter", "truth", "relative_bias", "efficiency_theta=0.25"], rows)
+
+    def test_diagnose_quotes_parameter_names(self, tmp_path):
+        values = np.arange(16.0).reshape(4, 4) ** 1.5 - 7.0
+        draws = PosteriorDraws(self.NAMES, values, np.zeros(4, dtype=np.intp), np.arange(1, 5))
+        draws.to_csv(tmp_path / "draws.csv")
+        assert read_draws(tmp_path / "draws.csv").names == self.NAMES
+        assert run(["diagnose", "--seed", "0", "--out", tmp_path, tmp_path / "draws.csv"]) == 0
+        table = summarize(draws)
+        rows = [[name, *g17(table.row(name).values()), f"{table.level:.17g}"] for name in self.NAMES]
+        assert (tmp_path / "diagnose-0" / "summary.csv").read_bytes() == csv_writer_bytes(
+            ["parameter", "mean", "sd", "lower", "upper", "level"], rows)
 
 
 class TestReplay:

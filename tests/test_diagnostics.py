@@ -15,7 +15,7 @@ from ordquant.diagnostics import (
 )
 from ordquant.gibbs import PosteriorDraws, SamplerConfig, run_chain
 from ordquant.model import ModelSpec, Priors
-from ordquant.simulate import ScenarioConfig, generate_sim2
+from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import substream
 
 from .oracles import dic_per_draw, mpsrf_top_eigh
@@ -298,7 +298,7 @@ class TestDic:
         # More draws than one block, more observations than one row of cells
         # per draw, and one draw whose cells underflow the floor.
         cfg = ScenarioConfig(scenario="sim2", subjects=30, obs_per_subject=7)
-        ds = generate_sim2(cfg, substream(4, 2, 0))
+        ds = generate(cfg, substream(4, 2, 0))
         spec = ModelSpec(theta=0.3, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
         draws = run_chain(spec, SamplerConfig(iterations=200, burn_in=50, seed=8, num_chains=2, retain_alpha=True))
         draws.values[17, 0] = 1e6

@@ -9,7 +9,7 @@ import pytest
 from ordquant.data import OrdinalDataset
 from ordquant.distributions import _TAIL_CUTOFF
 from ordquant.errors import ChainDivergedError, ConfigError, SchemaError
-from ordquant import gibbs
+from ordquant import data, gibbs
 from ordquant.gibbs import (
     PosteriorDraws,
     SamplerConfig,
@@ -26,7 +26,7 @@ from ordquant.gibbs import (
     write_draws,
 )
 from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, validate_state
-from ordquant.simulate import ScenarioConfig, generate_sim1
+from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import STREAM_CHAIN, substream
 
 from .oracles import (
@@ -317,7 +317,7 @@ class TestUpdateL:
 
     def test_every_draw_in_interval(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=8, obs_per_subject=3)
-        ds = generate_sim1(cfg, substream(4, 2, 0))
+        ds = generate(cfg, substream(4, 2, 0))
         spec = ModelSpec(theta=0.7, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
         state = initialize_state(spec, substream(4, 0, 0))
         g = rng(13)
@@ -613,7 +613,7 @@ class TestSamplerConfig:
 
 def small_sim_spec(theta=0.5, seed=21, subjects=8, n_i=4):
     cfg = ScenarioConfig(scenario="sim1", subjects=subjects, obs_per_subject=n_i)
-    ds = generate_sim1(cfg, substream(seed, 2, 0))
+    ds = generate(cfg, substream(seed, 2, 0))
     return ModelSpec(theta=theta, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
 
 
@@ -722,7 +722,7 @@ class TestRunChain:
         # permuting subject order must leave posterior summaries unchanged
         # within Monte Carlo error (matched seeds, distinct draw paths)
         cfg = ScenarioConfig(scenario="sim1", subjects=10, obs_per_subject=4)
-        ds = generate_sim1(cfg, substream(31, 2, 0))
+        ds = generate(cfg, substream(31, 2, 0))
         perm = [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]
         rows = np.concatenate([np.flatnonzero(ds.subject_index == i) for i in perm])
         ds_perm = OrdinalDataset([ds.subject_ids[i] for i in perm], np.argsort(perm)[ds.subject_index[rows]],
@@ -740,7 +740,7 @@ class TestRunChain:
         # negating all covariates flips the coefficient draws exactly in law;
         # summaries agree within Monte Carlo error and cut-points are unchanged
         cfg = ScenarioConfig(scenario="sim1", subjects=10, obs_per_subject=4)
-        ds = generate_sim1(cfg, substream(17, 2, 0))
+        ds = generate(cfg, substream(17, 2, 0))
         flipped = OrdinalDataset(ds.subject_ids, ds.subject_index, ds.y, -ds.x,
                                  ds.time_index, ds.num_categories)
         sampler = SamplerConfig(iterations=24000, burn_in=4000, seed=19)
@@ -843,7 +843,7 @@ class TestPosteriorDrawsIO:
             read_draws([pa, pb])
 
     def test_csv_bytes_match_csv_writer(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(gibbs, "_CSV_CHUNK_ROWS", 2)  # three rows span two chunks
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 1)  # one row per chunk
         values = np.array([[-0.0, 1e-300, 5e-324, 3.0],
                            [2.0, -1.5, 0.1, 1e22],
                            [np.pi, -7.0, 123456789.0, -2.5e-310]])
@@ -883,8 +883,8 @@ class TestPosteriorDrawsIO:
         assert str(info.value).endswith(message)
 
     # Edits of the second draws file (the first file is edited only where a
-    # case says so); every file has a header and ten rows, and a chunk of two
-    # rows puts most cases across a chunk boundary.
+    # case says so); every file has a header and ten rows, and a one-cell
+    # budget gives one-row chunks, so every case crosses a chunk boundary.
     PARITY_CASES = {
         "clean": ([], []),
         "earlier row wins": ([], [edit_cell(9, 4, "x"), edit_cell(4, 0, "-2")]),
@@ -899,10 +899,10 @@ class TestPosteriorDrawsIO:
         "separator cell": ([], [edit_cell(4, 3, "\x1c0.5")]),
     }
 
-    @pytest.mark.parametrize("chunk", [2, gibbs._CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [1, data._CHUNK_CELLS])
     @pytest.mark.parametrize("case", list(PARITY_CASES))
     def test_chunked_parse_matches_rowwise_reference(self, tmp_path, monkeypatch, chunk, case):
-        monkeypatch.setattr(gibbs, "_CSV_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(data, "_CHUNK_CELLS", chunk)
         spec = small_sim_spec()
         paths = []
         for k, edits in enumerate(self.PARITY_CASES[case]):

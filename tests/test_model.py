@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ordquant.model import (
     interior_cutpoints,
     validate_state,
 )
-from ordquant.simulate import ScenarioConfig, generate, generate_sim1
+from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import substream
 
 from .oracles import ingest_csv_rowwise, write_csv_rowwise
@@ -93,7 +95,7 @@ class TestIngest:
 
     def test_roundtrip_sim1_format(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=40, obs_per_subject=5)
-        ds = generate_sim1(cfg, substream(99, 2, 0))
+        ds = generate(cfg, substream(99, 2, 0))
         f = tmp_path / "sim.csv"
         write_csv(ds, f)
         again = ingest_csv(f, CsvSchema(num_categories=5))
@@ -101,7 +103,7 @@ class TestIngest:
 
     def test_roundtrip_without_time_column(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=40, obs_per_subject=5)
-        ds = generate_sim1(cfg, substream(99, 2, 0))
+        ds = generate(cfg, substream(99, 2, 0))
         assert ds.time_index.tolist() == list(range(5)) * 40  # the within-subject rank
         f = tmp_path / "notime.csv"
         schema = CsvSchema(time=None, num_categories=5)
@@ -111,7 +113,7 @@ class TestIngest:
 
     def test_statistics_match_brute_force(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=7, obs_per_subject=3)
-        ds = generate_sim1(cfg, substream(5, 2, 0))
+        ds = generate(cfg, substream(5, 2, 0))
         f = tmp_path / "counts.csv"
         write_csv(ds, f)
         rows = f.read_text().strip().splitlines()[1:]
@@ -126,11 +128,11 @@ class TestIngest:
         assert list(np.bincount(ds.subject_index)) == [subj_counts[s] for s in ds.subject_ids]
 
 
-@pytest.fixture(params=["chunk-2", "chunk-default"])
+@pytest.fixture(params=["chunk-1", "chunk-default"])
 def chunk_rows(request, monkeypatch):
-    """Run a test with 2-record chunks, so records span chunks, and with the real size."""
-    if request.param == "chunk-2":
-        monkeypatch.setattr(data, "_CHUNK_ROWS", 2)
+    """Run a test with 1-record chunks, so records span chunks, and with the real budget."""
+    if request.param == "chunk-1":
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 1)
 
 
 def ingest_error(call, path, schema):
@@ -185,6 +187,20 @@ class TestIngestErrors:
         schema = CsvSchema(num_categories=categories)
         assert ingest_error(ingest_csv, f, schema) == f"{f}:{expected}"
         assert ingest_error(ingest_csv_rowwise, f, schema) == f"{f}:{expected}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_after_multi_line_subject_ids(self, tmp_path, newline):
+        # Quoted ids span lines 2-3 and 4-6, as write_csv writes them, so the
+        # bad record is on line 7, not 2 + its record index.
+        f = tmp_path / "ml.csv"
+        f.write_text(newline.join(["subject,y,x1", '"has', 'newline",1,0.5', '"two', "line", 'id",2,0.1',
+                                   "a,x,0.3", "a,1,0.2"]) + newline, encoding="utf-8")
+        with f.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for _ in range(4):
+                next(reader)
+            assert reader.line_num == 7
+        assert ingest_error(ingest_csv, f, CsvSchema()) == f"{f}:7: response 'x' is not an integer category"
 
 
 @pytest.mark.usefixtures("chunk_rows")
@@ -342,7 +358,7 @@ class TestInitializeState:
 
     def test_liabilities_respect_thresholds(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=10, obs_per_subject=4)
-        ds = generate_sim1(cfg, substream(1, 2, 0))
+        ds = generate(cfg, substream(1, 2, 0))
         spec = ModelSpec(theta=0.3, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
         state = initialize_state(spec, substream(1, 0, 0))
         validate_state(state, spec)
@@ -386,7 +402,7 @@ class TestValidateState:
     def test_detects_disordered_cutpoints(self):
         cuts = np.array([-0.8416, -0.2533, 0.2533, 0.8416])
         cfg = ScenarioConfig(scenario="sim1", subjects=4, obs_per_subject=2)
-        ds = generate_sim1(cfg, substream(3, 2, 0))
+        ds = generate(cfg, substream(3, 2, 0))
         spec = ModelSpec(theta=0.5, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
         state = initialize_state(spec, substream(3, 0, 0))
         state.cutpoints[1], state.cutpoints[2] = state.cutpoints[2], state.cutpoints[1]

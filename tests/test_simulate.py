@@ -11,8 +11,6 @@ from ordquant.simulate import (
     ScenarioConfig,
     efficiency_against,
     generate,
-    generate_sim1,
-    generate_sim2,
     liability_to_category,
     run_replication_study,
     write_scenario_dataset,
@@ -41,7 +39,7 @@ class TestThresholding:
 class TestGenerateSim1:
     def test_shape_and_support(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=40, obs_per_subject=5)
-        ds = generate_sim1(cfg, substream(1, 2, 0))
+        ds = generate(cfg, substream(1, 2, 0))
         assert ds.num_subjects == 40
         assert ds.num_observations == 200
         assert ds.num_categories == 5
@@ -53,7 +51,7 @@ class TestGenerateSim1:
         cfg = ScenarioConfig(
             scenario="sim1", subjects=100000, obs_per_subject=10, true_beta=(0.0, 0.0, 0.0)
         )
-        ds = generate_sim1(cfg, substream(2, 2, 0))
+        ds = generate(cfg, substream(2, 2, 0))
         freqs = np.bincount(ds.y, minlength=6)[1:] / ds.num_observations
         cdf = expit(np.asarray(TRUE_CUTPOINTS))
         expected = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
@@ -61,8 +59,8 @@ class TestGenerateSim1:
 
     def test_regeneration_identical(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=12, obs_per_subject=3)
-        a = generate_sim1(cfg, substream(9, 2, 0))
-        b = generate_sim1(cfg, substream(9, 2, 0))
+        a = generate(cfg, substream(9, 2, 0))
+        b = generate(cfg, substream(9, 2, 0))
         assert a == b
 
 
@@ -70,14 +68,14 @@ class TestGenerateSim2:
     def test_zero_effect_sd_matches_sim1(self):
         cfg1 = ScenarioConfig(scenario="sim1", subjects=15, obs_per_subject=4)
         cfg2 = ScenarioConfig(scenario="sim2", subjects=15, obs_per_subject=4, random_effect_sd=0.0)
-        a = generate_sim1(cfg1, substream(4, 2, 0))
-        b = generate_sim2(cfg2, substream(4, 2, 0))
+        a = generate(cfg1, substream(4, 2, 0))
+        b = generate(cfg2, substream(4, 2, 0))
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_effect_constant_within_subject(self):
         cfg = ScenarioConfig(scenario="sim2", subjects=30, obs_per_subject=6)
-        ds = generate_sim2(cfg, substream(5, 2, 0))
+        ds = generate(cfg, substream(5, 2, 0))
         # replay the generator's stream consumption and rebuild the liability
         # with one shared effect per subject; categories must match exactly
         rng = substream(5, 2, 0)
@@ -118,7 +116,7 @@ class TestGenerateSim2:
         # standard-normal liability: category frequencies follow the normal CDF
         from scipy.special import ndtr
 
-        ds = generate_sim1(cfg, substream(8, 2, 0))
+        ds = generate(cfg, substream(8, 2, 0))
         freqs = np.bincount(ds.y, minlength=6)[1:] / ds.num_observations
         cdf = ndtr(np.asarray(TRUE_CUTPOINTS))
         expected = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
