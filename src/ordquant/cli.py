@@ -3,8 +3,13 @@
 Every command resolves its options from flags, then an optional flat
 key-value config file, then built-in defaults; the resolved values are
 recorded in a manifest so ``ordquant replay <manifest>`` reproduces the
-output files byte for byte.  Exit codes are stable: 0 success, 2 user or
-configuration error, 3 numerical failure during sampling.
+output files byte for byte.  Flag, config-file and manifest text goes
+through one converter: list items split on commas (whitespace also splits
+numbers), so an item cannot hold a comma, and a value that does not
+convert is an error naming the option.  A replayed manifest may hold only
+option keys and the run-record keys in ``_RECORD_KEYS``.  Exit codes are
+stable: 0 success, 2 user or configuration error, 3 numerical failure
+during sampling.
 """
 
 from __future__ import annotations
@@ -39,16 +44,12 @@ class Opt:
     help: str = ""
     required: bool = False
 
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
 
 _SCHEMA_OPTS = [
     Opt("subject-col", "str", "subject", "subject id column name"),
     Opt("response-col", "str", "y", "ordinal response column name"),
     Opt("time-col", "str", "time", "time index column name (used when present)"),
-    Opt("covariates", "str_list", None, "comma-separated covariate columns (default: all others)"),
+    Opt("covariates", "str_list", None, "covariate columns, comma-separated or repeated (default: all others)"),
     Opt("categories", "int", None, "declared number of categories (default: infer from data)"),
 ]
 
@@ -69,7 +70,7 @@ _COMMON_OPTS = [
 OPTIONS: dict[str, list[Opt]] = {
     "fit": [
         Opt("input", "str", None, "dataset CSV", required=True),
-        Opt("theta", "float_list", [0.5], "quantile level (repeatable)"),
+        Opt("theta", "float_list", [0.5], "quantile levels, comma-separated or repeated"),
         Opt("iterations", "int", 20000),
         Opt("burn-in", "int", 2000),
         Opt("thin", "int", 1),
@@ -94,7 +95,7 @@ OPTIONS: dict[str, list[Opt]] = {
     "replicate": [
         Opt("scenario", "str", None, "sim1 or sim2", required=True),
         Opt("replications", "int", 20),
-        Opt("theta", "float_list", [0.5], "quantile level (repeatable)"),
+        Opt("theta", "float_list", [0.5], "quantile levels, comma-separated or repeated"),
         Opt("subjects", "int", 40),
         Opt("n-per-subject", "int", 5),
         Opt("error", "str", "logistic", "liability noise: logistic or normal"),
@@ -124,28 +125,33 @@ OPTIONS: dict[str, list[Opt]] = {
 # Option plumbing
 # ---------------------------------------------------------------------------
 
-def _convert(opt: Opt, text: str):
-    text = text.strip()
-    if opt.kind == "int":
-        return int(text)
-    if opt.kind == "float":
-        return float(text)
-    if opt.kind == "flag":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"option {opt.name}: expected true/false, got {text!r}")
-    if opt.kind == "float_list":
-        return [float(v) for v in text.replace(",", " ").split()]
-    if opt.kind == "str_list":
-        return [v for v in text.replace(",", " ").split() if v]
-    return text
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "flag": lambda text: _BOOLEANS[text.lower()],
+    "float_list": lambda text: [float(v) for v in text.replace(",", " ").split()],
+    "str_list": lambda text: [v.strip() for v in text.split(",") if v.strip()],
+}
+
+# How argparse keeps each kind's flag text; any other kind is a plain store.
+_ACTIONS = {
+    "flag": {"action": "store_const", "const": "true"},
+    "float_list": {"action": "append"},
+    "str_list": {"action": "append"},
+}
+
+
+def _convert(opt: Opt, text: str, source: str):
+    try:
+        return _PARSERS[opt.kind](text.strip())
+    except (KeyError, ValueError):
+        raise ConfigError(f"option {opt.name} in {source}: {text!r} is not a valid {opt.kind}") from None
 
 
 def _format(opt: Opt, value) -> str:
-    if value is None:
-        return ""
     if opt.kind == "flag":
         return "true" if value else "false"
     if opt.kind in ("float_list", "str_list"):
@@ -157,57 +163,32 @@ def _format(opt: Opt, value) -> str:
 
 def _add_arguments(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
     for opt in opts:
-        flag = f"--{opt.name}"
-        if opt.kind == "flag":
-            parser.add_argument(flag, dest=opt.dest, action="store_const", const=True,
-                                default=None, help=opt.help)
-        elif opt.kind == "float_list":
-            parser.add_argument(flag, dest=opt.dest, action="append", type=float,
-                                default=None, help=opt.help)
-        elif opt.kind == "str_list":
-            parser.add_argument(flag, dest=opt.dest, action="append", type=str,
-                                default=None, help=opt.help)
-        else:
-            cast = {"int": int, "float": float, "str": str}[opt.kind]
-            parser.add_argument(flag, dest=opt.dest, type=cast, default=None, help=opt.help)
+        parser.add_argument(f"--{opt.name}", dest=opt.name, help=opt.help, **_ACTIONS.get(opt.kind, {}))
 
 
-def _resolve(opts: list[Opt], namespace, config_path) -> dict:
-    file_cfg = read_kv(config_path) if config_path else {}
-    unknown = set(file_cfg) - {o.name for o in opts}
-    if config_path and unknown:
-        raise ConfigError(f"config file {config_path}: unknown option(s) {sorted(unknown)}")
+def _resolve(opts: list[Opt], texts: dict[str, str], source: str) -> dict:
+    """Each option's value converted from ``texts``, else its default."""
+    unknown = set(texts) - {o.name for o in opts}
+    if unknown:
+        raise ConfigError(f"unknown option(s) {sorted(unknown)} in {source}")
     resolved = {}
     for opt in opts:
-        value = getattr(namespace, opt.dest, None)
-        if value is None and opt.name in file_cfg:
-            value = _convert(opt, file_cfg[opt.name])
-        if value is None:
-            value = opt.default
+        value = _convert(opt, texts[opt.name], source) if opt.name in texts else opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option --{opt.name}")
         resolved[opt.name] = value
     return resolved
 
 
-def _prepare_out(resolved: dict, command: str) -> Path:
-    if resolved.get("seed") is None:
-        resolved["seed"] = fresh_seed()
-    out_dir = Path(resolved["out"]) / f"{command}-{resolved['seed']}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def _write_manifest(out_dir: Path, command: str, opts: list[Opt], resolved: dict, extra=None) -> None:
+def _write_manifest(out_dir: Path, command: str, resolved: dict, extra=None) -> None:
     items: dict[str, str] = {
         "command": command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    for opt in opts:
-        text = _format(opt, resolved[opt.name])
-        if text != "":
-            items[opt.name] = text
+    for opt in OPTIONS[command]:
+        if resolved[opt.name] is not None:
+            items[opt.name] = _format(opt, resolved[opt.name])
     items.update(extra or {})
     write_kv(out_dir / "manifest.txt", items)
 
@@ -241,16 +222,37 @@ def _priors_from(resolved: dict) -> Priors:
     )
 
 
+def _scenario_from(resolved: dict) -> ScenarioConfig:
+    return ScenarioConfig(
+        scenario=resolved["scenario"],
+        subjects=resolved["subjects"],
+        obs_per_subject=resolved["n-per-subject"],
+        random_effect_sd=resolved.get("random-effect-sd"),
+        error=resolved["error"],
+        replications=resolved.get("replications", ScenarioConfig.replications),
+        seed=resolved["seed"],
+    )
+
+
+def _check_report_options(resolved: dict) -> None:
+    """Reject a credible level or checkpoint count the reports cannot use, before any draw."""
+    if not 0.0 < resolved["level"] < 1.0:
+        raise ConfigError(f"option level must lie in (0, 1), got {resolved['level']}")
+    if resolved["checkpoints"] < 1:
+        raise ConfigError(f"option checkpoints must be at least 1, got {resolved['checkpoints']}")
+
+
 # ---------------------------------------------------------------------------
-# Command runners (operate on fully resolved options)
+# Command runners (fill out_dir from resolved options; return any manifest extras)
 # ---------------------------------------------------------------------------
 
-def _run_fit(resolved: dict) -> int:
-    out_dir = _prepare_out(resolved, "fit")
+def _run_fit(resolved: dict, out_dir: Path) -> dict:
     input_path = Path(resolved["input"]).resolve()
     resolved["input"] = str(input_path)
+    _check_report_options(resolved)
     dataset = ingest_csv(input_path, _schema_from(resolved))
     priors = _priors_from(resolved)
+    specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
     config = SamplerConfig(
         iterations=resolved["iterations"],
         burn_in=resolved["burn-in"],
@@ -265,14 +267,12 @@ def _run_fit(resolved: dict) -> int:
     # on the number of workers.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     jobs = min(config.num_chains, cpus)
-    for theta in resolved["theta"]:
-        spec = ModelSpec(theta=theta, dataset=dataset, priors=priors)
+    for spec in specs:
         draws = run_chain(spec, config, jobs)
-        write_draws(draws, out_dir / f"draws-theta{theta:g}.csv", spec)
-        _write_reports(out_dir, f"-theta{theta:g}", draws, resolved, config.num_chains >= 2,
+        write_draws(draws, out_dir / f"draws-theta{spec.theta:g}.csv", spec)
+        _write_reports(out_dir, f"-theta{spec.theta:g}", draws, resolved, config.num_chains >= 2,
                        spec if resolved["dic"] else None)
-    _write_manifest(out_dir, "fit", OPTIONS["fit"], resolved, extra={"input_sha256": _sha256(input_path)})
-    return 0
+    return {"input_sha256": _sha256(input_path)}
 
 
 def _write_reports(out_dir: Path, tag: str, draws, resolved: dict, with_mpsrf: bool, dic_spec) -> None:
@@ -301,38 +301,17 @@ def _write_reports(out_dir: Path, tag: str, draws, resolved: dict, with_mpsrf: b
         )
 
 
-def _run_simulate(resolved: dict) -> int:
-    out_dir = _prepare_out(resolved, "simulate")
-    config = ScenarioConfig(
-        scenario=resolved["scenario"],
-        subjects=resolved["subjects"],
-        obs_per_subject=resolved["n-per-subject"],
-        random_effect_sd=resolved["random-effect-sd"],
-        error=resolved["error"],
-        seed=resolved["seed"],
-    )
+def _run_simulate(resolved: dict, out_dir: Path) -> None:
+    config = _scenario_from(resolved)
     rng = substream(config.seed, STREAM_DATASET, 0)
     dataset = generate(config, rng)
     write_scenario_dataset(dataset, config, out_dir / "dataset.csv")
-    _write_manifest(out_dir, "simulate", OPTIONS["simulate"], resolved)
-    return 0
 
 
-def _run_replicate(resolved: dict) -> int:
+def _run_replicate(resolved: dict, out_dir: Path) -> None:
     if resolved["full-paper-scale"]:
-        resolved = dict(resolved)
-        resolved["replications"] = 200
-        resolved["iterations"] = 20000
-        resolved["burn-in"] = 2000
-    out_dir = _prepare_out(resolved, "replicate")
-    config = ScenarioConfig(
-        scenario=resolved["scenario"],
-        subjects=resolved["subjects"],
-        obs_per_subject=resolved["n-per-subject"],
-        error=resolved["error"],
-        replications=resolved["replications"],
-        seed=resolved["seed"],
-    )
+        resolved.update({"replications": 200, "iterations": 20000, "burn-in": 2000})
+    config = _scenario_from(resolved)
     sampler = SamplerConfig(
         iterations=resolved["iterations"],
         burn_in=resolved["burn-in"],
@@ -346,8 +325,6 @@ def _run_replicate(resolved: dict) -> int:
     _write_report_csv(run, out_dir / "report.csv")
     text = "".join(run.reports[t].to_text() + "\n" for t in run.thetas)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    _write_manifest(out_dir, "replicate", OPTIONS["replicate"], resolved)
-    return 0
 
 
 def _write_report_csv(run, path) -> None:
@@ -362,8 +339,8 @@ def _write_report_csv(run, path) -> None:
                  "%.17g,%s,%.17g,%.17g" + ",%s" * len(models), [theta, names, truth, bias, *efficiency])
 
 
-def _run_diagnose(resolved: dict) -> int:
-    out_dir = _prepare_out(resolved, "diagnose")
+def _run_diagnose(resolved: dict, out_dir: Path) -> None:
+    _check_report_options(resolved)
     draws = read_draws(resolved["draws"])
     if resolved["mpsrf"] and draws.num_chains < 2:
         raise ConfigError("the multivariate shrink factor needs at least two chains")
@@ -376,8 +353,6 @@ def _run_diagnose(resolved: dict) -> int:
         spec = ModelSpec(theta=resolved["theta"], dataset=ingest_csv(data_path, _schema_from(resolved)))
     _write_reports(out_dir, "", draws, resolved, resolved["mpsrf"], spec)
     resolved["draws"] = [str(Path(p).resolve()) for p in resolved["draws"]]
-    _write_manifest(out_dir, "diagnose", OPTIONS["diagnose"], resolved)
-    return 0
 
 
 _RUNNERS = {
@@ -388,21 +363,31 @@ _RUNNERS = {
 }
 
 
+# Manifest keys that record the run rather than set an option.
+_RECORD_KEYS = ("command", "version", "created_utc", "input_sha256")
+
+
+def _run(command: str, texts: dict[str, str], source: str) -> int:
+    """Resolve ``command``'s options from ``texts``, run it and write the manifest that replays it."""
+    resolved = _resolve(OPTIONS[command], texts, source)
+    if resolved["seed"] is None:
+        resolved["seed"] = fresh_seed()
+    out_dir = Path(resolved["out"]) / f"{command}-{resolved['seed']}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    extra = _RUNNERS[command](resolved, out_dir)
+    _write_manifest(out_dir, command, resolved, extra)
+    return 0
+
+
 def _run_replay(manifest_path, out_override) -> int:
     manifest = read_kv(manifest_path)
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise ConfigError(f"manifest {manifest_path} does not name a replayable command")
-    opts = OPTIONS[command]
-    resolved = {}
-    for opt in opts:
-        if opt.name in manifest and manifest[opt.name] != "":
-            resolved[opt.name] = _convert(opt, manifest[opt.name])
-        else:
-            resolved[opt.name] = opt.default
+    texts = {key: text for key, text in manifest.items() if key not in _RECORD_KEYS}
     if out_override:
-        resolved["out"] = out_override
-    return _RUNNERS[command](resolved)
+        texts["out"] = out_override
+    return _run(command, texts, f"manifest {manifest_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +409,29 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for command, opts in OPTIONS.items():
         p = sub.add_parser(command, help=descriptions[command])
-        p.add_argument("--config", type=str, default=None, help="flat key=value options file")
+        p.add_argument("--config", help="flat key=value options file")
         _add_arguments(p, opts)
         if command == "diagnose":
             p.add_argument("draws_files", nargs="*", help="draws CSV file(s)")
     replay = sub.add_parser("replay", help="re-run a command from its manifest")
-    replay.add_argument("manifest", type=str)
-    replay.add_argument("--out", type=str, default=None, help="override the output root")
+    replay.add_argument("manifest")
+    replay.add_argument("--out", help="override the output root")
     return parser
 
 
 def _dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "replay":
         return _run_replay(args.manifest, args.out)
-    opts = OPTIONS[args.command]
-    if args.command == "diagnose" and getattr(args, "draws_files", None):
-        existing = args.draws or []
-        args.draws = existing + list(args.draws_files)
-    resolved = _resolve(opts, args, args.config)
-    return _RUNNERS[args.command](resolved)
+    texts = read_kv(args.config) if args.config else {}
+    if args.command == "diagnose" and args.draws_files:
+        args.draws = (args.draws or []) + args.draws_files
+    for opt in OPTIONS[args.command]:
+        text = getattr(args, opt.name)
+        if text is not None:
+            texts[opt.name] = text if isinstance(text, str) else ",".join(text)
+    source = f"the command line or config file {args.config}" if args.config else "the command line"
+    return _run(args.command, texts, source)
 
 
 def main(argv=None) -> int:

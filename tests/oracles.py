@@ -120,7 +120,8 @@ def ingest_csv_rowwise(path, schema=None):
         header = [h.strip() for h in header]
         columns = _resolve_columns(path, header, schema)
         rows = []
-        for lineno, raw in enumerate(reader, start=2):
+        for raw in reader:
+            lineno = reader.line_num
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             if len(raw) != len(header):

@@ -35,8 +35,38 @@ def toy_csv(tmp_path):
     return path
 
 
+@pytest.fixture()
+def wide_csv(tmp_path):
+    path = tmp_path / "wide.csv"
+    rows = ["subject,y,x1,x2,age group"]
+    vals = [("a", 1, -0.4, 0.2, 0.1), ("a", 2, 0.6, -0.3, 0.4), ("a", 1, -0.1, 0.5, -0.2),
+            ("b", 2, 0.8, 0.1, 0.3), ("b", 1, -0.7, -0.6, -0.5), ("b", 2, 0.3, 0.4, 0.6),
+            ("c", 1, -0.9, 0.2, -0.1), ("c", 2, 0.5, -0.2, 0.2), ("c", 1, -0.2, 0.7, -0.4),
+            ("c", 2, 0.9, -0.1, 0.5)]
+    rows += [",".join(map(str, v)) for v in vals]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 def manifest_of(out_root, command, seed):
     return Path(out_root) / f"{command}-{seed}" / "manifest.txt"
+
+
+def replay_differences(original, replayed):
+    """Files of run directory ``replayed`` that differ from ``original``: any
+    output byte, or a manifest line other than ``created_utc`` and ``out``."""
+    def contents(run_dir):
+        files = {}
+        for path in sorted(run_dir.iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                lines = data.decode("utf-8").splitlines(keepends=True)
+                data = "".join(l for l in lines if not l.startswith(("created_utc ", "out "))).encode("utf-8")
+            files[path.name] = data
+        return files
+    a, b = contents(original), contents(replayed)
+    assert "manifest.txt" in a and len(a) > 1
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 class TestFit:
@@ -183,6 +213,22 @@ class TestFit:
         assert run(["fit", "--input", toy_csv, "--config", cfg, "--seed", "2",
                     "--out", tmp_path / "r"]) == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--level", "1.5"], "option level must lie in (0, 1), got 1.5"),
+        (["--theta", "0.5", "--theta", "1.5"], "quantile level must lie in (0, 1), got 1.5"),
+        (["--chains", "2", "--checkpoints", "0"], "option checkpoints must be at least 1, got 0"),
+    ], ids=["level", "second-theta", "checkpoints"])
+    def test_bad_option_exits_2_before_sampling(self, tmp_path, toy_csv, monkeypatch, capsys, args, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the options were checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_sampling)
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--iterations", "40", "--burn-in", "10",
+                    "--seed", "3", "--out", out, *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
 
 class TestSimulate:
     def test_sim1_dimensions(self, tmp_path):
@@ -305,6 +351,13 @@ class TestDiagnose:
         assert run(["diagnose", "--seed", "0", "--out", tmp_path / "d",
                     two_chain_files[0], fits / "fit-41" / "draws-theta0.5.csv"]) == 2
 
+    def test_zero_checkpoints_exit_2(self, tmp_path, two_chain_files, capsys):
+        out = tmp_path / "d"
+        assert run(["diagnose", "--mpsrf", "--checkpoints", "0", "--seed", "0", "--out", out,
+                    *two_chain_files]) == 2
+        assert "option checkpoints must be at least 1, got 0" in capsys.readouterr().err
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
     def test_bad_draws_cell_exit_2(self, tmp_path, two_chain_files, capsys):
         lines = two_chain_files[1].read_text().splitlines()
         fields = lines[3].split(",")
@@ -423,6 +476,158 @@ class TestReplay:
 
     def test_replay_missing_manifest_exit_2(self, tmp_path):
         assert run(["replay", tmp_path / "nope.txt"]) == 2
+
+    def test_every_command_replays(self, tmp_path, toy_csv):
+        out = tmp_path / "runs"
+        assert run(["simulate", "--scenario", "sim2", "--subjects", "5", "--n-per-subject", "2",
+                    "--seed", "9", "--out", out]) == 0
+        assert run(["fit", "--input", toy_csv, "--theta", "0.25", "--theta", "0.5", "--iterations", "60",
+                    "--burn-in", "10", "--chains", "2", "--dic", "--seed", "7", "--out", out]) == 0
+        assert run(["replicate", "--scenario", "sim1", "--replications", "2", "--subjects", "6",
+                    "--n-per-subject", "3", "--iterations", "60", "--burn-in", "10",
+                    "--theta", "0.25", "--theta", "0.5", "--seed", "13", "--out", out]) == 0
+        assert run(["diagnose", "--mpsrf", "--dic", "--data", toy_csv, "--theta", "0.5", "--seed", "0",
+                    "--out", out, out / "fit-7" / "draws-theta0.5.csv"]) == 0
+        runs = sorted(p.name for p in out.iterdir())
+        assert runs == ["diagnose-0", "fit-7", "replicate-13", "simulate-9"]
+        replayed = tmp_path / "replayed"
+        for name in runs:
+            assert run(["replay", out / name / "manifest.txt", "--out", replayed]) == 0
+            assert replay_differences(out / name, replayed / name) == []
+
+    def test_names_with_spaces_replay(self, tmp_path, wide_csv):
+        out = tmp_path / "my runs"
+        assert run(["fit", "--input", wide_csv, "--covariates", "age group", "--iterations", "60",
+                    "--burn-in", "10", "--retain-alpha", "--seed", "4", "--out", out]) == 0
+        assert [n for n in read_draws(out / "fit-4" / "draws-theta0.5.csv").names if n.startswith("beta_")] == ["beta_1"]
+        assert read_kv(manifest_of(out, "fit", 4))["covariates"] == "age group"
+        assert run(["diagnose", "--seed", "0", "--out", out, out / "fit-4" / "draws-theta0.5.csv"]) == 0
+        replayed = tmp_path / "replayed"
+        for name in ("fit-4", "diagnose-0"):
+            assert run(["replay", out / name / "manifest.txt", "--out", replayed]) == 0
+            assert replay_differences(out / name, replayed / name) == []
+
+    def test_empty_option_value_replays(self, tmp_path):
+        # With no time column named, a column called time is one more covariate.
+        data = tmp_path / "timed.csv"
+        data.write_text("subject,y,x1,time\n" + "".join(f"s{i // 3},{1 + i % 2},{0.1 * i:.1f},{i % 3}\n"
+                                                      for i in range(12)), encoding="utf-8")
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", data, "--time-col", "", "--iterations", "40", "--burn-in", "10",
+                    "--seed", "8", "--out", out]) == 0
+        assert read_kv(manifest_of(out, "fit", 8))["time-col"] == ""
+        assert run(["replay", manifest_of(out, "fit", 8), "--out", tmp_path / "replayed"]) == 0
+        assert replay_differences(out / "fit-8", tmp_path / "replayed" / "fit-8") == []
+
+    # A manifest as an earlier release wrote it: lists joined by ", ", floats
+    # by repr, flags as true/false, and the run-record keys.
+    EARLIER_MANIFEST = """\
+command = fit
+version = 0.1.0
+created_utc = 2026-10-18T18:47:03.423392+00:00
+input = {input}
+theta = 0.25, 0.5
+iterations = 60
+burn-in = 10
+thin = 1
+chains = 2
+level = 0.95
+checkpoints = 20
+dic = true
+retain-alpha = false
+overdispersed-starts = false
+subject-col = subject
+response-col = y
+time-col = time
+covariates = x1, x2
+a1 = 0.1
+a2 = 0.1
+b1 = 0.1
+b2 = 0.1
+delta-min = -3.0
+delta-max = 10.0
+seed = 5
+out = runs
+input_sha256 = 0bd25dce786282f2332054e35f6dd331847e1c68d66ff7e7fe9869b3315d8695
+"""
+
+    def test_earlier_manifest_replays(self, tmp_path, wide_csv):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(self.EARLIER_MANIFEST.format(input=wide_csv), encoding="utf-8")
+        earlier = read_kv(manifest)
+        assert hashlib.sha256(wide_csv.read_bytes()).hexdigest() == earlier["input_sha256"]
+        assert run(["replay", manifest, "--out", tmp_path / "replayed"]) == 0
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", wide_csv, "--theta", "0.25", "--theta", "0.5", "--covariates", "x1",
+                    "--covariates", "x2", "--iterations", "60", "--burn-in", "10", "--chains", "2", "--dic",
+                    "--delta-min", "-3", "--seed", "5", "--out", out]) == 0
+        assert replay_differences(out / "fit-5", tmp_path / "replayed" / "fit-5") == []
+        replayed = read_kv(tmp_path / "replayed" / "fit-5" / "manifest.txt")
+        assert {k: v for k, v in replayed.items() if k not in ("created_utc", "out", "version")} == \
+            {k: v for k, v in earlier.items() if k not in ("created_utc", "out", "version")}
+
+
+class TestOptionText:
+    """Flags, config files and manifests are read by one converter."""
+
+    def test_comma_list_flags_match_config_file(self, tmp_path, wide_csv):
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text("covariates = x1, x2\ntheta = 0.25 0.5\n", encoding="utf-8")
+        forms = {
+            "flags": ["--covariates", "x1,x2", "--theta", "0.25,0.5"],
+            "repeated": ["--covariates", "x1", "--covariates", "x2", "--theta", "0.25", "--theta", "0.5"],
+            "config": ["--config", cfg],
+        }
+        outputs = {}
+        for form, args in forms.items():
+            out = tmp_path / form
+            assert run(["fit", "--input", wide_csv, "--iterations", "40", "--burn-in", "10",
+                        "--seed", "6", "--out", out, *args]) == 0
+            manifest = read_kv(manifest_of(out, "fit", 6))
+            assert (manifest["covariates"], manifest["theta"]) == ("x1, x2", "0.25, 0.5")
+            outputs[form] = [(out / "fit-6" / f"draws-theta{t}.csv").read_bytes() for t in ("0.25", "0.5")]
+        assert outputs["flags"] == outputs["config"] == outputs["repeated"]
+
+    def test_config_list_item_keeps_inner_spaces(self, tmp_path, wide_csv):
+        cfg = tmp_path / "fit.conf"
+        cfg.write_text("covariates = age group\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", wide_csv, "--config", cfg, "--iterations", "40", "--burn-in", "10",
+                    "--seed", "6", "--out", out]) == 0
+        assert read_kv(manifest_of(out, "fit", 6))["covariates"] == "age group"
+        assert [n for n in read_draws(out / "fit-6" / "draws-theta0.5.csv").names if n.startswith("beta_")] == ["beta_1"]
+
+    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    def test_bad_value_names_option(self, tmp_path, toy_csv, capsys, source):
+        out = tmp_path / "runs"
+        args = ["fit", "--input", toy_csv, "--seed", "2", "--out", out]
+        if source == "flag":
+            code = run([*args, "--iterations", "ten"])
+            where = "the command line"
+        elif source == "config":
+            cfg = tmp_path / "fit.conf"
+            cfg.write_text("iterations = ten\n", encoding="utf-8")
+            code = run([*args, "--config", cfg])
+            where = str(cfg)
+        else:
+            assert run([*args, "--iterations", "40", "--burn-in", "10"]) == 0
+            manifest = manifest_of(out, "fit", 2)
+            manifest.write_text(manifest.read_text().replace("iterations = 40", "iterations = ten"))
+            code = run(["replay", manifest, "--out", tmp_path / "replayed"])
+            where = f"manifest {manifest}"
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "option iterations in " in err and where in err and "'ten' is not a valid int" in err
+        assert "usage:" not in err
+
+    def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["simulate", "--scenario", "sim1", "--subjects", "3", "--n-per-subject", "2",
+                    "--seed", "1", "--out", out]) == 0
+        manifest = manifest_of(out, "simulate", 1)
+        manifest.write_text(manifest.read_text() + "subjectz = 4\n")
+        assert run(["replay", manifest, "--out", tmp_path / "replayed"]) == 2
+        assert "unknown option(s) ['subjectz']" in capsys.readouterr().err
 
 
 class TestInputHash:

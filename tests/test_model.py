@@ -200,7 +200,9 @@ class TestIngestErrors:
             for _ in range(4):
                 next(reader)
             assert reader.line_num == 7
-        assert ingest_error(ingest_csv, f, CsvSchema()) == f"{f}:7: response 'x' is not an integer category"
+        expected = f"{f}:7: response 'x' is not an integer category"
+        assert ingest_error(ingest_csv, f, CsvSchema()) == expected
+        assert ingest_error(ingest_csv_rowwise, f, CsvSchema()) == expected
 
 
 @pytest.mark.usefixtures("chunk_rows")
