@@ -23,7 +23,7 @@ from .diagnostics import (
 )
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
 from .gibbs import PosteriorDraws, SamplerConfig, parameter_names, read_draws, run_chain, write_draws
-from .model import ChainState, ModelSpec, Priors, initialize_state, validate_state
+from .model import ChainState, ModelSpec, Priors, initialize_state
 from .simulate import (
     ReplicationRun,
     ScenarioConfig,
@@ -42,7 +42,6 @@ __all__ = [
     "ModelSpec",
     "ChainState",
     "initialize_state",
-    "validate_state",
     "SamplerConfig",
     "PosteriorDraws",
     "run_chain",

@@ -3,7 +3,8 @@
 Every command resolves its options from flags, then an optional flat
 key-value config file, then built-in defaults; the resolved values are
 recorded in a manifest so ``ordquant replay <manifest>`` reproduces the
-output files byte for byte.  Flag, config-file and manifest text goes
+output files byte for byte; a replay first checks that its input still has
+the recorded sha256.  Flag, config-file and manifest text goes
 through one converter: list items split on commas (whitespace also splits
 numbers), so an item cannot hold a comma, and a value that does not
 convert is an error naming the option.  A replayed manifest may hold only
@@ -29,7 +30,7 @@ from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
 from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
 from .kvfile import read_kv, write_kv
 from .model import ModelSpec, Priors
-from .simulate import ScenarioConfig, efficiency_against, generate, run_replication_study, write_scenario_dataset
+from .simulate import ScenarioConfig, generate, run_replication_study, write_scenario_dataset
 from .streams import STREAM_DATASET, fresh_seed, substream
 
 # Bytes read at a time when hashing an input file for the manifest.
@@ -251,6 +252,10 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
     resolved["input"] = str(input_path)
     _check_report_options(resolved)
     dataset = ingest_csv(input_path, _schema_from(resolved))
+    digest = _sha256(input_path)
+    expected = resolved.get("input_sha256")
+    if expected is not None and digest != expected:
+        raise DataError(f"input {input_path} has sha256 {digest}, but the manifest records {expected}")
     priors = _priors_from(resolved)
     specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
     config = SamplerConfig(
@@ -272,7 +277,7 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
         write_draws(draws, out_dir / f"draws-theta{spec.theta:g}.csv", spec)
         _write_reports(out_dir, f"-theta{spec.theta:g}", draws, resolved, config.num_chains >= 2,
                        spec if resolved["dic"] else None)
-    return {"input_sha256": _sha256(input_path)}
+    return {"input_sha256": digest}
 
 
 def _write_reports(out_dir: Path, tag: str, draws, resolved: dict, with_mpsrf: bool, dic_spec) -> None:
@@ -319,8 +324,6 @@ def _run_replicate(resolved: dict, out_dir: Path) -> None:
         num_chains=resolved["chains"],
     )
     run = run_replication_study(config, sampler, resolved["theta"], jobs=resolved["jobs"])
-    if all(run.estimates[t].shape[0] >= 2 for t in run.thetas):
-        efficiency_against(run, run.thetas[0])
     run.estimates_to_csv(out_dir / "estimates.csv")
     _write_report_csv(run, out_dir / "report.csv")
     text = "".join(run.reports[t].to_text() + "\n" for t in run.thetas)
@@ -367,14 +370,25 @@ _RUNNERS = {
 _RECORD_KEYS = ("command", "version", "created_utc", "input_sha256")
 
 
-def _run(command: str, texts: dict[str, str], source: str) -> int:
-    """Resolve ``command``'s options from ``texts``, run it and write the manifest that replays it."""
-    resolved = _resolve(OPTIONS[command], texts, source)
+def _run(command: str, texts: dict[str, str], source: str, recorded=None) -> int:
+    """Resolve ``command``'s options from ``texts``, run it and write the manifest that replays it.
+
+    ``recorded`` holds a replayed manifest's ``input_sha256``, which ``fit`` checks;
+    a run that fails removes the directories it made while they are empty."""
+    resolved = {**_resolve(OPTIONS[command], texts, source), **(recorded or {})}
     if resolved["seed"] is None:
         resolved["seed"] = fresh_seed()
     out_dir = Path(resolved["out"]) / f"{command}-{resolved['seed']}"
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    extra = _RUNNERS[command](resolved, out_dir)
+    try:
+        extra = _RUNNERS[command](resolved, out_dir)
+    except BaseException:
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     _write_manifest(out_dir, command, resolved, extra)
     return 0
 
@@ -387,7 +401,8 @@ def _run_replay(manifest_path, out_override) -> int:
     texts = {key: text for key, text in manifest.items() if key not in _RECORD_KEYS}
     if out_override:
         texts["out"] = out_override
-    return _run(command, texts, f"manifest {manifest_path}")
+    recorded = {"input_sha256": manifest["input_sha256"]} if "input_sha256" in manifest else None
+    return _run(command, texts, f"manifest {manifest_path}", recorded)
 
 
 # ---------------------------------------------------------------------------

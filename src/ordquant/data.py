@@ -56,7 +56,7 @@ class CsvSchema:
     num_categories: int | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class OrdinalDataset:
     subject_ids: list[str]
     subject_index: np.ndarray  # (n_obs,) int, contiguous groups 0..N-1
@@ -119,20 +119,6 @@ class OrdinalDataset:
             present, starts = np.unique(self.y[order], return_index=True)
             self._category_runs = (order, starts, present.tolist())
         return self._category_runs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrdinalDataset):
-            return NotImplemented
-        return (
-            self.subject_ids == other.subject_ids
-            and self.num_categories == other.num_categories
-            and self.covariate_names == other.covariate_names
-            and self.category_labels == other.category_labels
-            and np.array_equal(self.subject_index, other.subject_index)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.time_index, other.time_index)
-        )
 
 
 def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:

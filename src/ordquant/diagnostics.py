@@ -63,15 +63,6 @@ class SummaryTable:
     upper: np.ndarray
     level: float
 
-    def row(self, name: str) -> dict[str, float]:
-        i = self.parameters.index(name)
-        return {
-            "mean": float(self.mean[i]),
-            "sd": float(self.sd[i]),
-            "lower": float(self.lower[i]),
-            "upper": float(self.upper[i]),
-        }
-
     def to_csv(self, path) -> None:
         _write_table(path, ["parameter", "mean", "sd", "lower", "upper", "level"], "%s" + ",%.17g" * 5,
                      [_csv_cells(self.parameters), self.mean, self.sd, self.lower, self.upper,
@@ -233,31 +224,30 @@ def dic(draws: PosteriorDraws, spec: ModelSpec) -> DicResult:
     probability floor are clamped and counted.
     """
     ds = spec.dataset
-    names = set(draws.names)
+    position = {name: j for j, name in enumerate(draws.names)}
     beta_names = [f"beta_{k + 1}" for k in range(ds.num_covariates)]
     delta_names = [f"delta_{c}" for c in range(1, ds.num_categories)]
     alpha_names = [f"alpha_{i + 1}" for i in range(ds.num_subjects)]
-    missing = [n for n in beta_names + delta_names + alpha_names if n not in names]
+    missing = [n for n in beta_names + delta_names + alpha_names if n not in position]
     if missing:
         raise ValueError(
             f"deviance needs columns {missing[:4]}{'...' if len(missing) > 4 else ''}; "
             "re-run the fit with subject-effect retention enabled"
         )
 
-    betas = draws.select(beta_names)
-    deltas = draws.select(delta_names)
-    alphas = draws.select(alpha_names)
-
+    # Each block's draws are copied rows first, then columns, and the means
+    # are taken column by column, so no copy of every retained draw is made.
+    columns = [[position[n] for n in names] for names in (beta_names, delta_names, alpha_names)]
     rows = draws.values.shape[0]
     block = max(1, min(_DIC_BLOCK_DRAWS, _DIC_BLOCK_CELLS // ds.num_observations))
     devs = np.empty(rows)
     floored = 0
     for start in range(0, rows, block):
-        part = slice(start, start + block)
-        devs[part], small = _deviances(betas[part], deltas[part], alphas[part], spec)
+        part = draws.values[start:start + block]
+        devs[start:start + block], small = _deviances(*(part[:, cols] for cols in columns), spec)
         floored += small
     dbar = float(devs.mean())
-    at_mean, small = _deviances(*(m.mean(axis=0, keepdims=True) for m in (betas, deltas, alphas)), spec)
+    at_mean, small = _deviances(*(np.array([[draws.values[:, j].mean() for j in cols]]) for cols in columns), spec)
     floored += small
     d_hat = float(at_mean[0])
     p_d = dbar - d_hat

@@ -1,8 +1,8 @@
-"""Densities and random-variate generators for the ordinal quantile sampler.
+"""Skewed-Laplace CDF and random-variate generators for the ordinal quantile sampler.
 
-The module defines the quantile check loss, the skewed-Laplace density and
-CDF, and the two samplers the Gibbs sweep needs beyond the generator's own
-gamma, normal and uniform draws:
+The module defines the skewed-Laplace CDF, which the deviance uses, and the
+two samplers the Gibbs sweep needs beyond the generator's own gamma, normal
+and uniform draws:
 
 * ``gig(1/2, rho1, rho2)``: density ~ x^(-1/2) exp{-(rho1^2 / x + rho2^2 x) / 2}
 * ``trunc_normal(mean, variance, lower, upper)``: N(mean, variance)
@@ -10,8 +10,8 @@ gamma, normal and uniform draws:
 
 All samplers draw from an explicit ``numpy.random.Generator``.  A generator
 is single-owner and must not be shared across concurrent callers; distinct
-generators may run in parallel.  The density/CDF functions are pure and safe
-for unrestricted concurrent use.
+generators may run in parallel.  The CDF is pure and safe for unrestricted
+concurrent use.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "check_loss",
-    "sld_density",
     "sld_cdf",
     "sample_gig",
     "sample_trunc_normal",
@@ -32,28 +30,6 @@ _TAIL_CUTOFF = 4.0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def _validate_theta(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {theta}")
-    return theta
-
-
-def check_loss(t, theta):
-    """Piecewise-linear quantile loss t * (theta - 1{t < 0})."""
-    theta = _validate_theta(theta)
-    t = np.asarray(t, dtype=float)
-    out = t * (theta - (t < 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def sld_density(eps, theta):
-    """Skewed-Laplace density theta(1-theta) exp{-check_loss(eps, theta)}."""
-    theta = _validate_theta(theta)
-    out = theta * (1.0 - theta) * np.exp(-check_loss(eps, theta))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def sld_cdf(eps, theta):
     """Exact CDF of the skewed-Laplace law with unit scale.
 
@@ -61,7 +37,9 @@ def sld_cdf(eps, theta):
     F(e) = 1 - (1-theta) exp{-theta e} for e > 0, so F(0) = theta.  The
     sign of ``eps`` picks the exponent, so each cell costs one ``exp``.
     """
-    theta = _validate_theta(theta)
+    theta = float(theta)
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"quantile level must lie in (0, 1), got {theta}")
     eps = np.asarray(eps, dtype=float)
     left = eps <= 0.0
     e = np.exp(eps * np.where(left, 1.0 - theta, -theta))

@@ -16,13 +16,13 @@ import numpy as np
 
 from .data import OrdinalDataset
 from .distributions import _trunc_normal_gathered
-from .errors import ChainDivergedError, ConfigError
+from .errors import ConfigError
 
 # Floor for the rho1^2 argument of latent-scale GIG draws; avoids the
 # degenerate zero-residual boundary case while staying below sampling noise.
 RHO1_SQ_FLOOR = 1e-12
 
-__all__ = ["Priors", "ModelSpec", "ChainState", "initialize_state", "validate_state"]
+__all__ = ["Priors", "ModelSpec", "ChainState", "initialize_state"]
 
 
 @dataclass(frozen=True)
@@ -163,31 +163,3 @@ def nonfinite_blocks(state: ChainState) -> list[str]:
         ("delta", state.cutpoints[1:-1]),
     )
     return [name for name, block in blocks if not np.all(np.isfinite(block))]
-
-
-def validate_state(state: ChainState, spec: ModelSpec) -> None:
-    """Raise ``ChainDivergedError`` if any state invariant is broken."""
-    bad = nonfinite_blocks(state)
-    if bad:
-        raise ChainDivergedError(f"non-finite {', '.join(bad)}")
-    ds = spec.dataset
-    checks = [
-        (np.all(state.latent_v > 0.0), "mixing variables must be positive"),
-        (np.all(state.s > 0.0), "coefficient scales must be positive"),
-        (state.lambda_sq > 0.0, "shrinkage rate must be positive"),
-        (state.phi > 0.0, "random-effect variance must be positive"),
-        (state.cutpoints[0] == -np.inf and state.cutpoints[-1] == np.inf, "cut-point endpoints must be fixed"),
-        (np.all(np.diff(state.cutpoints) > 0.0), "cut-points must be strictly increasing"),
-        (
-            np.all(state.cutpoints[1:-1] >= spec.priors.delta_min)
-            and np.all(state.cutpoints[1:-1] <= spec.priors.delta_max),
-            "interior cut-points must respect the prior support",
-        ),
-        (
-            np.all(state.cutpoints[ds.y - 1] < state.latent_l) and np.all(state.latent_l <= state.cutpoints[ds.y]),
-            "liabilities must lie in their category intervals",
-        ),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ChainDivergedError(message)

@@ -33,7 +33,6 @@ __all__ = [
     "liability_to_category",
     "generate",
     "run_replication_study",
-    "efficiency_against",
     "write_scenario_dataset",
 ]
 
@@ -150,8 +149,7 @@ def posterior_mean_estimator(dataset: OrdinalDataset, theta: float, sampler: Sam
     """Default per-replication estimator: posterior means from one fit."""
     spec = ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
     draws = run_chain(spec, sampler)
-    names = parameter_names(spec)
-    return {name: float(draws.column(name).mean()) for name in names if not name.startswith("alpha_")}
+    return {name: float(draws.column(name).mean()) for name in parameter_names(spec)}
 
 
 @dataclass
@@ -194,9 +192,11 @@ def run_replication_study(
     """Generate M datasets, fit each at every quantile level, and aggregate.
 
     A replication whose chain diverges is recorded and skipped; the report
-    states the attrition.  With ``jobs > 1`` replications run in separate
-    processes; aggregation happens in replication-index order either way,
-    so the output is identical.
+    states the attrition.  With two or more completed replications, each
+    level's report gets the efficiency block ``theta=<level>`` against the
+    first level (exactly 1 there).  With ``jobs > 1`` replications run in
+    separate processes; aggregation is in replication-index order either
+    way, so the output is identical.
     """
     thetas = [float(t) for t in thetas]
     p = len(config.true_beta)
@@ -234,17 +234,11 @@ def run_replication_study(
             bias=bias,
             failures=list(failures),
         )
+    if len(completed) >= 2:
+        ref = estimates[thetas[0]]
+        for theta in thetas:
+            reports[theta].efficiency[f"theta={theta:g}"] = {
+                name: relative_efficiency(estimates[theta][:, j], ref[:, j]) for j, name in enumerate(names)
+            }
     return ReplicationRun(config, sampler, thetas, names, estimates, reports, failures)
 
-
-def efficiency_against(run: ReplicationRun, reference_theta: float) -> None:
-    """Fill each report's efficiency block using one quantile level's
-    estimates as the reference dispersion (the reference row is exactly 1)."""
-    ref = run.estimates[reference_theta]
-    for theta in run.thetas:
-        mat = run.estimates[theta]
-        eff = {}
-        if mat.shape[0] >= 2 and ref.shape[0] >= 2:
-            for j, name in enumerate(run.parameters):
-                eff[name] = relative_efficiency(mat[:, j], ref[:, j])
-        run.reports[theta].efficiency[f"theta={theta:g}"] = eff

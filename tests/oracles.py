@@ -10,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from ordquant.errors import ChainDivergedError
+from ordquant.model import ChainState, ModelSpec, nonfinite_blocks
+
 
 def ks_statistic(sample, cdf_values) -> float:
     """Two-sided KS distance of a sorted-sample/CDF pair."""
@@ -61,6 +64,61 @@ def sld_cdf_two_branch(eps, theta):
     left = theta * np.exp((1.0 - theta) * np.minimum(eps, 0.0))
     right = 1.0 - (1.0 - theta) * np.exp(-theta * np.maximum(eps, 0.0))
     return np.where(eps <= 0.0, left, right)
+
+
+def sld_density(eps, theta):
+    """Skewed-Laplace density theta(1-theta) exp{-eps (theta - 1{eps < 0})},
+    as ``distributions.sld_density`` once computed it; ``sld_cdf`` must be its
+    antiderivative."""
+    eps = np.asarray(eps, dtype=float)
+    out = theta * (1.0 - theta) * np.exp(-eps * (theta - (eps < 0.0)))
+    return float(out) if out.ndim == 0 else out
+
+
+def validate_state(state: ChainState, spec: ModelSpec) -> None:
+    """Raise ``ChainDivergedError`` if any state invariant is broken, as
+    ``model.validate_state`` once did; every sweep must keep the state valid."""
+    bad = nonfinite_blocks(state)
+    if bad:
+        raise ChainDivergedError(f"non-finite {', '.join(bad)}")
+    ds = spec.dataset
+    checks = [
+        (np.all(state.latent_v > 0.0), "mixing variables must be positive"),
+        (np.all(state.s > 0.0), "coefficient scales must be positive"),
+        (state.lambda_sq > 0.0, "shrinkage rate must be positive"),
+        (state.phi > 0.0, "random-effect variance must be positive"),
+        (state.cutpoints[0] == -np.inf and state.cutpoints[-1] == np.inf, "cut-point endpoints must be fixed"),
+        (np.all(np.diff(state.cutpoints) > 0.0), "cut-points must be strictly increasing"),
+        (
+            np.all(state.cutpoints[1:-1] >= spec.priors.delta_min)
+            and np.all(state.cutpoints[1:-1] <= spec.priors.delta_max),
+            "interior cut-points must respect the prior support",
+        ),
+        (
+            np.all(state.cutpoints[ds.y - 1] < state.latent_l) and np.all(state.latent_l <= state.cutpoints[ds.y]),
+            "liabilities must lie in their category intervals",
+        ),
+    ]
+    for ok, message in checks:
+        if not ok:
+            raise ChainDivergedError(message)
+
+
+def assert_same_dataset(got, want):
+    """Assert two datasets hold the same values: the list fields by ``repr``
+    (so an int label never matches a float one) and the arrays by dtype,
+    shape and bytes."""
+    for name in ("subject_ids", "covariate_names", "category_labels", "num_categories"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    for name in ("subject_index", "y", "x", "time_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def summary_row(table, name) -> dict[str, float]:
+    """One parameter's mean, SD and interval bounds in a ``SummaryTable``."""
+    i = table.parameters.index(name)
+    return {key: float(getattr(table, key)[i]) for key in ("mean", "sd", "lower", "upper")}
 
 
 def dic_per_draw(draws, spec):

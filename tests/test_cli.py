@@ -19,6 +19,8 @@ from ordquant.gibbs import PosteriorDraws, SamplerConfig, read_draws
 from ordquant.kvfile import read_kv
 from ordquant.simulate import ReplicationRun, ScenarioConfig
 
+from .oracles import summary_row
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -182,6 +184,15 @@ class TestFit:
         code = run(["fit", "--input", toy_csv, "--response-col", "score", "--out", out,
                     "--seed", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [["--level", "2"], ["--response-col", "nope"]], ids=["level", "schema"])
+    def test_rejected_run_creates_no_directory(self, tmp_path, toy_csv, args):
+        out = tmp_path / "f3"
+        assert run(["fit", "--input", toy_csv, "--seed", "4", "--out", out, *args]) == 2
+        assert not out.exists()
+        out.mkdir()
+        assert run(["fit", "--input", toy_csv, "--seed", "4", "--out", out, *args]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_bad_row_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -445,7 +456,7 @@ class TestTableBytes:
         assert read_draws(tmp_path / "draws.csv").names == self.NAMES
         assert run(["diagnose", "--seed", "0", "--out", tmp_path, tmp_path / "draws.csv"]) == 0
         table = summarize(draws)
-        rows = [[name, *g17(table.row(name).values()), f"{table.level:.17g}"] for name in self.NAMES]
+        rows = [[name, *g17(summary_row(table, name).values()), f"{table.level:.17g}"] for name in self.NAMES]
         assert (tmp_path / "diagnose-0" / "summary.csv").read_bytes() == csv_writer_bytes(
             ["parameter", "mean", "sd", "lower", "upper", "level"], rows)
 
@@ -473,6 +484,29 @@ class TestReplay:
         a = (out / "simulate-9" / "dataset.csv").read_bytes()
         b = (replay_out / "simulate-9" / "dataset.csv").read_bytes()
         assert a == b
+
+    def test_edited_input_exits_2_before_sampling(self, tmp_path, toy_csv, monkeypatch, capsys):
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--iterations", "40", "--burn-in", "10",
+                    "--seed", "7", "--out", out]) == 0
+        manifest = manifest_of(out, "fit", 7)
+        recorded = read_kv(manifest)["input_sha256"]
+        toy_csv.write_text(toy_csv.read_text().replace("a,2,0.6", "a,1,0.6"), encoding="utf-8")
+        edited = hashlib.sha256(toy_csv.read_bytes()).hexdigest()
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the input was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_sampling)
+        assert run(["replay", manifest, "--out", tmp_path / "replayed"]) == 2
+        assert f"input {toy_csv} has sha256 {edited}, but the manifest records {recorded}" in capsys.readouterr().err
+        assert not (tmp_path / "replayed").exists()
+        monkeypatch.undo()
+        # A manifest that records no input hash still replays.
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest.write_text("".join(l for l in lines if not l.startswith("input_sha256 ")), encoding="utf-8")
+        assert run(["replay", manifest, "--out", tmp_path / "replayed"]) == 0
+        assert read_kv(manifest_of(tmp_path / "replayed", "fit", 7))["input_sha256"] == edited
 
     def test_replay_missing_manifest_exit_2(self, tmp_path):
         assert run(["replay", tmp_path / "nope.txt"]) == 2

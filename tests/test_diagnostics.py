@@ -18,7 +18,7 @@ from ordquant.model import ModelSpec, Priors
 from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import substream
 
-from .oracles import dic_per_draw, mpsrf_top_eigh
+from .oracles import dic_per_draw, mpsrf_top_eigh, summary_row
 
 
 def make_draws(values, names=None, chains=1):
@@ -36,13 +36,13 @@ def make_draws(values, names=None, chains=1):
 class TestSummarize:
     def test_constant_column(self):
         t = summarize(make_draws(np.full(10, 3.25)))
-        row = t.row("p0")
+        row = summary_row(t, "p0")
         assert row == {"mean": 3.25, "sd": 0.0, "lower": 3.25, "upper": 3.25}
 
     def test_interpolated_interval(self):
         # level 0.8 on {1..5}: type-7 empirical 10th and 90th percentiles
         t = summarize(make_draws([1.0, 2.0, 3.0, 4.0, 5.0]), level=0.8)
-        row = t.row("p0")
+        row = summary_row(t, "p0")
         assert row["lower"] == pytest.approx(1.4)
         assert row["upper"] == pytest.approx(4.6)
 
@@ -53,9 +53,9 @@ class TestSummarize:
         vals = np.linspace(-3.0, 4.0, 200)
         one = summarize(make_draws(vals))
         two = summarize(make_draws(np.concatenate([vals, vals]), chains=2))
-        assert one.row("p0")["mean"] == two.row("p0")["mean"]
+        assert summary_row(one, "p0")["mean"] == summary_row(two, "p0")["mean"]
         for key in ("sd", "lower", "upper"):
-            assert one.row("p0")[key] == pytest.approx(two.row("p0")[key], abs=7.0 / len(vals))
+            assert summary_row(one, "p0")[key] == pytest.approx(summary_row(two, "p0")[key], abs=7.0 / len(vals))
 
     @given(st.permutations(list(range(12))))
     @settings(max_examples=25, deadline=None)
@@ -64,7 +64,7 @@ class TestSummarize:
         a = summarize(make_draws(base))
         b = summarize(make_draws(base[np.array(perm)]))
         for key in ("mean", "sd", "lower", "upper"):
-            assert a.row("p0")[key] == pytest.approx(b.row("p0")[key], abs=1e-12)
+            assert summary_row(a, "p0")[key] == pytest.approx(summary_row(b, "p0")[key], abs=1e-12)
 
     def test_level_domain(self):
         with pytest.raises(ValueError):

@@ -6,48 +6,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from ordquant import distributions
-from ordquant.distributions import (
-    _TAIL_CUTOFF,
-    check_loss,
-    sample_gig,
-    sample_trunc_normal,
-    sld_cdf,
-    sld_density,
-)
+from ordquant.distributions import _TAIL_CUTOFF, sample_gig, sample_trunc_normal, sld_cdf
 
-from .oracles import gig_moment, ks_vs_cdf, ks_vs_log_kernel, sld_cdf_two_branch
+from .oracles import gig_moment, ks_vs_cdf, ks_vs_log_kernel, sld_cdf_two_branch, sld_density
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestCheckLoss:
-    def test_zero_case(self):
-        assert check_loss(0.0, 0.3) == 0.0
-
-    def test_median_is_half_abs(self):
-        assert check_loss(1.0, 0.5) == pytest.approx(0.5)
-
-    def test_negative_argument(self):
-        assert check_loss(-1.0, 0.25) == pytest.approx(0.75)
-
-    @given(
-        st.floats(-50, 50).filter(lambda v: v == 0.0 or abs(v) > 1e-300),
-        st.floats(0.01, 0.99),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_nonnegative_and_absolute_identity(self, t, theta):
-        a = check_loss(t, theta)
-        b = check_loss(-t, theta)
-        assert a >= 0.0
-        assert (a == 0.0) == (t == 0.0)
-        assert a + b == pytest.approx(abs(t), abs=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.5])
-    def test_invalid_theta(self, theta):
-        with pytest.raises(ValueError):
-            check_loss(1.0, theta)
 
 
 class TestSldDensity:
@@ -89,6 +54,11 @@ class TestSldCdf:
     def test_monotone(self):
         e = np.linspace(-20, 20, 2001)
         assert np.all(np.diff(sld_cdf(e, 0.3)) >= 0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.5])
+    def test_invalid_theta(self, theta):
+        with pytest.raises(ValueError, match="quantile level must lie in"):
+            sld_cdf(1.0, theta)
 
     @pytest.mark.parametrize("theta", [0.05, 0.25, 0.3, 0.5, 0.7, 0.95, 1e-9])
     def test_bits_match_two_branch_reference(self, theta):

@@ -25,7 +25,7 @@ from ordquant.gibbs import (
     update_v,
     write_draws,
 )
-from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, validate_state
+from ordquant.model import ChainState, ModelSpec, Priors, initialize_state
 from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import STREAM_CHAIN, substream
 
@@ -38,6 +38,7 @@ from .oracles import (
     update_alpha_normal_call,
     update_l_full_bounds,
     update_s_array_call,
+    validate_state,
 )
 
 

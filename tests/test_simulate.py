@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ordquant.diagnostics import relative_efficiency
 from ordquant.errors import ChainDivergedError, ConfigError
 from ordquant.gibbs import SamplerConfig
 from ordquant.kvfile import read_kv
@@ -9,13 +10,14 @@ from ordquant.simulate import (
     TRUE_BETA,
     TRUE_CUTPOINTS,
     ScenarioConfig,
-    efficiency_against,
     generate,
     liability_to_category,
     run_replication_study,
     write_scenario_dataset,
 )
 from ordquant.streams import substream
+
+from .oracles import assert_same_dataset
 
 
 class TestThresholding:
@@ -61,7 +63,7 @@ class TestGenerateSim1:
         cfg = ScenarioConfig(scenario="sim1", subjects=12, obs_per_subject=3)
         a = generate(cfg, substream(9, 2, 0))
         b = generate(cfg, substream(9, 2, 0))
-        assert a == b
+        assert_same_dataset(a, b)
 
 
 class TestGenerateSim2:
@@ -179,9 +181,23 @@ class TestReplicationStudy:
         run = run_replication_study(cfg, sampler, thetas=[0.25, 0.5], estimator=truth_estimator)
         for theta in (0.25, 0.5):
             assert all(b == 0.0 for b in run.reports[theta].bias.values())
-        efficiency_against(run, 0.25)
         ref_eff = run.reports[0.25].efficiency["theta=0.25"]
         assert all(v == 1.0 for v in ref_eff.values())
+
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_study_fills_efficiency_with_two_completions(self, replications):
+        cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=replications, seed=4)
+        run = run_replication_study(cfg, SamplerConfig(iterations=60, burn_in=10), thetas=[0.25, 0.5])
+        if replications == 1:
+            assert all(run.reports[theta].efficiency == {} for theta in run.thetas)
+            return
+        ref = run.estimates[0.25]
+        for theta in run.thetas:
+            mat = run.estimates[theta]
+            assert run.reports[theta].efficiency == {f"theta={theta:g}": {
+                name: relative_efficiency(mat[:, j], ref[:, j]) for j, name in enumerate(run.parameters)}}
+        assert set(run.reports[0.25].efficiency["theta=0.25"].values()) == {1.0}
+        assert 1.0 not in run.reports[0.5].efficiency["theta=0.5"].values()
 
     def test_aggregation_matches_brute_force(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=3, seed=5)
