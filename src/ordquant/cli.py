@@ -27,7 +27,7 @@ from . import __version__
 from .data import CsvSchema, _csv_cells, _write_table, ingest_csv
 from .diagnostics import dic, mpsrf, summarize
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
-from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
+from .gibbs import SamplerConfig, read_draws, run_chains, write_draws
 from .kvfile import read_kv, write_kv
 from .model import ModelSpec, Priors
 from .simulate import ScenarioConfig, generate, run_replication_study, write_scenario_dataset
@@ -251,13 +251,6 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
     input_path = Path(resolved["input"]).resolve()
     resolved["input"] = str(input_path)
     _check_report_options(resolved)
-    dataset = ingest_csv(input_path, _schema_from(resolved))
-    digest = _sha256(input_path)
-    expected = resolved.get("input_sha256")
-    if expected is not None and digest != expected:
-        raise DataError(f"input {input_path} has sha256 {digest}, but the manifest records {expected}")
-    priors = _priors_from(resolved)
-    specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
     config = SamplerConfig(
         iterations=resolved["iterations"],
         burn_in=resolved["burn-in"],
@@ -267,13 +260,23 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
         overdispersed_starts=resolved["overdispersed-starts"],
         retain_alpha=resolved["retain-alpha"] or resolved["dic"],
     )
-    # One worker process per chain, up to the CPUs this process may run on
-    # (all CPUs where the OS has no affinity masks); the draws do not depend
-    # on the number of workers.
+    retained = config.retained_per_chain * config.num_chains
+    if retained < 2:
+        raise ConfigError(f"options iterations, burn-in, thin and chains retain {retained} draw; "
+                          "the summaries need at least two")
+    dataset = ingest_csv(input_path, _schema_from(resolved))
+    digest = _sha256(input_path)
+    expected = resolved.get("input_sha256")
+    if expected is not None and digest != expected:
+        raise DataError(f"input {input_path} has sha256 {digest}, but the manifest records {expected}")
+    priors = _priors_from(resolved)
+    specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
+    # One worker process per (level, chain), up to the CPUs this process may
+    # run on (all CPUs where the OS has no affinity masks); the draws do not
+    # depend on the number of workers.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(config.num_chains, cpus)
-    for spec in specs:
-        draws = run_chain(spec, config, jobs)
+    jobs = min(len(specs) * config.num_chains, cpus)
+    for spec, draws in zip(specs, run_chains(specs, config, jobs)):
         write_draws(draws, out_dir / f"draws-theta{spec.theta:g}.csv", spec)
         _write_reports(out_dir, f"-theta{spec.theta:g}", draws, resolved, config.num_chains >= 2,
                        spec if resolved["dic"] else None)

@@ -16,7 +16,7 @@ import numpy as np
 from .data import _csv_cells, _write_table
 from .distributions import sld_cdf
 from .gibbs import PosteriorDraws
-from .model import ModelSpec, _shifted_cutpoints
+from .model import ModelSpec, _shifted_cutpoints, linear_predictor
 
 __all__ = [
     "SummaryTable",
@@ -257,15 +257,15 @@ def dic(draws: PosteriorDraws, spec: ModelSpec) -> DicResult:
 def _deviances(betas, deltas, alphas, spec: ModelSpec) -> tuple[np.ndarray, int]:
     """Deviances of a block of draws (one per row) and the floored-cell count.
 
-    Each draw's linear predictor is its own ``x @ beta`` and its log
-    likelihood is its own row sum, so every deviance has the bits of the
-    one-draw computation.
+    Each draw's linear predictor comes from one stacked matmul
+    (``model.linear_predictor``), which gives every draw the bits of its own
+    ``x @ beta``, and its log likelihood is its own row sum, so every
+    deviance has the bits of the one-draw computation.
     """
     ds = spec.dataset
     k = betas.shape[0]
     shift = alphas[:, ds.subject_index]
-    for j in range(k):
-        shift[j] += ds.x @ betas[j]
+    shift += linear_predictor(ds.x, betas)
     cuts = np.empty((k, ds.num_categories + 1))
     cuts[:, 0] = -np.inf
     cuts[:, 1:-1] = deltas

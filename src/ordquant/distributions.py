@@ -16,6 +16,8 @@ concurrent use.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -117,13 +119,16 @@ def _trunc_normal(mean, variance, lower, upper, rng):
 def _trunc_normal_gathered(mean, sd, lower, upper, index, rng, out):
     """Draw i from N(mean[i], sd[i]^2) restricted to (lower[index[i]], upper[index[i]]).
 
-    No argument checks: ``mean``, ``sd`` and ``out`` are 1-D float arrays of
-    one length, ``index`` holds valid indices into ``lower`` and ``upper``,
-    the standard deviations are positive and each interval is non-empty.
-    The draws are written into ``out``, which is returned.  The bounds are
+    No argument checks: ``mean``, ``sd``, ``index`` and ``out`` are float
+    arrays of one shape (``index`` integer), ``index`` holds valid indices
+    into the flattened ``lower`` and ``upper``, the standard deviations are
+    positive and each interval is non-empty.  One-dimensional arrays are one
+    chain drawing from the generator ``rng``; (K, n) arrays are K chains,
+    row k drawing from ``rng[k]`` exactly what it would draw alone.  The
+    draws are written into ``out``, which is returned.  The bounds are
     gathered into two arrays for the standardized draw and again for the
-    final clip, so besides ``mean``, ``sd`` and ``out`` the call holds two
-    full-length arrays, or three when some interval lies in a tail.
+    final clip, so besides ``mean``, ``sd`` and ``out`` a one-chain call
+    holds two full-length arrays, or three when some interval lies in a tail.
     """
     z = _tn_standard(mean, sd, lower, upper, index, rng, out)
     z *= sd
@@ -143,9 +148,9 @@ def _tn_standard(mean, sd, lower, upper, index, rng, out):
     """Standard-normal draws, each restricted to its standardized interval,
     written into ``out``.  When no interval lies beyond ``_TAIL_CUTOFF``, the
     uniforms are drawn into ``out`` and every draw takes the inverse-CDF body
-    in one pass; otherwise the body elements are drawn first, then the upper
-    tail and the lower tail.  The standardized bounds are freed on return,
-    before the caller gathers the bounds again for its clip."""
+    in one pass; otherwise each chain's body elements are drawn first, then
+    its upper tail and its lower tail.  The standardized bounds are freed on
+    return, before the caller gathers the bounds again for its clip."""
     # Every index is valid, so mode="clip" only skips take's bounds check.
     a = lower.take(index, mode="clip")
     a -= mean
@@ -154,7 +159,17 @@ def _tn_standard(mean, sd, lower, upper, index, rng, out):
     b -= mean
     b /= sd
     if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
-        return _tn_body(a, b, rng.random(out=out))
+        if out.ndim == 1:
+            return _tn_body(a, b, rng.random(out=out))
+        for row, g in zip(out, rng):
+            g.random(out=row)
+        return _tn_body(a, b, out)
+    if out.ndim > 1:
+        # Some chain has a tail: each chain takes the one-chain path alone.
+        del a, b
+        for m, s, i, g, row in zip(mean, sd, index, rng, out):
+            _tn_standard(m, s, lower, upper, i, g, row)
+        return out
     hi_tail = a > _TAIL_CUTOFF
     lo_tail = b < -_TAIL_CUTOFF
     hi = a[hi_tail], b[hi_tail]
@@ -171,13 +186,20 @@ def _tn_standard(mean, sd, lower, upper, index, rng, out):
     return out
 
 
+@functools.cache
+def _special():
+    # scipy.special, imported on first use rather than at module level, so
+    # that commands which never sample (simulate) do not load it.
+    import scipy.special
+
+    return scipy.special
+
+
 def _tn_body(a, b, u):
     # Inverse CDF of N(0,1) restricted to (a, b) at the uniforms u.
-    # Overwrites a, b and u and returns u.  scipy.special is imported here,
-    # not at module level, so that commands which never sample (simulate)
-    # do not load it.
-    from scipy.special import ndtr, ndtri
-
+    # Overwrites a, b and u and returns u.
+    special = _special()
+    ndtr, ndtri = special.ndtr, special.ndtri
     pa = ndtr(a, out=a)
     span = ndtr(b, out=b)
     span -= pa

@@ -16,13 +16,21 @@ liabilities.
 
 Chain scheduling.  A chain is strictly sequential, and each chain draws
 only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
-``run_chain(spec, config, jobs)`` samples the chains one after another in
-this process when ``jobs`` is 1, and otherwise in up to ``jobs`` worker
-processes through ``parallel.ordered_map``; the parent copies each chain's
-retained rows into the preallocated draws matrix in chain order, so the
-draws are identical for any ``jobs``.  ``ordquant fit`` runs one worker per
-chain, capped by the usable CPUs; the replication study's workers call
-``run_chain`` with ``jobs=1``, so pools never nest.
+``run_chains(specs, config, jobs)`` splits each spec's chains into up to
+``jobs`` contiguous groups and hands every (spec, group) task to one
+``parallel.ordered_map``, which runs them in up to ``jobs`` worker processes
+(in this process when ``jobs`` is 1).  A worker samples its group as batches
+of at most ``_BATCH_CELLS`` chain-observations (``sample_tasks``): one call
+of a block advances every chain of a batch, and one chain alone runs on
+one-chain arrays.  The parent copies each chain's retained rows into the
+draws matrix in chain order, so the draws are identical for any ``jobs``.
+A batch in which any chain fails, or ends a sweep non-finite, is sampled
+again one chain at a time, so a failure reads as it does in a one-chain
+run and the other chains keep their draws.  ``ordquant fit`` runs one
+worker per (level, chain), capped by the usable CPUs, so up to the CPUs
+every chain samples alone; the replication study batches the chains of a
+worker's replications (``simulate._replication_group``).  Workers never
+start pools of their own.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -30,16 +38,26 @@ public samplers in ``distributions``.  Each block is a pure function of
 ``(state, spec, rng)``: what it writes into the state depends on nothing
 else, and it calls the unchecked cores ``_gig_half``, ``_trunc_normal`` and,
 through ``model.draw_liabilities``, ``_trunc_normal_gathered`` on arrays it
-built itself.  There is no cross-block cache; only constants of the dataset are
-cached, on the dataset.  ``run_chain`` turns a numerical failure inside a
-block, or a non-finite state after a sweep, into ``ChainDivergedError``
-naming the chain, the sweep and the block.
+built itself.  A one-chain call takes a ``ModelSpec``, a state of 1-D
+arrays and one generator.  A batch call takes ``model.stack_specs``'s
+``BatchSpec``, ``model.stack_states``'s state, whose arrays carry a leading
+chain axis, and the chains' generators in chain order.  Every chain of a
+batch draws from its own generator in its one-chain order, and every
+reduction keeps the one-chain bits: a stacked ``matmul`` for ``x @ beta``,
+a ``take`` or ``bincount`` over chain-offset indices, a per-chain
+``np.dot`` or row sum; scalar draws and the truncated-normal tail stay
+per-chain loops.  There is no cross-block cache; only constants of the
+dataset are cached, on the dataset.  ``run_chain`` turns a numerical
+failure inside a block, or a non-finite state after a sweep, into
+``ChainDivergedError`` naming the chain, the sweep and the block.
 
 Aliasing.  Blocks write into the state's arrays in place where they can:
 the location move shifts ``alpha``, the cut-points and ``latent_l``, and
 ``update_l`` draws the new liabilities over the previous ``latent_l``
-array.  An array taken from the state before a block therefore holds the
-block's new values after it; ``ChainState.copy()`` keeps a draw.
+array.  In a batch the same holds for the stacked arrays, and a chain's
+row is a view into them.  An array taken from the state before a block
+therefore holds the block's new values after it; ``ChainState.copy()``
+keeps a draw.
 """
 
 from __future__ import annotations
@@ -55,7 +73,8 @@ from . import __version__
 from .data import _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
-from .model import RHO1_SQ_FLOOR, ChainState, ModelSpec, draw_liabilities, initialize_state, nonfinite_blocks
+from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, draw_liabilities, initialize_state, linear_predictor,
+                    nonfinite_blocks, stack_specs, stack_states)
 from .distributions import _gig_half, _trunc_normal
 from .parallel import ordered_map
 from .streams import STREAM_CHAIN, substream
@@ -64,6 +83,7 @@ __all__ = [
     "SamplerConfig",
     "PosteriorDraws",
     "run_chain",
+    "run_chains",
     "parameter_names",
     "write_draws",
     "read_draws",
@@ -78,6 +98,10 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
+# Chain-observations one batch holds: chains that fit datasets of n
+# observations are sampled max(1, _BATCH_CELLS // n) at a time, so a batch
+# of large panels is one chain on one-chain arrays.
+_BATCH_CELLS = 1 << 16
 _INTP = np.iinfo(np.intp)
 
 
@@ -112,6 +136,17 @@ class SamplerConfig:
 # Single-block updates (each mutates one component of the state in place)
 # ---------------------------------------------------------------------------
 
+def _stacked(draw, rng, *blocks) -> np.ndarray:
+    """``draw(rng[k], *parts)`` for each chain k of a batch, where ``parts``
+    is chain k's row of each of ``blocks``, stacked on a leading chain axis.
+
+    Each block writes its per-chain draws once, as ``draw``, and calls it
+    directly for one chain (``draw(rng, *blocks)``) or through this for a
+    batch, so a one-chain sweep pays no per-chain dispatch.
+    """
+    return np.array([draw(*chain) for chain in zip(rng, *blocks)])
+
+
 def _shift_location(state: ChainState, spec: ModelSpec, rng) -> None:
     """Exact translation move along the location ridge (Liu and Sabatti 2000).
 
@@ -123,20 +158,28 @@ def _shift_location(state: ChainState, spec: ModelSpec, rng) -> None:
     the bounds is kept; a miss falls back to the truncated-normal sampler,
     so g is exactly truncated normal either way.
     """
-    cuts = state.cutpoints
-    lo = spec.priors.delta_min - cuts[1]
-    hi = spec.priors.delta_max - cuts[-2]
-    if not lo < hi:
-        return  # both end cut-points pinned at the support: g = 0 exactly
-    n = state.alpha.size
-    mean = -float(state.alpha.sum()) / n
-    variance = state.phi / n
-    g = rng.normal(mean, math.sqrt(variance))
-    if not lo < g < hi:
-        g = float(_trunc_normal(*(np.array([a]) for a in (mean, variance, lo, hi)), rng)[0])
-    state.alpha += g
-    cuts[1:-1] += g
-    state.latent_l += g
+    pri = spec.priors
+    n = state.alpha.shape[-1]
+
+    def draw(g, cuts, alpha, phi):
+        lo = pri.delta_min - cuts[1]
+        hi = pri.delta_max - cuts[-2]
+        if not lo < hi:
+            # Both end cut-points pinned at the support: g = 0 exactly, and
+            # adding -0.0 leaves every bit of the state as it is.
+            return -0.0
+        mean = -float(alpha.sum()) / n
+        variance = phi / n
+        shift = mean + math.sqrt(variance) * g.standard_normal()
+        if not lo < shift < hi:
+            shift = float(_trunc_normal(*(np.array([a]) for a in (mean, variance, lo, hi)), g)[0])
+        return shift
+
+    blocks = state.cutpoints, state.alpha, state.phi
+    shift = _stacked(draw, rng, *blocks)[:, None] if state.beta.ndim > 1 else draw(rng, *blocks)
+    state.alpha += shift
+    state.cutpoints[..., 1:-1] += shift
+    state.latent_l += shift
 
 
 def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -147,35 +190,59 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
     """
     _shift_location(state, spec, rng)
     ds = spec.dataset
-    resid = ds.x @ state.beta
+    resid = linear_predictor(ds.x, state.beta)
     np.subtract(state.latent_l, resid, out=resid)
     effect = state.alpha.take(ds.subject_index)
     resid -= effect
     rho1_sq = np.multiply(resid, 0.5, out=effect)
     rho1_sq *= resid
     np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
-    state.latent_v = _gig_half(np.sqrt(rho1_sq, out=rho1_sq), _SQRT_HALF, rng)
+    np.sqrt(rho1_sq, out=rho1_sq)
+    # The draws of _gig_half(rho1, sqrt(1/2)), with the Wald means written
+    # over rho1 and the reciprocals over the Wald draws.
+    means = np.divide(_SQRT_HALF, rho1_sq, out=rho1_sq)
+
+    def draw(g, mean):
+        return g.wald(mean, _SQRT_HALF * _SQRT_HALF)
+
+    v = _stacked(draw, rng, means) if state.beta.ndim > 1 else draw(rng, means)
+    state.latent_v = np.divide(1.0, v, out=v)
 
 
 def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
-    """Coefficients, swept in ascending index against fresh partial residuals."""
+    """Coefficients, swept in ascending index against fresh partial residuals.
+
+    Each chain's two inner products per coefficient are its own ``np.dot``
+    and its draw its own scalar call, so a batch draws every chain's bits.
+    """
     ds = spec.dataset
     x, v, beta = ds.x, state.latent_v, state.beta
+    batch = beta.ndim > 1
     inv2v = np.divide(0.5, v)
-    r = x @ beta
+    r = linear_predictor(x, beta)
     np.subtract(state.latent_l, r, out=r)
     term = state.alpha.take(ds.subject_index)
     r -= term
     r -= np.multiply(v, spec.xi, out=term)
-    for k, s_k in enumerate(state.s.tolist()):
-        xk = x[:, k]
-        r += np.multiply(xk, beta[k], out=term)
-        precision = np.dot(np.multiply(xk, xk, out=term), inv2v) + 1.0 / s_k
-        variance = 1.0 / precision
-        mean = variance * np.dot(np.multiply(r, xk, out=term), inv2v)
-        b_new = rng.normal(mean, math.sqrt(variance))
-        beta[k] = b_new
-        r -= np.multiply(xk, b_new, out=term)
+    for k, s_k in enumerate(state.s.T.tolist()):
+        xk = x[..., k]
+        r += np.multiply(xk, beta[:, k, None] if batch else beta[k], out=term)
+        np.multiply(xk, xk, out=term)
+        if batch:
+            precision = [np.dot(t, w) for t, w in zip(term, inv2v)]
+            np.multiply(r, xk, out=term)
+            beta[:, k] = [_draw_coefficient(*chain) for chain in zip(rng, term, inv2v, precision, s_k)]
+        else:
+            precision = np.dot(term, inv2v)
+            np.multiply(r, xk, out=term)
+            beta[k] = _draw_coefficient(rng, term, inv2v, precision, s_k)
+        r -= np.multiply(xk, beta[:, k, None] if batch else beta[k], out=term)
+
+
+def _draw_coefficient(g, rx: np.ndarray, inv2v: np.ndarray, precision: float, s_k: float) -> float:
+    """One chain's coefficient k, from its r x_k, 1 / (2 v) and data precision."""
+    variance = 1.0 / (precision + 1.0 / s_k)
+    return variance * np.dot(rx, inv2v) + math.sqrt(variance) * g.standard_normal()
 
 
 def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -185,15 +252,23 @@ def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
     same numbers as one call with an array of means, without that call's
     fixed cost of about 10 microseconds.
     """
-    rho2 = math.sqrt(state.lambda_sq)
-    state.s = np.array([_gig_half(math.sqrt(max(b_k * b_k, RHO1_SQ_FLOOR)), rho2, rng)
-                        for b_k in state.beta.tolist()])
+    def draw(g, beta, lambda_sq):
+        rho2 = math.sqrt(lambda_sq)
+        return [_gig_half(math.sqrt(max(b_k * b_k, RHO1_SQ_FLOOR)), rho2, g) for b_k in beta.tolist()]
+
+    blocks = state.beta, state.lambda_sq
+    state.s = _stacked(draw, rng, *blocks) if state.beta.ndim > 1 else np.array(draw(rng, *blocks))
 
 
 def update_lambda_sq(state: ChainState, spec: ModelSpec, rng) -> None:
     """Shrinkage rate squared: gamma(p + a1, rate = sum(s)/2 + a2)."""
-    rate = 0.5 * float(state.s.sum()) + spec.priors.a2
-    state.lambda_sq = rng.gamma(spec.dataset.num_covariates + spec.priors.a1, 1.0 / rate)
+    pri = spec.priors
+    shape = spec.dataset.num_covariates + pri.a1
+
+    def draw(g, s):
+        return g.gamma(shape, 1.0 / (0.5 * float(s.sum()) + pri.a2))
+
+    state.lambda_sq = _stacked(draw, rng, state.s) if state.beta.ndim > 1 else draw(rng, state.s)
 
 
 def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -201,26 +276,44 @@ def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
     ds = spec.dataset
     v = state.latent_v
     inv2v = np.divide(0.5, v)
-    variance = np.bincount(ds.subject_index, weights=inv2v, minlength=ds.num_subjects)
-    variance += 1.0 / state.phi
+    variance = _subject_sums(ds, inv2v)
+    variance += 1.0 / (state.phi[:, None] if state.beta.ndim > 1 else state.phi)
     np.divide(1.0, variance, out=variance)
-    eta = ds.x @ state.beta
+    eta = linear_predictor(ds.x, state.beta)
     np.subtract(state.latent_l, eta, out=eta)
     eta -= np.multiply(v, spec.xi)
     eta *= inv2v
-    mean = np.bincount(ds.subject_index, weights=eta, minlength=ds.num_subjects)
+    mean = _subject_sums(ds, eta)
     mean *= variance
     # The draws rng.normal(mean, sd) would make, without its array-parameter cost.
-    alpha = rng.standard_normal(ds.num_subjects)
+    def draw(g):
+        return g.standard_normal(ds.num_subjects)
+
+    alpha = _stacked(draw, rng) if state.beta.ndim > 1 else draw(rng)
     alpha *= np.sqrt(variance, out=variance)
     alpha += mean
     state.alpha = alpha
 
 
+def _subject_sums(ds, weights: np.ndarray) -> np.ndarray:
+    """Each chain's per-subject sums of ``weights``.  In a batch, one
+    ``bincount`` over the chain-offset subject index adds each chain's
+    terms in its one-chain order."""
+    if weights.ndim == 1:
+        return np.bincount(ds.subject_index, weights=weights, minlength=ds.num_subjects)
+    sums = np.bincount(ds.subject_index.ravel(), weights=weights.ravel(), minlength=weights.shape[0] * ds.num_subjects)
+    return sums.reshape(weights.shape[0], ds.num_subjects)
+
+
 def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
     """Random-effect variance: inverse-gamma(N/2 + b1, scale = sum(alpha^2)/2 + b2)."""
-    scale = 0.5 * float(np.dot(state.alpha, state.alpha)) + spec.priors.b2
-    state.phi = 1.0 / rng.gamma(0.5 * spec.dataset.num_subjects + spec.priors.b1, 1.0 / scale)
+    pri = spec.priors
+    shape = 0.5 * spec.dataset.num_subjects + pri.b1
+
+    def draw(g, alpha):
+        return 1.0 / g.gamma(shape, 1.0 / (0.5 * float(np.dot(alpha, alpha)) + pri.b2))
+
+    state.phi = _stacked(draw, rng, state.alpha) if state.beta.ndim > 1 else draw(rng, state.alpha)
 
 
 def update_l(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -242,24 +335,30 @@ def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
     C = ds.num_categories
     order, starts, present = ds.category_runs()
     runs = state.latent_l.take(order)
-    largest = [-math.inf] * (C + 1)
-    smallest = [math.inf] * (C + 1)
+    largest = [-math.inf] * state.cutpoints.size
+    smallest = [math.inf] * state.cutpoints.size
     for c, top, bottom in zip(present, np.maximum.reduceat(runs, starts).tolist(),
                               np.minimum.reduceat(runs, starts).tolist()):
         largest[c] = top
         smallest[c] = bottom
     pri = spec.priors
-    cuts = state.cutpoints
-    bounds = cuts.tolist()
-    for c in range(1, C):
-        lo = max(largest[c], bounds[c - 1], pri.delta_min)
-        hi = min(smallest[c + 1], bounds[c + 1], pri.delta_max)
-        if not lo < hi:
-            raise ChainDivergedError(
-                f"cut-point {c} has empty conditional support [{lo}, {hi}]; "
-                "liability thresholding was inconsistent before the update"
-            )
-        bounds[c] = cuts[c] = rng.uniform(lo, hi)
+    chains = zip(rng, state.cutpoints) if state.beta.ndim > 1 else [(rng, state.cutpoints)]
+    for base, (g, row) in zip(range(0, state.cutpoints.size, C + 1), chains):
+        bounds = row.tolist()
+        for c in range(1, C):
+            lo = max(largest[base + c], bounds[c - 1], pri.delta_min)
+            hi = min(smallest[base + c + 1], bounds[c + 1], pri.delta_max)
+            if not lo < hi:
+                raise ChainDivergedError(
+                    f"cut-point {c} has empty conditional support [{lo}, {hi}]; "
+                    "liability thresholding was inconsistent before the update"
+                )
+            bounds[c] = row[c] = _uniform(g, lo, hi)
+
+
+def _uniform(g, lo: float, hi: float) -> float:
+    """The draw of ``g.uniform(lo, hi)``, without that call's argument handling."""
+    return lo + (hi - lo) * g.random()
 
 
 _SWEEP = (update_v, update_beta, update_s, update_lambda_sq, update_alpha, update_phi, update_l, update_delta)
@@ -333,29 +432,115 @@ class PosteriorDraws:
 def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> PosteriorDraws:
     """Run the sampler and collect retained draws from every chain.
 
-    With ``jobs > 1`` the chains run in up to ``jobs`` worker processes, and
-    each chain's rows are copied into the draws matrix in chain order as they
-    arrive; the draws are identical for any ``jobs``.  A numerical failure
-    inside a sweep raises ``ChainDivergedError`` naming the chain, the sweep
-    and the block.
+    The chains are split into up to ``jobs`` contiguous groups, each sampled
+    in its own worker process when ``jobs > 1``; the draws are identical for
+    any ``jobs``.  A numerical failure inside a sweep raises
+    ``ChainDivergedError`` naming the chain, the sweep and the block.
     """
+    [draws] = run_chains([spec], config, jobs)
+    return draws
+
+
+def run_chains(specs, config: SamplerConfig, jobs: int = 1):
+    """Yield the draws of ``config`` under each of ``specs``, in order.
+
+    Each spec's chains are split into up to ``jobs`` contiguous groups, and
+    every (spec, group) task goes to one ``ordered_map`` with ``jobs``
+    workers, so the tasks of later specs run while earlier draws are used.
+    A group is sampled in batches of at most ``_BATCH_CELLS``
+    chain-observations.  The first chain, in spec and chain order, that
+    fails raises its ``ChainDivergedError`` when its spec's turn comes.
+    """
+    groups = _split(range(config.num_chains), jobs)
+    tasks = [[(spec, config, chain) for chain in group] for spec in specs for group in groups]
+    results = ordered_map(_sample_group, tasks, jobs)
+    for spec in specs:
+        # Each group's rows are copied as they arrive, so one group's rows
+        # are held besides the draws matrix.
+        yield collect_draws(spec, config, (rows for _ in groups for rows in next(results)))
+
+
+def _split(items, parts: int) -> list[list]:
+    """``items`` as at most ``parts`` contiguous groups whose sizes differ by at most one."""
+    items = list(items)
+    parts = max(1, min(parts, len(items)))
+    size, extra = divmod(len(items), parts)
+    ends = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def collect_draws(spec: ModelSpec, config: SamplerConfig, blocks) -> PosteriorDraws:
+    """The draws of ``config`` under ``spec`` from each chain's retained rows, in chain order."""
     names = parameter_names(spec, config.retain_alpha)
     rows = config.retained_per_chain
     values = np.empty((rows * config.num_chains, len(names)))
-    tasks = [(spec, config, chain) for chain in range(config.num_chains)]
-    for chain, block in enumerate(ordered_map(_sample_chain, tasks, jobs)):
+    for chain, block in enumerate(blocks):
         values[chain * rows:(chain + 1) * rows] = block
     chain_ids = np.repeat(np.arange(config.num_chains, dtype=np.intp), rows)
     iterations = np.tile(config.burn_in + config.thin * np.arange(1, rows + 1, dtype=np.intp), config.num_chains)
     return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
 
 
-def _sample_chain(task: tuple[ModelSpec, SamplerConfig, int]) -> np.ndarray:
-    """Run chain ``c`` of ``config`` and return its retained rows."""
-    spec, config, chain = task
-    rows = np.empty((config.retained_per_chain, len(parameter_names(spec, config.retain_alpha))))
-    rng = substream(config.seed, STREAM_CHAIN, chain)
-    state = initialize_state(spec, rng, overdispersed=config.overdispersed_starts)
+def _sample_group(tasks) -> list[np.ndarray]:
+    """The retained rows of each chain task; the first chain that fails raises."""
+    outcomes = sample_tasks(tasks)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def sample_tasks(tasks) -> list:
+    """Each ``(spec, config, chain)`` task's retained rows, or the
+    ``ChainDivergedError`` or ``FloatingPointError`` that ended it, in task
+    order.
+
+    The tasks share one design and one configuration but for its seed.
+    They are sampled in batches of at most ``_BATCH_CELLS``
+    chain-observations; a batch in which any chain fails or ends a sweep
+    non-finite is sampled again one chain at a time, so a failure reads as
+    it does in a one-chain run, and the other chains keep their draws.
+    """
+    size = max(1, _BATCH_CELLS // tasks[0][0].dataset.num_observations)
+    outcomes = []
+    for start in range(0, len(tasks), size):
+        batch = tasks[start:start + size]
+        if len(batch) > 1:
+            try:
+                outcomes.extend(_sample_chains(batch))
+                continue
+            except (ChainDivergedError, FloatingPointError):
+                pass
+        for task in batch:
+            try:
+                outcomes.extend(_sample_chains([task]))
+            except (ChainDivergedError, FloatingPointError) as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _sample_chains(tasks) -> np.ndarray:
+    """The retained rows, (chains, rows, parameters), of chain tasks that
+    share one design and one configuration but for its seed, sampled as one
+    batch; one task samples on one-chain arrays."""
+    spec, config, chain = tasks[0]
+    rngs = [substream(cfg.seed, STREAM_CHAIN, c) for _, cfg, c in tasks]
+    rows = np.empty((len(tasks), config.retained_per_chain, len(parameter_names(spec, config.retain_alpha))))
+
+    def start(s, g):
+        return initialize_state(s, g, overdispersed=config.overdispersed_starts)
+
+    if len(tasks) == 1:
+        _run_sweeps(start(spec, rngs[0]), spec, rngs[0], config, rows[0], chain)
+    else:
+        state = stack_states([start(s, g) for (s, _, _), g in zip(tasks, rngs)])
+        _run_sweeps(state, stack_specs([s for s, _, _ in tasks]), rngs, config, rows, chain)
+    return rows
+
+
+def _run_sweeps(state: ChainState, spec, rng, config: SamplerConfig, rows: np.ndarray, chain: int) -> None:
+    """Run every sweep of ``config`` on ``state``, one chain or a batch, and
+    write each retained draw into ``rows``."""
     row = 0
     for t in range(1, config.iterations + 1):
         try:
@@ -369,33 +554,34 @@ def _sample_chain(task: tuple[ModelSpec, SamplerConfig, int]) -> np.ndarray:
             ) from exc
         _check_finite(state, chain, t)
         if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-            _flatten(state, rows[row], config.retain_alpha)
+            _flatten(state, rows[..., row, :], config.retain_alpha)
             row += 1
-    return rows
 
 
 def _flatten(state: ChainState, out: np.ndarray, retain_alpha: bool) -> None:
-    """Write one draw into ``out`` in ``parameter_names`` order."""
-    p = state.beta.size
-    c = p + state.cutpoints.size - 2
-    out[:p] = state.beta
-    out[p:c] = state.cutpoints[1:-1]
-    out[c] = state.lambda_sq
-    out[c + 1] = state.phi
+    """Write one draw of each chain into ``out`` in ``parameter_names`` order."""
+    p = state.beta.shape[-1]
+    c = p + state.cutpoints.shape[-1] - 2
+    out[..., :p] = state.beta
+    out[..., p:c] = state.cutpoints[..., 1:-1]
+    out[..., c] = state.lambda_sq
+    out[..., c + 1] = state.phi
     if retain_alpha:
-        out[c + 2:] = state.alpha
+        out[..., c + 2:] = state.alpha
 
 
 def _check_finite(state: ChainState, chain: int, t: int) -> None:
     """Raise ``ChainDivergedError`` naming the non-finite blocks.
 
-    An inf or NaN in any block makes its dot product or sum, and so the
+    An inf or NaN in any block makes its inner product or sum, and so the
     probe, non-finite.  A finite probe therefore proves the state finite;
     only a non-finite one (or a finite state so large that the probe
     overflows) pays for the per-block scan.
     """
-    probe = (np.dot(state.latent_l, state.latent_v) + np.dot(state.alpha, state.alpha)
-             + np.dot(state.beta, state.s) + state.cutpoints[1:-1].sum() + state.lambda_sq + state.phi)
+    scalars = state.lambda_sq + state.phi
+    dot, scalars = (np.dot, scalars) if state.beta.ndim == 1 else (np.vdot, scalars.sum())
+    probe = (dot(state.latent_l, state.latent_v) + dot(state.alpha, state.alpha) + dot(state.beta, state.s)
+             + state.cutpoints[..., 1:-1].sum() + scalars)
     if not math.isfinite(probe):
         bad = nonfinite_blocks(state)
         if bad:

@@ -10,7 +10,8 @@ a per-observation exponential mixing variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,9 @@ class ModelSpec:
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"quantile level must lie in (0, 1), got {self.theta}")
 
-    @property
+    @cached_property
     def xi(self) -> float:
-        """Mixture location factor 1 - 2 theta."""
+        """Mixture location factor 1 - 2 theta (cached: three blocks read it every sweep)."""
         return 1.0 - 2.0 * self.theta
 
     @property
@@ -76,6 +77,8 @@ class ChainState:
 
     ``cutpoints`` has length C + 1 with fixed -inf / +inf endpoints; the
     C - 1 interior values are strictly increasing within the prior support.
+    A batch of K chains (``stack_states``) holds every array with a leading
+    chain axis, and ``lambda_sq`` and ``phi`` as (K,) arrays.
     """
 
     beta: np.ndarray       # (p,)
@@ -88,10 +91,77 @@ class ChainState:
     cutpoints: np.ndarray  # (C + 1,)
 
     def copy(self) -> "ChainState":
-        return ChainState(
-            self.beta.copy(), self.alpha.copy(), self.latent_l.copy(), self.latent_v.copy(),
-            self.s.copy(), self.lambda_sq, self.phi, self.cutpoints.copy(),
-        )
+        values = (getattr(self, f.name) for f in fields(self))
+        return ChainState(*(v.copy() if isinstance(v, np.ndarray) else v for v in values))
+
+
+@dataclass(frozen=True, eq=False)
+class StackedDataset:
+    """The datasets of a batch of K chains, which share one design: the
+    same subjects, observation count, covariate count and categories.
+
+    ``x`` is the one (n, p) matrix when every chain fits the same dataset,
+    else the (K, n, p) stack.  The index arrays point into the flattened
+    batch state, so one ``take`` or ``bincount`` serves every chain and
+    visits each chain's elements in its one-chain order: row k of
+    ``subject_index`` indexes ``alpha.ravel()`` and row k of ``y`` the
+    flattened (K, C + 1) cut-points, and ``category_runs()`` orders the
+    flattened liabilities, its categories numbered k (C + 1) + c.
+    """
+
+    x: np.ndarray
+    y: np.ndarray              # (K, n)
+    subject_index: np.ndarray  # (K, n)
+    num_subjects: int
+    num_categories: int
+    runs: tuple[np.ndarray, np.ndarray, list[int]]
+
+    @property
+    def num_covariates(self) -> int:
+        return self.x.shape[-1]
+
+    def category_runs(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        return self.runs
+
+
+@dataclass(frozen=True, eq=False)
+class BatchSpec:
+    """The model constants of a batch of K chains (``stack_specs``): what a
+    Gibbs block reads from a ``ModelSpec``, with ``xi`` as a (K, 1) array."""
+
+    dataset: StackedDataset
+    xi: np.ndarray
+    priors: Priors
+
+
+def stack_specs(specs) -> BatchSpec:
+    """One ``BatchSpec`` for chains that fit ``specs``, one spec per chain.
+
+    The specs may differ in their quantile level and their dataset, but the
+    datasets must share one design and the specs one set of priors."""
+    first = specs[0].dataset
+    n, N, C = first.num_observations, first.num_subjects, first.num_categories
+    datasets = [spec.dataset for spec in specs]
+    for spec, ds in zip(specs, datasets):
+        if (spec.priors != specs[0].priors or ds.x.shape != first.x.shape or ds.num_subjects != N
+                or ds.num_categories != C or not np.array_equal(ds.subject_index, first.subject_index)):
+            raise ConfigError("the chains of one batch must share their priors and their design")
+    x = first.x if all(ds is first for ds in datasets) else np.stack([ds.x for ds in datasets])
+    chains = np.arange(len(specs))[:, None]
+    runs = [ds.category_runs() for ds in datasets]
+    order = np.concatenate([o + k * n for k, (o, _, _) in enumerate(runs)])
+    starts = np.concatenate([s + k * n for k, (_, s, _) in enumerate(runs)])
+    present = [c + k * (C + 1) for k, (_, _, cats) in enumerate(runs) for c in cats]
+    dataset = StackedDataset(x, np.stack([ds.y for ds in datasets]) + (C + 1) * chains,
+                             first.subject_index + N * chains, N, C, (order, starts, present))
+    return BatchSpec(dataset, np.array([[spec.xi] for spec in specs]), specs[0].priors)
+
+
+def stack_states(states) -> ChainState:
+    """One batch state holding copies of the one-chain ``states``."""
+    def stacked(values):
+        return np.stack(values) if isinstance(values[0], np.ndarray) else np.array(values)
+    return ChainState(*(stacked([getattr(s, f.name) for s in states]) for f in fields(ChainState)))
 
 
 def interior_cutpoints(num_categories: int, delta_min: float, delta_max: float) -> np.ndarray:
@@ -128,17 +198,24 @@ def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
     interval (delta_{y_ij - 1}, delta_{y_ij}) of its category.  The centre
     and the standard deviation take two arrays, the uniforms are drawn into
     the previous liability array, whose values are lost, and the cut-point
-    bounds are gathered inside the truncated-normal draw.
+    bounds are gathered inside the truncated-normal draw.  A batch state
+    draws with ``rng``, the chains' generators, under a ``BatchSpec``.
     """
     ds = spec.dataset
     v = state.latent_v
-    center = ds.x @ state.beta
+    center = linear_predictor(ds.x, state.beta)
     sd = state.alpha.take(ds.subject_index)
     center += sd
     center += np.multiply(v, spec.xi, out=sd)
     np.sqrt(np.multiply(v, 2.0, out=sd), out=sd)
     cuts = state.cutpoints
     state.latent_l = _trunc_normal_gathered(center, sd, _shifted_cutpoints(cuts), cuts, ds.y, rng, state.latent_l)
+
+
+def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``x @ beta`` for one chain; for a batch, each chain's product by one
+    stacked matmul, which gives every chain the bits of its own ``x @ beta``."""
+    return x @ beta if beta.ndim == 1 else np.matmul(x, beta[..., None])[..., 0]
 
 
 def _shifted_cutpoints(cuts: np.ndarray) -> np.ndarray:

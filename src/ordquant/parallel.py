@@ -8,8 +8,7 @@ number of workers.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 
 __all__ = ["ordered_map"]
 
@@ -26,7 +25,9 @@ def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
 
     Workers are forked, so they start without re-importing numpy and the
     package.  With fork the executor starts every worker before its own
-    manager thread, and the package starts no other threads.
+    manager thread, and the package starts no other threads.  The pool
+    modules are imported only here, so a run that never forks does not
+    load them.
     """
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
@@ -36,13 +37,18 @@ def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
             except errors as exc:
                 yield exc
         return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
-        futures = [pool.submit(func, task) for task in tasks]
+        # A future leaves the queue before its result is yielded, so while a
+        # consumer keeps the generator open no yielded result is held here.
+        futures = deque(pool.submit(func, task) for task in tasks)
         try:
-            for future in futures:
+            while futures:
                 try:
-                    yield future.result()
+                    yield futures.popleft().result()
                 except errors as exc:
                     yield exc
         finally:

@@ -19,7 +19,8 @@ import numpy as np
 from .data import OrdinalDataset, _write_table, write_csv
 from .diagnostics import ReplicationReport, relative_bias, relative_efficiency
 from .errors import ChainDivergedError, ConfigError
-from .gibbs import SamplerConfig, parameter_names, run_chain
+from .gibbs import (_BATCH_CELLS, PosteriorDraws, SamplerConfig, _split, collect_draws, parameter_names, run_chain,
+                    sample_tasks)
 from .kvfile import write_kv
 from .model import ModelSpec, Priors
 from .parallel import ordered_map
@@ -148,7 +149,10 @@ def sim_priors() -> Priors:
 def posterior_mean_estimator(dataset: OrdinalDataset, theta: float, sampler: SamplerConfig) -> dict[str, float]:
     """Default per-replication estimator: posterior means from one fit."""
     spec = ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
-    draws = run_chain(spec, sampler)
+    return _posterior_means(spec, run_chain(spec, sampler))
+
+
+def _posterior_means(spec: ModelSpec, draws: PosteriorDraws) -> dict[str, float]:
     return {name: float(draws.column(name).mean()) for name in parameter_names(spec)}
 
 
@@ -169,17 +173,52 @@ class ReplicationRun:
                       np.repeat(self.thetas, [len(mat) for mat in mats]), *np.concatenate(mats).T])
 
 
+def _replication_dataset(config: ScenarioConfig, rep: int) -> OrdinalDataset:
+    return generate(config, substream(config.seed, STREAM_REPLICATION, rep, 0))
+
+
+def _fit_config(config: ScenarioConfig, sampler: SamplerConfig, rep: int, q: int) -> SamplerConfig:
+    """Replication ``rep``'s sampler at the ``q``-th quantile level."""
+    return replace(sampler, seed=child_seed(config.seed, STREAM_REPLICATION, rep, 1 + q))
+
+
 def _replication_worker(args):
+    """One replication's estimates at every level, from ``estimator``."""
     config, sampler, thetas, rep, estimator = args
-    estimator = estimator or posterior_mean_estimator
-    data_rng = substream(config.seed, STREAM_REPLICATION, rep, 0)
-    dataset = generate(config, data_rng)
-    results = {}
-    for q, theta in enumerate(thetas):
-        fit_seed = child_seed(config.seed, STREAM_REPLICATION, rep, 1 + q)
-        fit_cfg = replace(sampler, seed=fit_seed)
-        results[theta] = estimator(dataset, theta, fit_cfg)
-    return results
+    dataset = _replication_dataset(config, rep)
+    return {theta: estimator(dataset, theta, _fit_config(config, sampler, rep, q)) for q, theta in enumerate(thetas)}
+
+
+def _replication_group(args) -> list:
+    """Posterior means of the replications ``reps``, or the error that ended
+    each one's first failed fit.
+
+    The replications are taken a batch at a time, as many as keep the batch
+    within ``gibbs._BATCH_CELLS`` chain-observations, and at each level the
+    chains of every replication of the batch still alive are sampled as one
+    batch; each chain draws from its own stream, so the estimates equal
+    ``posterior_mean_estimator``'s."""
+    config, sampler, thetas, reps = args
+    chains = sampler.num_chains
+    size = max(1, _BATCH_CELLS // (config.subjects * config.obs_per_subject * chains))
+    outcomes = {}
+    for start in range(0, len(reps), size):
+        datasets = {rep: _replication_dataset(config, rep) for rep in reps[start:start + size]}
+        estimates = {rep: {} for rep in datasets}
+        for q, theta in enumerate(thetas):
+            fits = [(rep, ModelSpec(theta=theta, dataset=datasets[rep], priors=sim_priors()),
+                     _fit_config(config, sampler, rep, q)) for rep in datasets if rep not in outcomes]
+            blocks = iter(sample_tasks([(spec, cfg, c) for _, spec, cfg in fits for c in range(chains)]))
+            for rep, spec, cfg in fits:
+                rows = [next(blocks) for _ in range(chains)]
+                failure = next((b for b in rows if isinstance(b, Exception)), None)
+                if failure is not None:
+                    outcomes[rep] = failure
+                else:
+                    estimates[rep][theta] = _posterior_means(spec, collect_draws(spec, cfg, rows))
+        for rep, found in estimates.items():
+            outcomes.setdefault(rep, found)
+    return [outcomes[rep] for rep in reps]
 
 
 def run_replication_study(
@@ -194,9 +233,14 @@ def run_replication_study(
     A replication whose chain diverges is recorded and skipped; the report
     states the attrition.  With two or more completed replications, each
     level's report gets the efficiency block ``theta=<level>`` against the
-    first level (exactly 1 there).  With ``jobs > 1`` replications run in
-    separate processes; aggregation is in replication-index order either
-    way, so the output is identical.
+    first level (exactly 1 there).  Without an ``estimator``, the
+    replications are split into up to ``jobs`` contiguous groups, and a
+    group's fits are sampled as batches of chains (``_replication_group``);
+    with one, each replication is a task that calls it at every level.  With
+    ``jobs > 1`` the tasks run in up to ``jobs`` worker processes.
+    Aggregation is in replication-index order either way, so the output is
+    identical for any ``jobs``, and the default equals
+    ``estimator=posterior_mean_estimator``.
     """
     thetas = [float(t) for t in thetas]
     p = len(config.true_beta)
@@ -204,10 +248,14 @@ def run_replication_study(
     names += [f"delta_{c}" for c in range(1, config.num_categories)]
     truth = dict(zip(names, list(config.true_beta) + list(config.true_cutpoints)))
 
-    tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]
+    if estimator is None:
+        groups = [(config, sampler, thetas, reps) for reps in _split(range(config.replications), jobs)]
+        outcomes = (outcome for group in ordered_map(_replication_group, groups, jobs) for outcome in group)
+    else:
+        tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]
+        outcomes = ordered_map(_replication_worker, tasks, jobs, errors=(ChainDivergedError, FloatingPointError))
     results: dict[int, dict] = {}
     failures: list[str] = []
-    outcomes = ordered_map(_replication_worker, tasks, jobs, errors=(ChainDivergedError, FloatingPointError))
     for rep, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             failures.append(f"replication {rep}: {outcome}")

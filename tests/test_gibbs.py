@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ordquant.gibbs import (
     update_v,
     write_draws,
 )
-from ordquant.model import ChainState, ModelSpec, Priors, initialize_state
+from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, stack_specs, stack_states
 from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import STREAM_CHAIN, substream
 
@@ -262,6 +263,17 @@ class TestScalarGeneratorPaths:
             assert getattr(state, field).tobytes() == getattr(twin, field).tobytes()
             assert g.bit_generator.state == g_ref.bit_generator.state
 
+    def test_scalar_uniform_and_normal_forms_draw_the_same_bits(self):
+        # update_delta's _uniform and the standard-normal form of the
+        # coefficient and location draws, against the generator calls.
+        cases = rng(7).uniform(-5.0, 5.0, size=(5000, 2))
+        g, g_ref = rng(8), rng(8)
+        for lo, width in cases.tolist():
+            hi = lo + abs(width) + 1e-3
+            assert gibbs._uniform(g, lo, hi) == g_ref.uniform(lo, hi)
+            assert lo + (hi - lo) * g.standard_normal() == g_ref.normal(lo, hi - lo)
+        assert g.bit_generator.state == g_ref.bit_generator.state
+
     @pytest.mark.parametrize("block, reference, field", BLOCKS)
     def test_nan_beta_gives_nan_on_both_paths(self, block, reference, field):
         state, spec = random_state_spec(50, 4)
@@ -462,14 +474,14 @@ class TestLiabilityDraw:
 
 
 class BoundsRecorder:
-    """Stands in for the generator in ``update_delta``: records each uniform
-    draw's support and returns its midpoint, so the next cut-point's bounds
-    are known exactly."""
+    """Stands in for ``gibbs._uniform``, the uniform draw of ``update_delta``:
+    records each draw's support and returns its midpoint, so the next
+    cut-point's bounds are known exactly."""
 
     def __init__(self):
         self.bounds = []
 
-    def uniform(self, low, high, size=None):
+    def __call__(self, g, low, high):
         self.bounds.append((low, high))
         return 0.5 * (low + high)
 
@@ -488,10 +500,11 @@ class TestUpdateDelta:
         )
         return spec, state
 
-    def test_direct_bounds(self):
+    def test_direct_bounds(self, monkeypatch):
         spec, state = self.delta_fixture()
         g = BoundsRecorder()
-        update_delta(state, spec, g)
+        monkeypatch.setattr(gibbs, "_uniform", g)
+        update_delta(state, spec, rng(0))
         assert g.bounds == [(0.3, 0.7)]
 
     def test_uniform_distribution_ks(self):
@@ -506,7 +519,7 @@ class TestUpdateDelta:
         cdf = lambda t: np.clip((t - 0.3) / 0.4, 0.0, 1.0)
         assert ks_vs_cdf(draws, cdf) < 0.01
 
-    def test_empty_category_falls_back_to_neighbours(self):
+    def test_empty_category_falls_back_to_neighbours(self, monkeypatch):
         x = np.zeros((3, 1))
         y = np.array([1, 3, 3])  # category 2 unobserved
         ds = OrdinalDataset(["s"], np.zeros(3, dtype=int), y, x, np.arange(3), 3)
@@ -518,7 +531,8 @@ class TestUpdateDelta:
             cutpoints=np.array([-np.inf, -0.5, 1.0, np.inf]),
         )
         g = BoundsRecorder()
-        update_delta(state, spec, g)
+        monkeypatch.setattr(gibbs, "_uniform", g)
+        update_delta(state, spec, rng(0))
         (lo1, hi1), (lo, hi) = g.bounds
         assert lo1 == -1.0
         assert hi1 == 1.0  # empty category 2 contributes +inf; neighbour binds
@@ -804,6 +818,151 @@ def edit_line(line, text):
     def edit(lines):
         lines[line - 1] = text
     return edit
+
+
+def chain_of(batch: ChainState, k: int) -> ChainState:
+    """Chain ``k`` of a batch state, as a one-chain state."""
+    return ChainState(batch.beta[k], batch.alpha[k], batch.latent_l[k], batch.latent_v[k], batch.s[k],
+                      float(batch.lambda_sq[k]), float(batch.phi[k]), batch.cutpoints[k])
+
+
+def assert_same_state(got: ChainState, want: ChainState) -> None:
+    for name in ("beta", "alpha", "latent_l", "latent_v", "s", "cutpoints"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("lambda_sq", "phi"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
+
+
+def batch_case(case):
+    """One-chain specs and states that one batch will hold.
+
+    ``shared``: three chains of one dataset.  ``distinct``: five datasets of
+    one design at two quantile levels, one with an empty category.
+    ``tails``: one chain whose liability draw takes the truncated-normal
+    tail branch.  ``fallback``: one chain whose location move misses its
+    narrow bounds and falls back to the truncated-normal draw, and one
+    whose end cut-points sit on the support, so its move is pinned.
+    """
+    if case == "shared":
+        specs = [liability_spec(0.3, subjects=40)] * 3
+    elif case == "distinct":
+        specs = [liability_spec(theta, subjects=40, empty=2 if k == 3 else None, seed=k)
+                 for k, theta in enumerate((0.25, 0.5, 0.25, 0.5, 0.5))]
+    else:
+        specs = [liability_spec(0.7, subjects=40, seed=k) for k in range(3)]
+    states = []
+    for k, spec in enumerate(specs):
+        g = rng(60 + k)
+        state = initialize_state(spec, g, overdispersed=True)
+        for _ in range(3):
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
+        pri = spec.priors
+        if case == "tails" and k == 1:
+            state.latent_v[:] = 0.5
+            state.cutpoints[-2] = 2.9
+        if case == "fallback" and k == 1:
+            state.cutpoints[1:-1] = [pri.delta_min + 1e-3, 0.0, pri.delta_max - 1e-3]
+        if case == "fallback" and k == 2:
+            state.cutpoints[1:-1] = [pri.delta_min, 0.0, pri.delta_max]
+        update_l(state, spec, g)  # liabilities consistent with the edited cut-points
+        states.append(state)
+    return specs, states
+
+
+class TestBatchedBlocks:
+    """Every block advances a batch of chains, each drawing from its own
+    generator, to the bits each chain reaches alone."""
+
+    @pytest.mark.parametrize("case", ["shared", "distinct", "tails", "fallback"])
+    @pytest.mark.parametrize("block", gibbs._SWEEP, ids=lambda op: op.__name__)
+    def test_block_matches_each_chain_alone(self, case, block, monkeypatch):
+        specs, states = batch_case(case)
+        if block is update_l and case == "tails":
+            assert [tail_elements(state, spec) > 0 for state, spec in zip(states, specs)] == [False, True, False]
+        fallbacks = []
+        if case == "fallback" and block is update_v:
+            def counted(*args, trunc_normal=gibbs._trunc_normal):
+                fallbacks.append(None)
+                return trunc_normal(*args)
+            monkeypatch.setattr(gibbs, "_trunc_normal", counted)
+        gens = [rng(70 + k) for k in range(len(states))]
+        batch = stack_states(states)
+        block(batch, stack_specs(specs), gens)
+        in_batch = len(fallbacks)
+        for k, (spec, state) in enumerate(zip(specs, states)):
+            g = rng(70 + k)
+            block(state, spec, g)
+            assert_same_state(chain_of(batch, k), state)
+            assert gens[k].bit_generator.state == g.bit_generator.state
+        if case == "fallback" and block is update_v:
+            assert in_batch == len(fallbacks) - in_batch == 1
+
+    def test_stack_specs_rejects_different_designs(self):
+        with pytest.raises(ConfigError, match="share"):
+            stack_specs([liability_spec(0.5, subjects=40), liability_spec(0.5, subjects=30)])
+
+
+class TestBatchedChains:
+    """``sample_tasks`` samples chains as one batch with the draws of
+    one-chain runs, and samples a batch again one chain at a time when a
+    chain fails in it."""
+
+    @staticmethod
+    def tasks(chains, theta, distinct):
+        config = SamplerConfig(iterations=30, burn_in=6, thin=4, overdispersed_starts=True, retain_alpha=True)
+        specs = [small_sim_spec(theta, seed=21 + (k if distinct else 0)) for k in range(chains)]
+        return [(spec, replace(config, seed=900 + k), k) for k, spec in enumerate(specs)]
+
+    @pytest.mark.parametrize("chains", [1, 2, 5])
+    @pytest.mark.parametrize("theta", [0.25, 0.5])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
+    def test_batch_matches_one_chain_runs(self, chains, theta, distinct):
+        tasks = self.tasks(chains, theta, distinct)
+        batched = gibbs._sample_chains(tasks)  # raises where sample_tasks would fall back
+        for task, rows in zip(tasks, batched):
+            assert rows.tobytes() == gibbs._sample_chains([task])[0].tobytes()
+        assert [rows.tobytes() for rows in gibbs.sample_tasks(tasks)] == [rows.tobytes() for rows in batched]
+
+    def test_batches_are_bounded(self, monkeypatch):
+        tasks = self.tasks(5, 0.5, True)
+        sizes = []
+
+        def sample_chains(batch, sample=gibbs._sample_chains):
+            sizes.append(len(batch))
+            return sample(batch)
+
+        monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
+        monkeypatch.setattr(gibbs, "_BATCH_CELLS", 2 * tasks[0][0].dataset.num_observations)
+        gibbs.sample_tasks(tasks)
+        assert sizes == [2, 2, 1]
+
+    def test_diverging_chain_is_reported_alone(self, monkeypatch):
+        tasks = self.tasks(4, 0.5, True)
+        clean = [gibbs._sample_chains([task])[0].tobytes() for task in tasks]
+        target = tasks[2][0].dataset.x
+        sweeps = {"batch": 0, "alone": 0}
+
+        def update_beta(state, spec, rng_):
+            # Chain 2 turns non-finite at its fifth sweep, in a batch or alone.
+            gibbs.update_beta(state, spec, rng_)
+            x = spec.dataset.x
+            run = "batch" if x.ndim == 3 else "alone" if x is target else None
+            if run:
+                sweeps[run] += 1
+                if sweeps[run] == 5:
+                    (state.beta[2] if run == "batch" else state.beta)[0] = np.nan
+
+        monkeypatch.setattr(gibbs, "_SWEEP", tuple(update_beta if op is gibbs.update_beta else op
+                                                   for op in gibbs._SWEEP))
+        with pytest.raises(ChainDivergedError) as alone:
+            gibbs._sample_chains([tasks[2]])
+        assert "chain 2: " in str(alone.value) and "at sweep 5 with non-finite beta" in str(alone.value)
+        sweeps["alone"] = 0
+        outcomes = gibbs.sample_tasks(tasks)
+        assert sweeps["batch"] == 5
+        assert str(outcomes[2]) == str(alone.value)
+        assert [rows.tobytes() for k, rows in enumerate(outcomes) if k != 2] == clean[:2] + clean[3:]
 
 
 class TestPosteriorDrawsIO:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ordquant import gibbs
 from ordquant.diagnostics import relative_efficiency
 from ordquant.errors import ChainDivergedError, ConfigError
 from ordquant.gibbs import SamplerConfig
@@ -12,6 +13,7 @@ from ordquant.simulate import (
     ScenarioConfig,
     generate,
     liability_to_category,
+    posterior_mean_estimator,
     run_replication_study,
     write_scenario_dataset,
 )
@@ -246,6 +248,56 @@ class TestReplicationStudy:
         seq = run_replication_study(cfg, sampler, thetas=[0.5])
         par = run_replication_study(cfg, sampler, thetas=[0.5], jobs=2)
         np.testing.assert_array_equal(seq.estimates[0.5], par.estimates[0.5])
+
+    @staticmethod
+    def assert_same_run(got, want):
+        assert got.failures == want.failures
+        for theta in want.thetas:
+            assert got.estimates[theta].tobytes() == want.estimates[theta].tobytes()
+            assert got.reports[theta] == want.reports[theta]
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_batched_study_equals_per_replication_estimator(self, chains):
+        cfg = ScenarioConfig(scenario="sim2", subjects=6, obs_per_subject=3, replications=5, seed=10)
+        sampler = SamplerConfig(iterations=60, burn_in=10, thin=2, num_chains=chains)
+        reference = run_replication_study(cfg, sampler, thetas=[0.25, 0.5], estimator=posterior_mean_estimator)
+        for jobs in (1, 2, 3):
+            self.assert_same_run(run_replication_study(cfg, sampler, thetas=[0.25, 0.5], jobs=jobs), reference)
+
+    def test_diverging_replication_reads_as_alone(self, monkeypatch):
+        cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=4, seed=11)
+        sampler = SamplerConfig(iterations=40, burn_in=10)
+        clean = run_replication_study(cfg, sampler, thetas=[0.25, 0.5])
+        target = generate(cfg, substream(cfg.seed, 1, 2, 0)).x  # replication 2's covariates
+        sweeps = {}
+
+        def update_beta(state, spec, rng):
+            # Replication 2's chain turns non-finite at its fifth sweep at
+            # the first level, whether it runs in a batch or alone.
+            gibbs.update_beta(state, spec, rng)
+            x = spec.dataset.x
+            if x.ndim == 3:  # the stacked covariates of a batch of replications
+                hits = [k for k in range(len(x)) if np.array_equal(x[k], target)]
+                run, beta = "batch", state.beta[hits[0]] if hits else None
+            else:
+                run, beta = "alone", state.beta if np.array_equal(x, target) else None
+            if beta is not None:
+                sweeps[run] = sweeps.get(run, 0) + 1
+                if sweeps[run] == 5:
+                    beta[:] = np.nan
+
+        monkeypatch.setattr(gibbs, "_SWEEP", tuple(update_beta if op is gibbs.update_beta else op
+                                                   for op in gibbs._SWEEP))
+        batched = run_replication_study(cfg, sampler, thetas=[0.25, 0.5])
+        assert sweeps == {"batch": 5, "alone": 5}
+        sweeps.clear()
+        alone = run_replication_study(cfg, sampler, thetas=[0.25, 0.5], estimator=posterior_mean_estimator)
+        self.assert_same_run(batched, alone)
+        assert len(batched.failures) == 1
+        assert batched.failures[0].startswith("replication 2: chain 0: update_")
+        assert "at sweep 5 with non-finite beta" in batched.failures[0]
+        for theta in clean.thetas:
+            assert batched.estimates[theta].tobytes() == clean.estimates[theta][[0, 1, 3]].tobytes()
 
     def test_estimates_csv(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=5, obs_per_subject=3, replications=2, seed=9)
