@@ -27,7 +27,7 @@ from . import __version__
 from .data import CsvSchema, _csv_cells, _write_table, ingest_csv
 from .diagnostics import dic, mpsrf, summarize
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
-from .gibbs import SamplerConfig, read_draws, run_chains, write_draws
+from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
 from .kvfile import read_kv, write_kv
 from .model import ModelSpec, Priors
 from .simulate import ScenarioConfig, generate, run_replication_study, write_scenario_dataset
@@ -271,12 +271,13 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
         raise DataError(f"input {input_path} has sha256 {digest}, but the manifest records {expected}")
     priors = _priors_from(resolved)
     specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
-    # One worker process per (level, chain), up to the CPUs this process may
-    # run on (all CPUs where the OS has no affinity masks); the draws do not
-    # depend on the number of workers.
+    # One worker process per chain, up to the CPUs this process may run on
+    # (all CPUs where the OS has no affinity masks); the draws do not depend
+    # on the number of workers.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(len(specs) * config.num_chains, cpus)
-    for spec, draws in zip(specs, run_chains(specs, config, jobs)):
+    jobs = min(config.num_chains, cpus)
+    for spec in specs:
+        draws = run_chain(spec, config, jobs)
         write_draws(draws, out_dir / f"draws-theta{spec.theta:g}.csv", spec)
         _write_reports(out_dir, f"-theta{spec.theta:g}", draws, resolved, config.num_chains >= 2,
                        spec if resolved["dic"] else None)

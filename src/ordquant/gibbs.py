@@ -16,21 +16,23 @@ liabilities.
 
 Chain scheduling.  A chain is strictly sequential, and each chain draws
 only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
-``run_chains(specs, config, jobs)`` splits each spec's chains into up to
-``jobs`` contiguous groups and hands every (spec, group) task to one
-``parallel.ordered_map``, which runs them in up to ``jobs`` worker processes
-(in this process when ``jobs`` is 1).  A worker samples its group as batches
-of at most ``_BATCH_CELLS`` chain-observations (``sample_tasks``): one call
-of a block advances every chain of a batch, and one chain alone runs on
-one-chain arrays.  The parent copies each chain's retained rows into the
-draws matrix in chain order, so the draws are identical for any ``jobs``.
-A batch in which any chain fails, or ends a sweep non-finite, is sampled
-again one chain at a time, so a failure reads as it does in a one-chain
-run and the other chains keep their draws.  ``ordquant fit`` runs one
-worker per (level, chain), capped by the usable CPUs, so up to the CPUs
-every chain samples alone; the replication study batches the chains of a
-worker's replications (``simulate._replication_group``).  Workers never
-start pools of their own.
+``run_chain(spec, config, jobs)`` splits the chains into up to ``jobs``
+contiguous groups, and each group into batches of at most
+``chains_per_batch`` chains, as many as keep a batch within
+``_BATCH_CELLS`` chain-observations and ``_BATCH_CELLS`` retained draw
+cells.  ``parallel.ordered_map`` runs the batches in up to ``jobs`` worker
+processes (in this process when ``jobs`` is 1).  One call of a block
+advances every chain of a batch, and one chain alone runs on one-chain
+arrays.  The parent copies each chain's retained rows into the draws
+matrix in chain order, so the draws are identical for any ``jobs``.  A
+batch in which any chain fails, or ends a sweep non-finite, is sampled
+again one chain at a time (``sample_tasks``), so a failure reads as it
+does in a one-chain run and the other chains keep their draws.
+``ordquant fit`` runs the levels one after another, each with one worker
+per chain, capped by the usable CPUs, so up to the CPUs every chain
+samples alone; the replication study batches the chains of a worker's
+replications (``simulate._replication_group``).  Workers never start
+pools of their own.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -83,7 +85,6 @@ __all__ = [
     "SamplerConfig",
     "PosteriorDraws",
     "run_chain",
-    "run_chains",
     "parameter_names",
     "write_draws",
     "read_draws",
@@ -98,9 +99,8 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
-# Chain-observations one batch holds: chains that fit datasets of n
-# observations are sampled max(1, _BATCH_CELLS // n) at a time, so a batch
-# of large panels is one chain on one-chain arrays.
+# Chain-observations, and retained draw cells, one batch of chains holds
+# (``chains_per_batch``).
 _BATCH_CELLS = 1 << 16
 _INTP = np.iinfo(np.intp)
 
@@ -432,35 +432,31 @@ class PosteriorDraws:
 def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> PosteriorDraws:
     """Run the sampler and collect retained draws from every chain.
 
-    The chains are split into up to ``jobs`` contiguous groups, each sampled
-    in its own worker process when ``jobs > 1``; the draws are identical for
-    any ``jobs``.  A numerical failure inside a sweep raises
-    ``ChainDivergedError`` naming the chain, the sweep and the block.
+    The chains are split into up to ``jobs`` contiguous groups, and each
+    group into batches of at most ``chains_per_batch`` chains; the batches
+    run in up to ``jobs`` worker processes when ``jobs > 1``, and the draws
+    are identical for any ``jobs``.  A numerical failure inside a sweep
+    raises ``ChainDivergedError`` naming the chain, the sweep and the block.
     """
-    [draws] = run_chains([spec], config, jobs)
-    return draws
+    size = chains_per_batch(spec, config)
+    batches = [[(spec, config, chain) for chain in group[a:a + size]]
+               for group in split_groups(range(config.num_chains), jobs) for a in range(0, len(group), size)]
+    # Each batch's rows are copied as they arrive, so one batch's rows are
+    # held besides the draws matrix.
+    return collect_draws(spec, config, (rows for batch in ordered_map(_sample_batch, batches, jobs) for rows in batch))
 
 
-def run_chains(specs, config: SamplerConfig, jobs: int = 1):
-    """Yield the draws of ``config`` under each of ``specs``, in order.
-
-    Each spec's chains are split into up to ``jobs`` contiguous groups, and
-    every (spec, group) task goes to one ``ordered_map`` with ``jobs``
-    workers, so the tasks of later specs run while earlier draws are used.
-    A group is sampled in batches of at most ``_BATCH_CELLS``
-    chain-observations.  The first chain, in spec and chain order, that
-    fails raises its ``ChainDivergedError`` when its spec's turn comes.
-    """
-    groups = _split(range(config.num_chains), jobs)
-    tasks = [[(spec, config, chain) for chain in group] for spec in specs for group in groups]
-    results = ordered_map(_sample_group, tasks, jobs)
-    for spec in specs:
-        # Each group's rows are copied as they arrive, so one group's rows
-        # are held besides the draws matrix.
-        yield collect_draws(spec, config, (rows for _ in groups for rows in next(results)))
+def chains_per_batch(spec: ModelSpec, config: SamplerConfig) -> int:
+    """How many chains of ``config`` on datasets of ``spec``'s design one
+    batch samples: as many as keep both its chain-observations and its
+    retained draw cells within ``_BATCH_CELLS``, and at least one.  So a
+    batch of large panels or of long chains is one chain on one-chain
+    arrays, and holds what a one-chain run holds."""
+    row_cells = config.retained_per_chain * len(parameter_names(spec, config.retain_alpha))
+    return max(1, _BATCH_CELLS // max(spec.dataset.num_observations, row_cells))
 
 
-def _split(items, parts: int) -> list[list]:
+def split_groups(items, parts: int) -> list[list]:
     """``items`` as at most ``parts`` contiguous groups whose sizes differ by at most one."""
     items = list(items)
     parts = max(1, min(parts, len(items)))
@@ -481,7 +477,7 @@ def collect_draws(spec: ModelSpec, config: SamplerConfig, blocks) -> PosteriorDr
     return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
 
 
-def _sample_group(tasks) -> list[np.ndarray]:
+def _sample_batch(tasks) -> list[np.ndarray]:
     """The retained rows of each chain task; the first chain that fails raises."""
     outcomes = sample_tasks(tasks)
     for outcome in outcomes:
@@ -496,12 +492,12 @@ def sample_tasks(tasks) -> list:
     order.
 
     The tasks share one design and one configuration but for its seed.
-    They are sampled in batches of at most ``_BATCH_CELLS``
-    chain-observations; a batch in which any chain fails or ends a sweep
-    non-finite is sampled again one chain at a time, so a failure reads as
-    it does in a one-chain run, and the other chains keep their draws.
+    They are sampled in batches of ``chains_per_batch`` chains; a batch in
+    which any chain fails or ends a sweep non-finite is sampled again one
+    chain at a time, so a failure reads as it does in a one-chain run, and
+    the other chains keep their draws.
     """
-    size = max(1, _BATCH_CELLS // tasks[0][0].dataset.num_observations)
+    size = chains_per_batch(tasks[0][0], tasks[0][1])
     outcomes = []
     for start in range(0, len(tasks), size):
         batch = tasks[start:start + size]

@@ -91,8 +91,10 @@ class ChainState:
     cutpoints: np.ndarray  # (C + 1,)
 
     def copy(self) -> "ChainState":
-        values = (getattr(self, f.name) for f in fields(self))
-        return ChainState(*(v.copy() if isinstance(v, np.ndarray) else v for v in values))
+        return ChainState(
+            self.beta.copy(), self.alpha.copy(), self.latent_l.copy(), self.latent_v.copy(),
+            self.s.copy(), self.lambda_sq, self.phi, self.cutpoints.copy(),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +239,6 @@ def nonfinite_blocks(state: ChainState) -> list[str]:
         ("s", state.s),
         ("lambda_sq", state.lambda_sq),
         ("phi", state.phi),
-        ("delta", state.cutpoints[1:-1]),
+        ("delta", state.cutpoints[..., 1:-1]),
     )
     return [name for name, block in blocks if not np.all(np.isfinite(block))]

@@ -19,8 +19,8 @@ import numpy as np
 from .data import OrdinalDataset, _write_table, write_csv
 from .diagnostics import ReplicationReport, relative_bias, relative_efficiency
 from .errors import ChainDivergedError, ConfigError
-from .gibbs import (_BATCH_CELLS, PosteriorDraws, SamplerConfig, _split, collect_draws, parameter_names, run_chain,
-                    sample_tasks)
+from .gibbs import (PosteriorDraws, SamplerConfig, chains_per_batch, collect_draws, parameter_names, run_chain,
+                    sample_tasks, split_groups)
 from .kvfile import write_kv
 from .model import ModelSpec, Priors
 from .parallel import ordered_map
@@ -148,8 +148,12 @@ def sim_priors() -> Priors:
 
 def posterior_mean_estimator(dataset: OrdinalDataset, theta: float, sampler: SamplerConfig) -> dict[str, float]:
     """Default per-replication estimator: posterior means from one fit."""
-    spec = ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
+    spec = _sim_spec(theta, dataset)
     return _posterior_means(spec, run_chain(spec, sampler))
+
+
+def _sim_spec(theta: float, dataset: OrdinalDataset) -> ModelSpec:
+    return ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
 
 
 def _posterior_means(spec: ModelSpec, draws: PosteriorDraws) -> dict[str, float]:
@@ -193,21 +197,24 @@ def _replication_group(args) -> list:
     """Posterior means of the replications ``reps``, or the error that ended
     each one's first failed fit.
 
-    The replications are taken a batch at a time, as many as keep the batch
-    within ``gibbs._BATCH_CELLS`` chain-observations, and at each level the
-    chains of every replication of the batch still alive are sampled as one
-    batch; each chain draws from its own stream, so the estimates equal
+    The replications are taken a batch at a time, as many as keep their
+    chains within ``gibbs.chains_per_batch``, and at each level the chains
+    of every replication of the batch still alive are sampled as one batch;
+    each chain draws from its own stream, so the estimates equal
     ``posterior_mean_estimator``'s."""
     config, sampler, thetas, reps = args
     chains = sampler.num_chains
-    size = max(1, _BATCH_CELLS // (config.subjects * config.obs_per_subject * chains))
+    datasets = {reps[0]: _replication_dataset(config, reps[0])}
+    # Every replication's dataset has the first one's design.
+    size = max(1, chains_per_batch(_sim_spec(thetas[0], datasets[reps[0]]), sampler) // chains)
     outcomes = {}
     for start in range(0, len(reps), size):
-        datasets = {rep: _replication_dataset(config, rep) for rep in reps[start:start + size]}
+        datasets = {rep: datasets[rep] if rep in datasets else _replication_dataset(config, rep)
+                    for rep in reps[start:start + size]}
         estimates = {rep: {} for rep in datasets}
         for q, theta in enumerate(thetas):
-            fits = [(rep, ModelSpec(theta=theta, dataset=datasets[rep], priors=sim_priors()),
-                     _fit_config(config, sampler, rep, q)) for rep in datasets if rep not in outcomes]
+            fits = [(rep, _sim_spec(theta, datasets[rep]), _fit_config(config, sampler, rep, q))
+                    for rep in datasets if rep not in outcomes]
             blocks = iter(sample_tasks([(spec, cfg, c) for _, spec, cfg in fits for c in range(chains)]))
             for rep, spec, cfg in fits:
                 rows = [next(blocks) for _ in range(chains)]
@@ -249,7 +256,7 @@ def run_replication_study(
     truth = dict(zip(names, list(config.true_beta) + list(config.true_cutpoints)))
 
     if estimator is None:
-        groups = [(config, sampler, thetas, reps) for reps in _split(range(config.replications), jobs)]
+        groups = [(config, sampler, thetas, reps) for reps in split_groups(range(config.replications), jobs)]
         outcomes = (outcome for group in ordered_map(_replication_group, groups, jobs) for outcome in group)
     else:
         tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]

@@ -179,30 +179,6 @@ class TestFit:
         assert run([*args, "--out", tmp_path / "no-affinity"]) == 0
         assert digests(tmp_path / "no-affinity") == serial
 
-    def test_levels_share_one_pool(self, tmp_path, toy_csv, monkeypatch):
-        # A one-chain fit at three levels samples every level in a worker
-        # when two CPUs are usable, and writes the bytes of one CPU.
-        calls = []
-
-        def update_delta(state, spec, rng):
-            calls.append(None)
-            gibbs.update_delta(state, spec, rng)
-
-        monkeypatch.setattr(gibbs, "_SWEEP", tuple(update_delta if op is gibbs.update_delta else op
-                                                   for op in gibbs._SWEEP))
-        args = ["fit", "--input", toy_csv, "--iterations", "40", "--burn-in", "10", "--theta", "0.25,0.5,0.75",
-                "--seed", "6"]
-        digests = {}
-        for cpus, out in (({0}, "serial"), ({0, 1}, "pooled")):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            calls.clear()
-            assert run([*args, "--out", tmp_path / out]) == 0
-            assert len(calls) == (120 if out == "serial" else 0)
-            files = sorted(p for p in (tmp_path / out / "fit-6").iterdir() if p.name != "manifest.txt")
-            digests[out] = {p.name: p.read_bytes() for p in files}
-        assert "draws-theta0.75.csv" in digests["serial"]
-        assert digests["pooled"] == digests["serial"]
-
     @pytest.mark.parametrize("args", [["--iterations", "3", "--burn-in", "2"],
                                       ["--iterations", "12", "--burn-in", "2", "--thin", "6"]], ids=["burn-in", "thin"])
     def test_one_retained_draw_exits_2_before_sampling(self, tmp_path, toy_csv, capsys, args):
@@ -265,7 +241,7 @@ class TestFit:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the options were checked")
 
-        monkeypatch.setattr(cli, "run_chains", no_sampling)
+        monkeypatch.setattr(cli, "run_chain", no_sampling)
         out = tmp_path / "runs"
         assert run(["fit", "--input", toy_csv, "--iterations", "40", "--burn-in", "10",
                     "--seed", "3", "--out", out, *args]) == 2
@@ -529,7 +505,7 @@ class TestReplay:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the input was checked")
 
-        monkeypatch.setattr(cli, "run_chains", no_sampling)
+        monkeypatch.setattr(cli, "run_chain", no_sampling)
         assert run(["replay", manifest, "--out", tmp_path / "replayed"]) == 2
         assert f"input {toy_csv} has sha256 {edited}, but the manifest records {recorded}" in capsys.readouterr().err
         assert not (tmp_path / "replayed").exists()

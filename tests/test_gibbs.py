@@ -26,7 +26,7 @@ from ordquant.gibbs import (
     update_v,
     write_draws,
 )
-from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, stack_specs, stack_states
+from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, nonfinite_blocks, stack_specs, stack_states
 from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import STREAM_CHAIN, substream
 
@@ -924,8 +924,18 @@ class TestBatchedChains:
             assert rows.tobytes() == gibbs._sample_chains([task])[0].tobytes()
         assert [rows.tobytes() for rows in gibbs.sample_tasks(tasks)] == [rows.tobytes() for rows in batched]
 
-    def test_batches_are_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("long_chains", [False, True], ids=["observations", "retained-draws"])
+    def test_batches_are_bounded(self, monkeypatch, long_chains):
+        # A batch holds at most _BATCH_CELLS chain-observations and at most
+        # _BATCH_CELLS retained draw cells, so long chains are split.
         tasks = self.tasks(5, 0.5, True)
+        if not long_chains:
+            short = SamplerConfig(iterations=30, burn_in=6, thin=12)
+            tasks = [(spec, replace(short, seed=config.seed), k) for spec, config, k in tasks]
+        spec, config, _ = tasks[0]
+        n = spec.dataset.num_observations
+        row_cells = config.retained_per_chain * len(gibbs.parameter_names(spec, config.retain_alpha))
+        assert (row_cells > n) == long_chains
         sizes = []
 
         def sample_chains(batch, sample=gibbs._sample_chains):
@@ -933,9 +943,49 @@ class TestBatchedChains:
             return sample(batch)
 
         monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
-        monkeypatch.setattr(gibbs, "_BATCH_CELLS", 2 * tasks[0][0].dataset.num_observations)
-        gibbs.sample_tasks(tasks)
-        assert sizes == [2, 2, 1]
+        for cells, want in ((2 * max(n, row_cells), [2, 2, 1]), (2 * min(n, row_cells), [1] * 5)):
+            monkeypatch.setattr(gibbs, "_BATCH_CELLS", cells)
+            sizes.clear()
+            gibbs.sample_tasks(tasks)
+            assert sizes == want
+
+    def test_probe_overflow_on_finite_values_keeps_the_batch(self, monkeypatch):
+        # After sweep 3, chain 1's mixing variables are finite but so large
+        # that the finiteness probe overflows; the next sweep overwrites them
+        # before any block reads them, so the batch goes on unchanged.
+        tasks = self.tasks(3, 0.5, True)
+        clean = [gibbs._sample_chains([task])[0].tobytes() for task in tasks]
+        sweeps = []
+
+        def update_delta(state, spec, rng_):
+            gibbs.update_delta(state, spec, rng_)
+            if state.beta.ndim > 1:
+                sweeps.append(None)
+                if len(sweeps) == 3:
+                    l = state.latent_l[1]
+                    assert np.abs(l).sum() > 1.0
+                    state.latent_v[1] = np.where(l >= 0, np.finfo(float).max, -np.finfo(float).max)
+
+        sizes = []
+
+        def sample_chains(batch, sample=gibbs._sample_chains):
+            sizes.append(len(batch))
+            return sample(batch)
+
+        monkeypatch.setattr(gibbs, "_SWEEP", tuple(update_delta if op is gibbs.update_delta else op
+                                                   for op in gibbs._SWEEP))
+        monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
+        outcomes = gibbs.sample_tasks(tasks)
+        assert sizes == [3]
+        assert [rows.tobytes() for rows in outcomes] == clean
+
+    def test_nonfinite_cutpoint_named_in_a_batch(self):
+        for chains in (2, 3):
+            states = [initialize_state(small_sim_spec(), substream(3, 0, k)) for k in range(chains)]
+            batch = stack_states(states)
+            assert nonfinite_blocks(batch) == []
+            batch.cutpoints[chains - 1, 1] = np.nan
+            assert nonfinite_blocks(batch) == ["delta"]
 
     def test_diverging_chain_is_reported_alone(self, monkeypatch):
         tasks = self.tasks(4, 0.5, True)

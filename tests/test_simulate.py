@@ -264,6 +264,27 @@ class TestReplicationStudy:
         for jobs in (1, 2, 3):
             self.assert_same_run(run_replication_study(cfg, sampler, thetas=[0.25, 0.5], jobs=jobs), reference)
 
+    def test_long_chains_split_the_batches(self, monkeypatch):
+        # A batch of replications counts its chains' retained draw cells as
+        # well as their observations, so long chains run one at a time.
+        cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=5, seed=12)
+        sampler = SamplerConfig(iterations=60, burn_in=10)
+        reference = run_replication_study(cfg, sampler, thetas=[0.5], estimator=posterior_mean_estimator)
+        row_cells = sampler.retained_per_chain * (len(cfg.true_beta) + cfg.num_categories + 1)
+        assert row_cells > cfg.subjects * cfg.obs_per_subject
+        sizes = []
+
+        def sample_chains(batch, sample=gibbs._sample_chains):
+            sizes.append(len(batch))
+            return sample(batch)
+
+        monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
+        for cells, want in ((2 * row_cells, [2, 2, 1]), (row_cells, [1] * 5)):
+            monkeypatch.setattr(gibbs, "_BATCH_CELLS", cells)
+            sizes.clear()
+            self.assert_same_run(run_replication_study(cfg, sampler, thetas=[0.5]), reference)
+            assert sizes == want
+
     def test_diverging_replication_reads_as_alone(self, monkeypatch):
         cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=4, seed=11)
         sampler = SamplerConfig(iterations=40, burn_in=10)
