@@ -36,6 +36,9 @@ from .streams import STREAM_DATASET, fresh_seed, substream
 # Bytes read at a time when hashing an input file for the manifest.
 _HASH_BLOCK = 1 << 16
 
+# The values ``replicate --full-paper-scale`` sets.
+_FULL_PAPER_SCALE = {"replications": 200, "iterations": 20000, "burn-in": 2000}
+
 
 @dataclass(frozen=True)
 class Opt:
@@ -243,6 +246,13 @@ def _check_report_options(resolved: dict) -> None:
         raise ConfigError(f"option checkpoints must be at least 1, got {resolved['checkpoints']}")
 
 
+def _check_levels(thetas: list[float]) -> None:
+    """Reject a quantile level listed twice, before any input is read."""
+    repeated = next((t for k, t in enumerate(thetas) if t in thetas[:k]), None)
+    if repeated is not None:
+        raise ConfigError(f"option theta lists the level {repeated!r} more than once")
+
+
 # ---------------------------------------------------------------------------
 # Command runners (fill out_dir from resolved options; return any manifest extras)
 # ---------------------------------------------------------------------------
@@ -251,6 +261,7 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
     input_path = Path(resolved["input"]).resolve()
     resolved["input"] = str(input_path)
     _check_report_options(resolved)
+    _check_levels(resolved["theta"])
     config = SamplerConfig(
         iterations=resolved["iterations"],
         burn_in=resolved["burn-in"],
@@ -318,8 +329,9 @@ def _run_simulate(resolved: dict, out_dir: Path) -> None:
 
 
 def _run_replicate(resolved: dict, out_dir: Path) -> None:
-    if resolved["full-paper-scale"]:
-        resolved.update({"replications": 200, "iterations": 20000, "burn-in": 2000})
+    _check_levels(resolved["theta"])
+    if resolved["jobs"] < 1:
+        raise ConfigError(f"option jobs must be at least 1, got {resolved['jobs']}")
     config = _scenario_from(resolved)
     sampler = SamplerConfig(
         iterations=resolved["iterations"],
@@ -378,8 +390,15 @@ def _run(command: str, texts: dict[str, str], source: str, recorded=None) -> int
     """Resolve ``command``'s options from ``texts``, run it and write the manifest that replays it.
 
     ``recorded`` holds a replayed manifest's ``input_sha256``, which ``fit`` checks;
-    a run that fails removes the directories it made while they are empty."""
+    ``--full-paper-scale`` sets ``_FULL_PAPER_SCALE``, and ``texts`` setting another value is an error.
+    A run that fails removes the directories it made while they are empty."""
     resolved = {**_resolve(OPTIONS[command], texts, source), **(recorded or {})}
+    if resolved.get("full-paper-scale"):
+        for name, value in _FULL_PAPER_SCALE.items():
+            if name in texts and resolved[name] != value:
+                raise ConfigError(f"option full-paper-scale sets {name} to {value}, "
+                                  f"but {source} sets it to {resolved[name]}")
+        resolved.update(_FULL_PAPER_SCALE)
     if resolved["seed"] is None:
         resolved["seed"] = fresh_seed()
     out_dir = Path(resolved["out"]) / f"{command}-{resolved['seed']}"

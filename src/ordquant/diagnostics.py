@@ -127,7 +127,7 @@ class MpsrfSeries:
         return "\n".join(lines) + "\n"
 
 
-def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None) -> MpsrfSeries:
+def mpsrf(draws: PosteriorDraws, checkpoints, parameters=None) -> MpsrfSeries:
     """Brooks-Gelman multivariate shrink factor at cumulative checkpoints.
 
     At a checkpoint t the statistic uses every retained draw with sweep
@@ -145,8 +145,6 @@ def mpsrf(draws: PosteriorDraws, checkpoints=None, parameters=None) -> MpsrfSeri
     mat = draws.by_chain(parameters)  # (m, n, k)
     m, n_total, _ = mat.shape
     iters = np.sort(draws.iteration[draws.chain == draws.chain[0]])
-    if checkpoints is None:
-        checkpoints = 20
     if np.isscalar(checkpoints):
         marks = iters[np.unique(np.linspace(1, n_total - 1, int(checkpoints)).astype(int))]
     else:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -414,13 +415,11 @@ class PosteriorDraws:
         cols = [self.names.index(n) for n in names]
         return self.values[:, cols]
 
-    def by_chain(self, names=None) -> np.ndarray:
-        """Draws as a (chains, draws, parameters) array."""
-        names = list(names) if names is not None else self.names
+    def by_chain(self, names) -> np.ndarray:
+        """The draws of ``names`` as a (chains, draws, parameters) array."""
         mat = self.select(names)
-        m = self.num_chains
         order = np.lexsort((self.iteration, self.chain))
-        return mat[order].reshape(m, self.chain_length, len(names))
+        return mat[order].reshape(self.num_chains, self.chain_length, mat.shape[1])
 
     def to_csv(self, path) -> None:
         """One row per draw, each draw written with ``%.17g``, streamed in
@@ -435,15 +434,18 @@ def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> Posterio
     The chains are split into up to ``jobs`` contiguous groups, and each
     group into batches of at most ``chains_per_batch`` chains; the batches
     run in up to ``jobs`` worker processes when ``jobs > 1``, and the draws
-    are identical for any ``jobs``.  A numerical failure inside a sweep
-    raises ``ChainDivergedError`` naming the chain, the sweep and the block.
+    are identical for any ``jobs``.  The first failure among the batches'
+    ``sample_tasks`` outcomes, in chain order, is raised: a numerical
+    failure inside a sweep as ``ChainDivergedError`` naming the chain, the
+    sweep and the block.
     """
     size = chains_per_batch(spec, config)
     batches = [[(spec, config, chain) for chain in group[a:a + size]]
                for group in split_groups(range(config.num_chains), jobs) for a in range(0, len(group), size)]
     # Each batch's rows are copied as they arrive, so one batch's rows are
-    # held besides the draws matrix.
-    return collect_draws(spec, config, (rows for batch in ordered_map(_sample_batch, batches, jobs) for rows in batch))
+    # held besides the draws matrix; closing cancels the batches not started.
+    with closing(ordered_map(sample_tasks, batches, jobs)) as outcomes:
+        return collect_draws(spec, config, (rows for batch in outcomes for rows in batch))
 
 
 def chains_per_batch(spec: ModelSpec, config: SamplerConfig) -> int:
@@ -466,24 +468,18 @@ def split_groups(items, parts: int) -> list[list]:
 
 
 def collect_draws(spec: ModelSpec, config: SamplerConfig, blocks) -> PosteriorDraws:
-    """The draws of ``config`` under ``spec`` from each chain's retained rows, in chain order."""
+    """The draws of ``config`` under ``spec`` from each chain's retained rows,
+    in chain order; the first block that is an exception is raised."""
     names = parameter_names(spec, config.retain_alpha)
     rows = config.retained_per_chain
     values = np.empty((rows * config.num_chains, len(names)))
     for chain, block in enumerate(blocks):
+        if isinstance(block, Exception):
+            raise block
         values[chain * rows:(chain + 1) * rows] = block
     chain_ids = np.repeat(np.arange(config.num_chains, dtype=np.intp), rows)
     iterations = np.tile(config.burn_in + config.thin * np.arange(1, rows + 1, dtype=np.intp), config.num_chains)
     return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
-
-
-def _sample_batch(tasks) -> list[np.ndarray]:
-    """The retained rows of each chain task; the first chain that fails raises."""
-    outcomes = sample_tasks(tasks)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
 
 
 def sample_tasks(tasks) -> list:
@@ -588,19 +584,18 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def write_draws(draws: PosteriorDraws, path, spec: ModelSpec | None = None) -> None:
+def write_draws(draws: PosteriorDraws, path, spec: ModelSpec) -> None:
     """Write the draws CSV plus a ``.meta`` sidecar describing the run."""
     path = Path(path)
     draws.to_csv(path)
     meta: dict[str, object] = {"version": __version__}
     if draws.theta is not None:
         meta["theta"] = f"{draws.theta:.17g}"
-    if spec is not None:
-        pri = spec.priors
-        meta.update(
-            a1=pri.a1, a2=pri.a2, b1=pri.b1, b2=pri.b2,
-            delta_min=pri.delta_min, delta_max=pri.delta_max,
-        )
+    pri = spec.priors
+    meta.update(
+        a1=pri.a1, a2=pri.a2, b1=pri.b1, b2=pri.b2,
+        delta_min=pri.delta_min, delta_max=pri.delta_max,
+    )
     if draws.config is not None:
         cfg = draws.config
         meta.update(

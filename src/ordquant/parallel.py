@@ -13,15 +13,15 @@ from collections import deque
 __all__ = ["ordered_map"]
 
 
-def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
+def ordered_map(func, tasks, jobs: int = 1):
     """Yield ``func(task)`` for every task, in task order.
 
     With ``jobs > 1`` and more than one task, the tasks run in a pool of up
     to ``jobs`` worker processes; otherwise they run one after another in
     this process.  ``func`` must be a module-level function and the tasks
-    and results picklable.  An exception whose type is in ``errors`` is
-    yielded in place of its task's result; any other exception propagates
-    when its task's turn comes, and the tasks not yet started are cancelled.
+    and results picklable.  An exception propagates when its task's turn
+    comes, and the tasks not yet started are cancelled; a caller that wants
+    a task's failure as data has ``func`` return it.
 
     Workers are forked, so they start without re-importing numpy and the
     package.  With fork the executor starts every worker before its own
@@ -32,10 +32,7 @@ def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
         for task in tasks:
-            try:
-                yield func(task)
-            except errors as exc:
-                yield exc
+            yield func(task)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -47,10 +44,7 @@ def ordered_map(func, tasks, jobs: int = 1, errors: tuple = ()):
         futures = deque(pool.submit(func, task) for task in tasks)
         try:
             while futures:
-                try:
-                    yield futures.popleft().result()
-                except errors as exc:
-                    yield exc
+                yield futures.popleft().result()
         finally:
             for future in futures:
                 future.cancel()

@@ -51,8 +51,6 @@ class ScenarioConfig:
     scenario: str = "sim1"
     subjects: int = 40
     obs_per_subject: int = 5
-    true_beta: tuple[float, ...] = TRUE_BETA
-    true_cutpoints: tuple[float, ...] = TRUE_CUTPOINTS
     random_effect_sd: float | None = None  # None: 0 for sim1, 1 for sim2
     error: str = "logistic"  # liability noise: logistic(0,1) or normal(0,1)
     replications: int = 20
@@ -67,18 +65,12 @@ class ScenarioConfig:
             raise ConfigError("subjects and observations per subject must be positive")
         if self.replications < 1:
             raise ConfigError("at least one replication is required")
-        if len(self.true_cutpoints) < 1 or np.any(np.diff(self.true_cutpoints) <= 0.0):
-            raise ConfigError("true cut-points must be strictly increasing")
 
     @property
     def effect_sd(self) -> float:
         if self.random_effect_sd is not None:
             return self.random_effect_sd
         return 1.0 if self.scenario == "sim2" else 0.0
-
-    @property
-    def num_categories(self) -> int:
-        return len(self.true_cutpoints) + 1
 
 
 def liability_to_category(liability, cutpoints) -> np.ndarray:
@@ -92,12 +84,12 @@ def _build_dataset(config: ScenarioConfig, x, liability) -> OrdinalDataset:
     width = len(str(N))
     subject_ids = [f"s{i + 1:0{width}d}" for i in range(N)]
     subject_index = np.repeat(np.arange(N, dtype=np.intp), n_i)
-    y = liability_to_category(liability, config.true_cutpoints)
+    y = liability_to_category(liability, TRUE_CUTPOINTS)
     time_index = np.tile(np.arange(n_i, dtype=np.intp), N)
     return OrdinalDataset(
         subject_ids, subject_index, y, x, time_index,
-        num_categories=config.num_categories,
-        covariate_names=[f"x{j + 1}" for j in range(len(config.true_beta))],
+        num_categories=len(TRUE_CUTPOINTS) + 1,
+        covariate_names=[f"x{j + 1}" for j in range(len(TRUE_BETA))],
     )
 
 
@@ -110,18 +102,17 @@ def generate(config: ScenarioConfig, rng) -> OrdinalDataset:
     """
     n = config.subjects * config.obs_per_subject
     effect_rng = rng.spawn(1)[0]
-    x = rng.uniform(-0.1, 0.1, size=(n, len(config.true_beta)))
+    x = rng.uniform(-0.1, 0.1, size=(n, len(TRUE_BETA)))
     noise = rng.normal if config.error == "normal" else rng.logistic
     eps = noise(0.0, 1.0, size=n)
     alpha = config.effect_sd * effect_rng.standard_normal(config.subjects)
-    liability = alpha.repeat(config.obs_per_subject) + x @ np.asarray(config.true_beta) + eps
+    liability = alpha.repeat(config.obs_per_subject) + x @ np.asarray(TRUE_BETA) + eps
     return _build_dataset(config, x, liability)
 
 
 def write_scenario_dataset(dataset: OrdinalDataset, config: ScenarioConfig, path) -> None:
     """Dataset CSV plus a ``.meta`` sidecar recording the generating design."""
     write_csv(dataset, path)
-    p = len(config.true_beta)
     write_kv(
         Path(path).with_suffix(".meta"),
         {
@@ -129,9 +120,9 @@ def write_scenario_dataset(dataset: OrdinalDataset, config: ScenarioConfig, path
             "subjects": config.subjects,
             "obs_per_subject": config.obs_per_subject,
             "seed": config.seed,
-            "true_beta": ", ".join(f"{b:.17g}" for b in config.true_beta),
-            "true_cutpoints": ", ".join(f"{d:.17g}" for d in config.true_cutpoints),
-            "covariate_distributions": ", ".join(f"x{j + 1}: uniform(-0.1, 0.1)" for j in range(p)),
+            "true_beta": ", ".join(f"{b:.17g}" for b in TRUE_BETA),
+            "true_cutpoints": ", ".join(f"{d:.17g}" for d in TRUE_CUTPOINTS),
+            "covariate_distributions": ", ".join(f"x{j + 1}: uniform(-0.1, 0.1)" for j in range(len(TRUE_BETA))),
             "error_distribution": f"{config.error}(0, 1)",
             "random_effect_sd": f"{config.effect_sd:.17g}",
         },
@@ -162,8 +153,6 @@ def _posterior_means(spec: ModelSpec, draws: PosteriorDraws) -> dict[str, float]
 
 @dataclass
 class ReplicationRun:
-    config: ScenarioConfig
-    sampler: SamplerConfig
     thetas: list[float]
     parameters: list[str]
     estimates: dict[float, np.ndarray]          # theta -> (completed, k)
@@ -187,10 +176,15 @@ def _fit_config(config: ScenarioConfig, sampler: SamplerConfig, rep: int, q: int
 
 
 def _replication_worker(args):
-    """One replication's estimates at every level, from ``estimator``."""
+    """One replication's estimates at every level, from ``estimator``, or the
+    error that ended its first failed fit."""
     config, sampler, thetas, rep, estimator = args
     dataset = _replication_dataset(config, rep)
-    return {theta: estimator(dataset, theta, _fit_config(config, sampler, rep, q)) for q, theta in enumerate(thetas)}
+    try:
+        return {theta: estimator(dataset, theta, _fit_config(config, sampler, rep, q))
+                for q, theta in enumerate(thetas)}
+    except (ChainDivergedError, FloatingPointError) as exc:
+        return exc
 
 
 def _replication_group(args) -> list:
@@ -237,30 +231,31 @@ def run_replication_study(
 ) -> ReplicationRun:
     """Generate M datasets, fit each at every quantile level, and aggregate.
 
-    A replication whose chain diverges is recorded and skipped; the report
-    states the attrition.  With two or more completed replications, each
-    level's report gets the efficiency block ``theta=<level>`` against the
-    first level (exactly 1 there).  Without an ``estimator``, the
-    replications are split into up to ``jobs`` contiguous groups, and a
-    group's fits are sampled as batches of chains (``_replication_group``);
-    with one, each replication is a task that calls it at every level.  With
-    ``jobs > 1`` the tasks run in up to ``jobs`` worker processes.
+    Bias is against ``TRUE_BETA`` and ``TRUE_CUTPOINTS``.  A replication
+    whose fit diverges is recorded and skipped; the report states the
+    attrition.  With two or more completed replications, each level's
+    report gets the efficiency block ``theta=<level>`` against the first
+    level (exactly 1 there).  Without an ``estimator``, the replications
+    are split into up to ``jobs`` contiguous groups, and a group's fits are
+    sampled as batches of chains (``_replication_group``); with one, each
+    replication is a task that calls it at every level and returns its
+    failure as data (``_replication_worker``).  With ``jobs > 1`` the tasks
+    run in up to ``jobs`` worker processes.
     Aggregation is in replication-index order either way, so the output is
     identical for any ``jobs``, and the default equals
     ``estimator=posterior_mean_estimator``.
     """
     thetas = [float(t) for t in thetas]
-    p = len(config.true_beta)
-    names = [f"beta_{k + 1}" for k in range(p)]
-    names += [f"delta_{c}" for c in range(1, config.num_categories)]
-    truth = dict(zip(names, list(config.true_beta) + list(config.true_cutpoints)))
+    names = [f"beta_{k + 1}" for k in range(len(TRUE_BETA))]
+    names += [f"delta_{c}" for c in range(1, len(TRUE_CUTPOINTS) + 1)]
+    truth = dict(zip(names, TRUE_BETA + TRUE_CUTPOINTS))
 
     if estimator is None:
         groups = [(config, sampler, thetas, reps) for reps in split_groups(range(config.replications), jobs)]
         outcomes = (outcome for group in ordered_map(_replication_group, groups, jobs) for outcome in group)
     else:
         tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]
-        outcomes = ordered_map(_replication_worker, tasks, jobs, errors=(ChainDivergedError, FloatingPointError))
+        outcomes = ordered_map(_replication_worker, tasks, jobs)
     results: dict[int, dict] = {}
     failures: list[str] = []
     for rep, outcome in enumerate(outcomes):
@@ -276,11 +271,8 @@ def run_replication_study(
         mat = np.array([[results[rep][theta][name] for name in names] for rep in completed])
         mat = mat.reshape(len(completed), len(names))
         estimates[theta] = mat
-        bias = {}
-        for j, name in enumerate(names):
-            t = truth[name]
-            usable = completed and t != 0.0
-            bias[name] = relative_bias(mat[:, j], t) if usable else float("nan")
+        bias = {name: relative_bias(mat[:, j], truth[name]) if completed else float("nan")
+                for j, name in enumerate(names)}
         reports[theta] = ReplicationReport(
             theta=theta,
             replications=config.replications,
@@ -295,5 +287,5 @@ def run_replication_study(
             reports[theta].efficiency[f"theta={theta:g}"] = {
                 name: relative_efficiency(estimates[theta][:, j], ref[:, j]) for j, name in enumerate(names)
             }
-    return ReplicationRun(config, sampler, thetas, names, estimates, reports, failures)
+    return ReplicationRun(thetas, names, estimates, reports, failures)
 

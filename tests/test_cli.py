@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from ordquant.cli import main
 from ordquant.diagnostics import MpsrfSeries, ReplicationReport, SummaryTable, summarize
 from ordquant.gibbs import PosteriorDraws, SamplerConfig, read_draws
 from ordquant.kvfile import read_kv
-from ordquant.simulate import ReplicationRun, ScenarioConfig
+from ordquant.simulate import ReplicationRun, run_replication_study
 
 from .oracles import summary_row
 
@@ -248,6 +249,18 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not [p for p in out.rglob("*") if p.is_file()]
 
+    def test_repeated_level_exits_2_before_reading_input(self, tmp_path, toy_csv, monkeypatch, capsys):
+        def untouched(*args, **kwargs):
+            raise AssertionError("read the input or sampled before the levels were checked")
+
+        monkeypatch.setattr(cli, "ingest_csv", untouched)
+        monkeypatch.setattr(cli, "run_chain", untouched)
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--theta", "0.25,0.5", "--theta", "0.5",
+                    "--seed", "3", "--out", out]) == 2
+        assert "option theta lists the level 0.5 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_sim1_dimensions(self, tmp_path):
@@ -320,6 +333,58 @@ class TestReplicate:
     def test_invalid_replications_exit_2(self, tmp_path):
         assert run(["replicate", "--scenario", "sim1", "--replications", "0",
                     "--seed", "1", "--out", tmp_path]) == 2
+
+    @staticmethod
+    def no_study(*args, **kwargs):
+        raise AssertionError("sampled before the options were checked")
+
+    @pytest.mark.parametrize("args,message", [
+        (["--jobs", "0"], "option jobs must be at least 1, got 0"),
+        (["--jobs", "-4"], "option jobs must be at least 1, got -4"),
+        (["--theta", "0.5,0.25,0.5"], "option theta lists the level 0.5 more than once"),
+    ], ids=["jobs-0", "jobs-negative", "repeated-theta"])
+    def test_bad_option_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.setattr(cli, "run_replication_study", self.no_study)
+        out = tmp_path / "runs"
+        assert run(["replicate", "--scenario", "sim1", "--seed", "1", "--out", out, *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,config,message", [
+        (["--replications", "5"], "", "sets replications to 200, but the command line sets it to 5"),
+        (["--iterations", "300"], "", "sets iterations to 20000, but the command line sets it to 300"),
+        ([], "burn-in = 100\n", "sets burn-in to 2000, but the command line or config file {cfg} sets it to 100"),
+    ], ids=["replications", "iterations", "config-burn-in"])
+    def test_full_paper_scale_rejects_other_values(self, tmp_path, monkeypatch, capsys, args, config, message):
+        monkeypatch.setattr(cli, "run_replication_study", self.no_study)
+        cfg = tmp_path / "study.conf"
+        if config:
+            cfg.write_text(config, encoding="utf-8")
+            args = [*args, "--config", cfg]
+        out = tmp_path / "runs"
+        assert run(["replicate", "--scenario", "sim1", "--full-paper-scale", "--seed", "1", "--out", out, *args]) == 2
+        assert f"option full-paper-scale {message.format(cfg=cfg)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_paper_scale_runs_its_preset_and_replays(self, tmp_path, monkeypatch):
+        # The stub records the study's scale and runs a small one in its place.
+        scales = []
+
+        def small_study(config, sampler, thetas, jobs):
+            scales.append((config.replications, sampler.iterations, sampler.burn_in))
+            return run_replication_study(replace(config, replications=2), SamplerConfig(iterations=30, burn_in=10),
+                                         thetas, jobs=jobs)
+
+        monkeypatch.setattr(cli, "run_replication_study", small_study)
+        out = tmp_path / "runs"
+        assert run(["replicate", "--scenario", "sim1", "--full-paper-scale", "--replications", "200",
+                    "--subjects", "6", "--n-per-subject", "3", "--seed", "5", "--out", out]) == 0
+        manifest = read_kv(manifest_of(out, "replicate", 5))
+        assert (manifest["replications"], manifest["iterations"], manifest["burn-in"]) == ("200", "20000", "2000")
+        replayed = tmp_path / "replayed"
+        assert run(["replay", manifest_of(out, "replicate", 5), "--out", replayed]) == 0
+        assert replay_differences(out / "replicate-5", replayed / "replicate-5") == []
+        assert scales == [(200, 20000, 2000)] * 2
 
 
 class TestDiagnose:
@@ -438,8 +503,7 @@ class TestTableBytes:
         }
         reports[0.25].efficiency["theta=0.25"] = {"beta_1": 1.0, "delta_1": 1.0}
         reports[0.5].efficiency["theta=0.25"] = {"beta_1": 0.1, "delta_1": 1e-300}
-        return ReplicationRun(ScenarioConfig(), SamplerConfig(), list(estimates), ["beta_1", "delta_1"],
-                              estimates, reports, [])
+        return ReplicationRun(list(estimates), ["beta_1", "delta_1"], estimates, reports, [])
 
     def test_replication_estimates(self, tmp_path):
         run = self.replication_run()

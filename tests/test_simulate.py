@@ -51,13 +51,11 @@ class TestGenerateSim1:
         assert np.all((ds.x >= -0.1) & (ds.x <= 0.1))
 
     def test_category_frequencies_match_logistic_cdf(self):
-        # with all coefficients zero the liability is pure logistic noise
-        cfg = ScenarioConfig(
-            scenario="sim1", subjects=100000, obs_per_subject=10, true_beta=(0.0, 0.0, 0.0)
-        )
+        # P(y <= c) averages the logistic CDF at delta_c - x'beta over the covariates
+        cfg = ScenarioConfig(scenario="sim1", subjects=100000, obs_per_subject=10)
         ds = generate(cfg, substream(2, 2, 0))
         freqs = np.bincount(ds.y, minlength=6)[1:] / ds.num_observations
-        cdf = expit(np.asarray(TRUE_CUTPOINTS))
+        cdf = expit(np.subtract.outer(TRUE_CUTPOINTS, ds.x @ np.asarray(TRUE_BETA))).mean(axis=1)
         expected = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
         np.testing.assert_allclose(freqs, expected, atol=0.005)
 
@@ -94,8 +92,7 @@ class TestGenerateSim2:
 
     def test_marginal_liability_variance(self):
         # var = random-effect variance + logistic variance = 1 + pi^2 / 3
-        cfg = ScenarioConfig(scenario="sim2", subjects=100000, obs_per_subject=10,
-                             true_beta=(0.0, 0.0, 0.0))
+        cfg = ScenarioConfig(scenario="sim2", subjects=100000, obs_per_subject=10)
         rng = substream(6, 2, 0)
         n = cfg.subjects * cfg.obs_per_subject
         effect_rng = rng.spawn(1)[0]
@@ -111,18 +108,17 @@ class TestGenerateSim2:
         assert ds.num_subjects == 5
 
     def test_normal_error_option(self):
-        cfg = ScenarioConfig(scenario="sim1", subjects=50000, obs_per_subject=4,
-                             true_beta=(0.0, 0.0, 0.0), error="normal")
+        cfg = ScenarioConfig(scenario="sim1", subjects=50000, obs_per_subject=4, error="normal")
         rng = substream(8, 2, 0)
         n = cfg.subjects * cfg.obs_per_subject
         rng.uniform(-0.1, 0.1, size=(n, 3))
         eps = rng.normal(0.0, 1.0, size=n)
-        # standard-normal liability: category frequencies follow the normal CDF
+        # standard-normal noise: P(y <= c) averages the normal CDF at delta_c - x'beta
         from scipy.special import ndtr
 
         ds = generate(cfg, substream(8, 2, 0))
         freqs = np.bincount(ds.y, minlength=6)[1:] / ds.num_observations
-        cdf = ndtr(np.asarray(TRUE_CUTPOINTS))
+        cdf = ndtr(np.subtract.outer(TRUE_CUTPOINTS, ds.x @ np.asarray(TRUE_BETA))).mean(axis=1)
         expected = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
         np.testing.assert_allclose(freqs, expected, atol=0.01)
         assert eps.var() == pytest.approx(1.0, rel=0.02)
@@ -131,8 +127,6 @@ class TestGenerateSim2:
 class TestScenarioConfig:
     def test_defaults(self):
         cfg = ScenarioConfig()
-        assert cfg.true_beta == TRUE_BETA
-        assert cfg.true_cutpoints == TRUE_CUTPOINTS
         assert cfg.effect_sd == 0.0
         assert ScenarioConfig(scenario="sim2").effect_sd == 1.0
 
@@ -141,7 +135,6 @@ class TestScenarioConfig:
         {"subjects": 0},
         {"obs_per_subject": 0},
         {"replications": 0},
-        {"true_cutpoints": (0.5, 0.1)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -165,6 +158,10 @@ class TestDatasetSidecar:
 def truth_estimator(dataset, theta, sampler):
     names = [f"beta_{k+1}" for k in range(3)] + [f"delta_{c}" for c in range(1, 5)]
     return dict(zip(names, list(TRUE_BETA) + list(TRUE_CUTPOINTS)))
+
+
+def always_fails(dataset, theta, sampler):
+    raise ChainDivergedError("synthetic")
 
 
 class TestReplicationStudy:
@@ -230,16 +227,15 @@ class TestReplicationStudy:
         assert any("replication 1" in f for f in report.failures)
         assert report.to_text().count("failed") >= 1
 
-    def test_total_attrition_does_not_crash(self):
-        def always_fails(dataset, theta, sampler):
-            raise ChainDivergedError("synthetic")
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_total_attrition_does_not_crash(self, jobs):
         cfg = ScenarioConfig(scenario="sim1", subjects=5, obs_per_subject=3, replications=2, seed=7)
         run = run_replication_study(cfg, SamplerConfig(iterations=60, burn_in=10),
-                                    thetas=[0.5], estimator=always_fails)
+                                    thetas=[0.5], estimator=always_fails, jobs=jobs)
         report = run.reports[0.5]
         assert report.completed == 0
         assert report.attrition == 2
+        assert report.failures == ["replication 0: synthetic", "replication 1: synthetic"]
         assert all(np.isnan(v) for v in report.bias.values())
 
     def test_parallel_equals_sequential(self):
@@ -270,7 +266,7 @@ class TestReplicationStudy:
         cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=5, seed=12)
         sampler = SamplerConfig(iterations=60, burn_in=10)
         reference = run_replication_study(cfg, sampler, thetas=[0.5], estimator=posterior_mean_estimator)
-        row_cells = sampler.retained_per_chain * (len(cfg.true_beta) + cfg.num_categories + 1)
+        row_cells = sampler.retained_per_chain * (len(TRUE_BETA) + len(TRUE_CUTPOINTS) + 2)
         assert row_cells > cfg.subjects * cfg.obs_per_subject
         sizes = []
 
