@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ordquant import gibbs
+from ordquant import gibbs, simulate
 from ordquant.diagnostics import relative_efficiency
 from ordquant.errors import ChainDivergedError, ConfigError
 from ordquant.gibbs import SamplerConfig
@@ -280,6 +280,29 @@ class TestReplicationStudy:
             sizes.clear()
             self.assert_same_run(run_replication_study(cfg, sampler, thetas=[0.5]), reference)
             assert sizes == want
+
+    def test_study_reads_its_tasks_a_batch_at_a_time(self, monkeypatch):
+        # A replication's dataset is generated when its batch is formed, so
+        # a worker holds the datasets of one batch at a time.
+        cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=5, seed=12)
+        sampler = SamplerConfig(iterations=60, burn_in=10)
+        calls = []
+
+        def replication_dataset(config, rep, make=simulate._replication_dataset):
+            calls.append("generate")
+            return make(config, rep)
+
+        def sample_chains(batch, sample=gibbs._sample_chains):
+            calls.append(f"sample {len(batch)}")
+            return sample(batch)
+
+        monkeypatch.setattr(simulate, "_replication_dataset", replication_dataset)
+        monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
+        row_cells = sampler.retained_per_chain * (len(TRUE_BETA) + len(TRUE_CUTPOINTS) + 2)
+        monkeypatch.setattr(gibbs, "_BATCH_CELLS", 2 * row_cells)
+        run_replication_study(cfg, sampler, thetas=[0.5], jobs=1)
+        assert calls == ["generate", "generate", "sample 2", "generate", "generate", "sample 2",
+                         "generate", "sample 1"]
 
     def test_diverging_replication_reads_as_alone(self, monkeypatch):
         cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=4, seed=11)
