@@ -127,7 +127,7 @@ class MpsrfSeries:
         return "\n".join(lines) + "\n"
 
 
-def mpsrf(draws: PosteriorDraws, checkpoints, parameters=None) -> MpsrfSeries:
+def mpsrf(draws: PosteriorDraws, checkpoints) -> MpsrfSeries:
     """Brooks-Gelman multivariate shrink factor at cumulative checkpoints.
 
     At a checkpoint t the statistic uses every retained draw with sweep
@@ -135,13 +135,12 @@ def mpsrf(draws: PosteriorDraws, checkpoints, parameters=None) -> MpsrfSeries:
     lambda_1 is the top generalized eigenvalue of the between-chain against
     the within-chain covariance.  A singular within-chain matrix gets a
     trace-proportional ridge and the checkpoint is flagged.  Non-finite
-    draws raise ``ValueError``.  The default parameters are the
-    coefficients and the cut-points.
+    draws raise ``ValueError``.  The parameters are the coefficients and
+    the cut-points.
     """
     if draws.num_chains < 2:
         raise ValueError("the multivariate shrink factor needs at least two chains")
-    if parameters is None:
-        parameters = [n for n in draws.names if n.startswith(("beta_", "delta_"))]
+    parameters = [n for n in draws.names if n.startswith(("beta_", "delta_"))]
     mat = draws.by_chain(parameters)  # (m, n, k)
     m, n_total, _ = mat.shape
     iters = np.sort(draws.iteration[draws.chain == draws.chain[0]])
@@ -150,7 +149,7 @@ def mpsrf(draws: PosteriorDraws, checkpoints, parameters=None) -> MpsrfSeries:
     else:
         marks = np.asarray(sorted(checkpoints))
 
-    out = MpsrfSeries([], [], [], num_chains=m, parameters=list(parameters))
+    out = MpsrfSeries([], [], [], num_chains=m, parameters=parameters)
     for t in marks:
         n = int(np.searchsorted(iters, t, side="right"))
         if n < 2:

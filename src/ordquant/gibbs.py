@@ -16,23 +16,23 @@ liabilities.
 
 Chain scheduling.  A chain is strictly sequential, and each chain draws
 only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
-``run_chain(spec, config, jobs)`` splits the chains into up to ``jobs``
-contiguous groups, and each group into batches of at most
-``chains_per_batch`` chains, as many as keep a batch within
+``batched`` alone decides how chains become batches: at most
 ``_BATCH_CELLS`` chain-observations and ``_BATCH_CELLS`` retained draw
-cells.  ``parallel.ordered_map`` runs the batches in up to ``jobs`` worker
-processes (in this process when ``jobs`` is 1).  One call of a block
-advances every chain of a batch, and one chain alone runs on one-chain
-arrays.  The parent copies each chain's retained rows into the draws
-matrix in chain order, so the draws are identical for any ``jobs``.  A
-batch in which any chain fails, or ends a sweep non-finite, is sampled
-again one chain at a time (``sample_tasks``), so a failure reads as it
-does in a one-chain run and the other chains keep their draws.
-``ordquant fit`` runs the levels one after another, each with one worker
-per chain, capped by the usable CPUs, so up to the CPUs every chain
-samples alone; the replication study batches the chains of a worker's
-replications (``simulate._replication_group``).  Workers never start
-pools of their own.
+cells each.  ``sample_batch`` samples one: one call of a block advances
+every chain of it, and one chain alone runs on one-chain arrays.  A batch
+in which any chain fails, or ends a sweep non-finite, is sampled again one
+chain at a time, so a failure reads as it does in a one-chain run and the
+other chains keep their draws.  ``run_chain(spec, config, jobs)`` splits
+the chains into up to ``jobs`` contiguous groups, each read through
+``batched``, and ``parallel.ordered_map`` runs the batches in up to
+``jobs`` worker processes (in this process when ``jobs`` is 1).  The
+parent copies each chain's rows into the draws matrix in chain order, so
+the draws are identical for any ``jobs``.  ``ordquant fit`` runs the levels
+one after another, each with one worker per chain, capped by the usable
+CPUs, so up to the CPUs every chain samples alone.  The replication study
+reads each level's chains of a worker's replications through the same two
+functions, so a batch may hold chains of several replications' fits.
+Workers never start pools of their own.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -68,6 +68,7 @@ import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ __all__ = [
 
 _SQRT_HALF = float(np.sqrt(0.5))
 # Chain-observations, and retained draw cells, one batch of chains holds
-# (``chains_per_batch``).
+# (``batched``).
 _BATCH_CELLS = 1 << 16
 _INTP = np.iinfo(np.intp)
 
@@ -432,30 +433,27 @@ def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> Posterio
     """Run the sampler and collect retained draws from every chain.
 
     The chains are split into up to ``jobs`` contiguous groups, and each
-    group into batches of at most ``chains_per_batch`` chains; the batches
-    run in up to ``jobs`` worker processes when ``jobs > 1``, and the draws
-    are identical for any ``jobs``.  The first failure among the batches'
-    ``sample_tasks`` outcomes, in chain order, is raised: a numerical
-    failure inside a sweep as ``ChainDivergedError`` naming the chain, the
-    sweep and the block.
+    group into ``batched`` batches; the batches run in up to ``jobs`` worker
+    processes when ``jobs > 1``, and the draws are identical for any
+    ``jobs``.  The first failure among the batches' ``sample_batch``
+    outcomes, in chain order, is raised: a numerical failure inside a sweep
+    as ``ChainDivergedError`` naming the chain, the sweep and the block.
     """
-    size = chains_per_batch(spec, config)
-    batches = [[(spec, config, chain) for chain in group[a:a + size]]
-               for group in split_groups(range(config.num_chains), jobs) for a in range(0, len(group), size)]
+    names = parameter_names(spec, config.retain_alpha)
+    rows = config.retained_per_chain
+    values = np.empty((rows * config.num_chains, len(names)))
+    batches = [batch for group in split_groups(range(config.num_chains), jobs)
+               for batch in batched((spec, config, chain) for chain in group)]
     # Each batch's rows are copied as they arrive, so one batch's rows are
     # held besides the draws matrix; closing cancels the batches not started.
-    with closing(ordered_map(sample_tasks, batches, jobs)) as outcomes:
-        return collect_draws(spec, config, (rows for batch in outcomes for rows in batch))
-
-
-def chains_per_batch(spec: ModelSpec, config: SamplerConfig) -> int:
-    """How many chains of ``config`` on datasets of ``spec``'s design one
-    batch samples: as many as keep both its chain-observations and its
-    retained draw cells within ``_BATCH_CELLS``, and at least one.  So a
-    batch of large panels or of long chains is one chain on one-chain
-    arrays, and holds what a one-chain run holds."""
-    row_cells = config.retained_per_chain * len(parameter_names(spec, config.retain_alpha))
-    return max(1, _BATCH_CELLS // max(spec.dataset.num_observations, row_cells))
+    with closing(ordered_map(sample_batch, batches, jobs)) as outcomes:
+        for chain, block in enumerate(block for batch in outcomes for block in batch):
+            if isinstance(block, Exception):
+                raise block
+            values[chain * rows:(chain + 1) * rows] = block
+    chain_ids = np.repeat(np.arange(config.num_chains, dtype=np.intp), rows)
+    iterations = np.tile(config.burn_in + config.thin * np.arange(1, rows + 1, dtype=np.intp), config.num_chains)
+    return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
 
 
 def split_groups(items, parts: int) -> list[list]:
@@ -467,48 +465,35 @@ def split_groups(items, parts: int) -> list[list]:
     return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def collect_draws(spec: ModelSpec, config: SamplerConfig, blocks) -> PosteriorDraws:
-    """The draws of ``config`` under ``spec`` from each chain's retained rows,
-    in chain order; the first block that is an exception is raised."""
-    names = parameter_names(spec, config.retain_alpha)
-    rows = config.retained_per_chain
-    values = np.empty((rows * config.num_chains, len(names)))
-    for chain, block in enumerate(blocks):
-        if isinstance(block, Exception):
-            raise block
-        values[chain * rows:(chain + 1) * rows] = block
-    chain_ids = np.repeat(np.arange(config.num_chains, dtype=np.intp), rows)
-    iterations = np.tile(config.burn_in + config.thin * np.arange(1, rows + 1, dtype=np.intp), config.num_chains)
-    return PosteriorDraws(names, values, chain_ids, iterations, theta=spec.theta, config=config)
+def batched(tasks):
+    """``(spec, config, chain)`` tasks from any iterable, read a batch at a
+    time: as many as keep the batch's chain-observations and retained draw
+    cells within ``_BATCH_CELLS`` for its first task, and at least one.  So
+    a batch of large panels or of long chains is one chain, and holds what a
+    one-chain run holds.  A batch's tasks must share one design and one
+    configuration but for its seed.  A task is read when its batch forms."""
+    tasks = iter(tasks)
+    for first in tasks:
+        spec, config, _ = first
+        row_cells = config.retained_per_chain * len(parameter_names(spec, config.retain_alpha))
+        size = max(1, _BATCH_CELLS // max(spec.dataset.num_observations, row_cells))
+        yield [first, *islice(tasks, size - 1)]
 
 
-def sample_tasks(tasks) -> list:
-    """Each ``(spec, config, chain)`` task's retained rows, or the
-    ``ChainDivergedError`` or ``FloatingPointError`` that ended it, in task
-    order.
+def sample_batch(batch) -> list:
+    """Each task's retained rows, or the ``ChainDivergedError`` or
+    ``FloatingPointError`` that ended it, in task order.
 
-    The tasks share one design and one configuration but for its seed.
-    They are sampled in batches of ``chains_per_batch`` chains; a batch in
-    which any chain fails or ends a sweep non-finite is sampled again one
-    chain at a time, so a failure reads as it does in a one-chain run, and
-    the other chains keep their draws.
+    The batch is sampled as one; if any chain fails or ends a sweep
+    non-finite, it is sampled again one chain at a time, so a failure reads
+    as it does in a one-chain run, and the other chains keep their draws.
     """
-    size = chains_per_batch(tasks[0][0], tasks[0][1])
-    outcomes = []
-    for start in range(0, len(tasks), size):
-        batch = tasks[start:start + size]
-        if len(batch) > 1:
-            try:
-                outcomes.extend(_sample_chains(batch))
-                continue
-            except (ChainDivergedError, FloatingPointError):
-                pass
-        for task in batch:
-            try:
-                outcomes.extend(_sample_chains([task]))
-            except (ChainDivergedError, FloatingPointError) as exc:
-                outcomes.append(exc)
-    return outcomes
+    try:
+        return list(_sample_chains(batch))
+    except (ChainDivergedError, FloatingPointError) as exc:
+        if len(batch) == 1:
+            return [exc]
+    return [rows for task in batch for rows in sample_batch([task])]
 
 
 def _sample_chains(tasks) -> np.ndarray:

@@ -8,19 +8,18 @@ number of workers.
 
 from __future__ import annotations
 
-from collections import deque
-
 __all__ = ["ordered_map"]
 
 
 def ordered_map(func, tasks, jobs: int = 1):
     """Yield ``func(task)`` for every task, in task order.
 
-    With ``jobs > 1`` and more than one task, the tasks run in a pool of up
-    to ``jobs`` worker processes; otherwise they run one after another in
-    this process.  ``func`` must be a module-level function and the tasks
-    and results picklable.  An exception propagates when its task's turn
-    comes, and the tasks not yet started are cancelled; a caller that wants
+    With ``jobs > 1`` and more than one task, ``Executor.map`` runs them in
+    a pool of up to ``jobs`` worker processes; otherwise they run one after
+    another in this process.  ``func`` must be a module-level function and
+    the tasks and results picklable.  No yielded result is held here.  An
+    exception propagates when its task's turn comes, and closing the
+    generator early cancels the tasks not yet started; a caller that wants
     a task's failure as data has ``func`` return it.
 
     Workers are forked, so they start without re-importing numpy and the
@@ -39,12 +38,4 @@ def ordered_map(func, tasks, jobs: int = 1):
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=context) as pool:
-        # A future leaves the queue before its result is yielded, so while a
-        # consumer keeps the generator open no yielded result is held here.
-        futures = deque(pool.submit(func, task) for task in tasks)
-        try:
-            while futures:
-                yield futures.popleft().result()
-        finally:
-            for future in futures:
-                future.cancel()
+        yield from pool.map(func, tasks)

@@ -19,8 +19,7 @@ import numpy as np
 from .data import OrdinalDataset, _write_table, write_csv
 from .diagnostics import ReplicationReport, relative_bias, relative_efficiency
 from .errors import ChainDivergedError, ConfigError
-from .gibbs import (PosteriorDraws, SamplerConfig, chains_per_batch, collect_draws, parameter_names, run_chain,
-                    sample_tasks, split_groups)
+from .gibbs import SamplerConfig, batched, run_chain, sample_batch, split_groups
 from .kvfile import write_kv
 from .model import ModelSpec, Priors
 from .parallel import ordered_map
@@ -44,6 +43,10 @@ TRUE_CUTPOINTS = (-0.8416, -0.2533, 0.2533, 0.8416)
 # the true cut-points while keeping the order-statistics prior proper.
 SIM_DELTA_MIN = -3.0
 SIM_DELTA_MAX = 3.0
+
+# The replication study's parameters: the first columns of ``gibbs.parameter_names``.
+_STUDY_NAMES = ([f"beta_{k + 1}" for k in range(len(TRUE_BETA))]
+                + [f"delta_{c}" for c in range(1, len(TRUE_CUTPOINTS) + 1)])
 
 
 @dataclass(frozen=True)
@@ -139,16 +142,17 @@ def sim_priors() -> Priors:
 
 def posterior_mean_estimator(dataset: OrdinalDataset, theta: float, sampler: SamplerConfig) -> dict[str, float]:
     """Default per-replication estimator: posterior means from one fit."""
-    spec = _sim_spec(theta, dataset)
-    return _posterior_means(spec, run_chain(spec, sampler))
+    return _posterior_means(run_chain(_sim_spec(theta, dataset), sampler).values)
 
 
 def _sim_spec(theta: float, dataset: OrdinalDataset) -> ModelSpec:
     return ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
 
 
-def _posterior_means(spec: ModelSpec, draws: PosteriorDraws) -> dict[str, float]:
-    return {name: float(draws.column(name).mean()) for name in parameter_names(spec)}
+def _posterior_means(values: np.ndarray) -> dict[str, float]:
+    """The study's estimates from a chain-major draws matrix: the mean of
+    each of its first columns, beta and delta."""
+    return {name: float(values[:, j].mean()) for j, name in enumerate(_STUDY_NAMES)}
 
 
 @dataclass
@@ -157,7 +161,6 @@ class ReplicationRun:
     parameters: list[str]
     estimates: dict[float, np.ndarray]          # theta -> (completed, k)
     reports: dict[float, ReplicationReport]
-    failures: list[str]
 
     def estimates_to_csv(self, path) -> None:
         mats = [self.estimates[theta] for theta in self.thetas]
@@ -191,34 +194,28 @@ def _replication_group(args) -> list:
     """Posterior means of the replications ``reps``, or the error that ended
     each one's first failed fit.
 
-    The replications are taken a batch at a time, as many as keep their
-    chains within ``gibbs.chains_per_batch``, and at each level the chains
-    of every replication of the batch still alive are sampled as one batch;
-    each chain draws from its own stream, so the estimates equal
+    At each level the chains of the replications still alive are read
+    through ``gibbs.batched`` and sampled by ``gibbs.sample_batch``, and a
+    replication's dataset is generated when the batch of its first chain is
+    formed, so a worker holds one batch's datasets and rows at a time.  Each
+    chain draws from its own stream, so the estimates equal
     ``posterior_mean_estimator``'s."""
     config, sampler, thetas, reps = args
     chains = sampler.num_chains
-    datasets = {reps[0]: _replication_dataset(config, reps[0])}
-    # Every replication's dataset has the first one's design.
-    size = max(1, chains_per_batch(_sim_spec(thetas[0], datasets[reps[0]]), sampler) // chains)
-    outcomes = {}
-    for start in range(0, len(reps), size):
-        datasets = {rep: datasets[rep] if rep in datasets else _replication_dataset(config, rep)
-                    for rep in reps[start:start + size]}
-        estimates = {rep: {} for rep in datasets}
-        for q, theta in enumerate(thetas):
-            fits = [(rep, _sim_spec(theta, datasets[rep]), _fit_config(config, sampler, rep, q))
-                    for rep in datasets if rep not in outcomes]
-            blocks = iter(sample_tasks([(spec, cfg, c) for _, spec, cfg in fits for c in range(chains)]))
-            for rep, spec, cfg in fits:
-                rows = [next(blocks) for _ in range(chains)]
-                failure = next((b for b in rows if isinstance(b, Exception)), None)
-                if failure is not None:
-                    outcomes[rep] = failure
-                else:
-                    estimates[rep][theta] = _posterior_means(spec, collect_draws(spec, cfg, rows))
-        for rep, found in estimates.items():
-            outcomes.setdefault(rep, found)
+    outcomes = {rep: {} for rep in reps}
+    for q, theta in enumerate(thetas):
+        alive = [rep for rep in reps if isinstance(outcomes[rep], dict)]
+        fits = ((_sim_spec(theta, _replication_dataset(config, rep)), _fit_config(config, sampler, rep, q))
+                for rep in alive)
+        tasks = ((spec, cfg, chain) for spec, cfg in fits for chain in range(chains))
+        blocks = (block for batch in batched(tasks) for block in sample_batch(batch))
+        for rep in alive:
+            rows = [next(blocks) for _ in range(chains)]
+            failure = next((b for b in rows if isinstance(b, Exception)), None)
+            if failure is None:
+                outcomes[rep][theta] = _posterior_means(np.concatenate(rows))
+            else:
+                outcomes[rep] = failure
     return [outcomes[rep] for rep in reps]
 
 
@@ -232,22 +229,22 @@ def run_replication_study(
     """Generate M datasets, fit each at every quantile level, and aggregate.
 
     Bias is against ``TRUE_BETA`` and ``TRUE_CUTPOINTS``.  A replication
-    whose fit diverges is recorded and skipped; the report states the
-    attrition.  With two or more completed replications, each level's
+    whose fit diverges is recorded and skipped; each level's report lists
+    the failures.  With two or more completed replications, each level's
     report gets the efficiency block ``theta=<level>`` against the first
     level (exactly 1 there).  Without an ``estimator``, the replications
-    are split into up to ``jobs`` contiguous groups, and a group's fits are
-    sampled as batches of chains (``_replication_group``); with one, each
+    are split into up to ``jobs`` contiguous groups, one task each, and a
+    group reads its chains a level at a time through ``gibbs.batched`` and
+    ``gibbs.sample_batch``, generating each replication's dataset again at
+    each level (``_replication_group``).  With an ``estimator``, each
     replication is a task that calls it at every level and returns its
     failure as data (``_replication_worker``).  With ``jobs > 1`` the tasks
-    run in up to ``jobs`` worker processes.
-    Aggregation is in replication-index order either way, so the output is
-    identical for any ``jobs``, and the default equals
-    ``estimator=posterior_mean_estimator``.
+    run in up to ``jobs`` worker processes.  Aggregation is in
+    replication-index order either way, so the output is identical for any
+    ``jobs``, and the default equals ``estimator=posterior_mean_estimator``.
     """
     thetas = [float(t) for t in thetas]
-    names = [f"beta_{k + 1}" for k in range(len(TRUE_BETA))]
-    names += [f"delta_{c}" for c in range(1, len(TRUE_CUTPOINTS) + 1)]
+    names = list(_STUDY_NAMES)
     truth = dict(zip(names, TRUE_BETA + TRUE_CUTPOINTS))
 
     if estimator is None:
@@ -287,5 +284,5 @@ def run_replication_study(
             reports[theta].efficiency[f"theta={theta:g}"] = {
                 name: relative_efficiency(estimates[theta][:, j], ref[:, j]) for j, name in enumerate(names)
             }
-    return ReplicationRun(thetas, names, estimates, reports, failures)
+    return ReplicationRun(thetas, names, estimates, reports)
 

@@ -372,7 +372,7 @@ def test_criterion_6_metric_identities():
             ["beta_1"], chains.reshape(-1, 1),
             np.repeat(np.arange(m), n), np.tile(np.arange(1, n + 1), m),
         )
-        series = mpsrf(draws, checkpoints=[n], parameters=["beta_1"])
+        series = mpsrf(draws, checkpoints=[n])
         means = chains.mean(axis=1)
         w = chains.var(axis=1, ddof=1).mean()
         b_over_n = means.var(ddof=1)

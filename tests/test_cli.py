@@ -503,7 +503,7 @@ class TestTableBytes:
         }
         reports[0.25].efficiency["theta=0.25"] = {"beta_1": 1.0, "delta_1": 1.0}
         reports[0.5].efficiency["theta=0.25"] = {"beta_1": 0.1, "delta_1": 1e-300}
-        return ReplicationRun(list(estimates), ["beta_1", "delta_1"], estimates, reports, [])
+        return ReplicationRun(list(estimates), ["beta_1", "delta_1"], estimates, reports)
 
     def test_replication_estimates(self, tmp_path):
         run = self.replication_run()

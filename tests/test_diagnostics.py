@@ -95,7 +95,7 @@ class TestMpsrf:
     def test_identical_chains_hit_floor(self):
         vals = np.sin(np.arange(40.0))
         draws = make_draws(np.concatenate([vals, vals]), names=["beta_1"], chains=2)
-        series = mpsrf(draws, checkpoints=[10, 20, 40], parameters=["beta_1"])
+        series = mpsrf(draws, checkpoints=[10, 20, 40])
         for t, v in zip(series.iterations, series.values):
             assert v == pytest.approx((t - 1) / t, abs=1e-12)
 
@@ -104,7 +104,7 @@ class TestMpsrf:
         m, n = 3, 400
         chains = g.normal(size=(m, n)) + g.normal(scale=0.2, size=(m, 1))
         draws = make_draws(chains.reshape(-1), names=["beta_1"], chains=m)
-        series = mpsrf(draws, checkpoints=[n], parameters=["beta_1"])
+        series = mpsrf(draws, checkpoints=[n])
         assert series.values[-1] == pytest.approx(scalar_psrf(chains), abs=1e-10)
 
     def test_converges_for_iid_chains(self):

@@ -904,9 +904,13 @@ class TestBatchedBlocks:
 
 
 class TestBatchedChains:
-    """``sample_tasks`` samples chains as one batch with the draws of
-    one-chain runs, and samples a batch again one chain at a time when a
-    chain fails in it."""
+    """``batched`` and ``sample_batch`` sample chains as batches with the
+    draws of one-chain runs, and sample a batch again one chain at a time
+    when a chain fails in it."""
+
+    @staticmethod
+    def sample(tasks):
+        return [rows for batch in gibbs.batched(tasks) for rows in gibbs.sample_batch(batch)]
 
     @staticmethod
     def tasks(chains, theta, distinct):
@@ -919,10 +923,10 @@ class TestBatchedChains:
     @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
     def test_batch_matches_one_chain_runs(self, chains, theta, distinct):
         tasks = self.tasks(chains, theta, distinct)
-        batched = gibbs._sample_chains(tasks)  # raises where sample_tasks would fall back
+        batched = gibbs._sample_chains(tasks)  # raises where sample_batch would fall back
         for task, rows in zip(tasks, batched):
             assert rows.tobytes() == gibbs._sample_chains([task])[0].tobytes()
-        assert [rows.tobytes() for rows in gibbs.sample_tasks(tasks)] == [rows.tobytes() for rows in batched]
+        assert [rows.tobytes() for rows in self.sample(tasks)] == [rows.tobytes() for rows in batched]
 
     @pytest.mark.parametrize("long_chains", [False, True], ids=["observations", "retained-draws"])
     def test_batches_are_bounded(self, monkeypatch, long_chains):
@@ -946,7 +950,7 @@ class TestBatchedChains:
         for cells, want in ((2 * max(n, row_cells), [2, 2, 1]), (2 * min(n, row_cells), [1] * 5)):
             monkeypatch.setattr(gibbs, "_BATCH_CELLS", cells)
             sizes.clear()
-            gibbs.sample_tasks(tasks)
+            self.sample(tasks)
             assert sizes == want
 
     def test_probe_overflow_on_finite_values_keeps_the_batch(self, monkeypatch):
@@ -975,7 +979,7 @@ class TestBatchedChains:
         monkeypatch.setattr(gibbs, "_SWEEP", tuple(update_delta if op is gibbs.update_delta else op
                                                    for op in gibbs._SWEEP))
         monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
-        outcomes = gibbs.sample_tasks(tasks)
+        outcomes = self.sample(tasks)
         assert sizes == [3]
         assert [rows.tobytes() for rows in outcomes] == clean
 
@@ -1009,7 +1013,7 @@ class TestBatchedChains:
             gibbs._sample_chains([tasks[2]])
         assert "chain 2: " in str(alone.value) and "at sweep 5 with non-finite beta" in str(alone.value)
         sweeps["alone"] = 0
-        outcomes = gibbs.sample_tasks(tasks)
+        outcomes = self.sample(tasks)
         assert sweeps["batch"] == 5
         assert str(outcomes[2]) == str(alone.value)
         assert [rows.tobytes() for k, rows in enumerate(outcomes) if k != 2] == clean[:2] + clean[3:]

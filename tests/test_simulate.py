@@ -247,8 +247,8 @@ class TestReplicationStudy:
 
     @staticmethod
     def assert_same_run(got, want):
-        assert got.failures == want.failures
         for theta in want.thetas:
+            assert got.reports[theta].failures == want.reports[theta].failures
             assert got.estimates[theta].tobytes() == want.estimates[theta].tobytes()
             assert got.reports[theta] == want.reports[theta]
 
@@ -333,9 +333,11 @@ class TestReplicationStudy:
         sweeps.clear()
         alone = run_replication_study(cfg, sampler, thetas=[0.25, 0.5], estimator=posterior_mean_estimator)
         self.assert_same_run(batched, alone)
-        assert len(batched.failures) == 1
-        assert batched.failures[0].startswith("replication 2: chain 0: update_")
-        assert "at sweep 5 with non-finite beta" in batched.failures[0]
+        failures = batched.reports[0.25].failures
+        assert batched.reports[0.5].failures == failures
+        assert len(failures) == 1
+        assert failures[0].startswith("replication 2: chain 0: update_")
+        assert "at sweep 5 with non-finite beta" in failures[0]
         for theta in clean.thetas:
             assert batched.estimates[theta].tobytes() == clean.estimates[theta][[0, 1, 3]].tobytes()
 
