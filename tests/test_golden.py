@@ -56,7 +56,10 @@ CRITERION_5 = ["fit", "--input", "{sim2}/dataset.csv", "--theta", "0.5", "--iter
 
 def environment() -> dict[str, str]:
     """The numpy version and the BLAS it was built with."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 does not report its build
+        blas = {}
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
