@@ -247,10 +247,15 @@ def _check_report_options(resolved: dict) -> None:
 
 
 def _check_levels(thetas: list[float]) -> None:
-    """Reject a quantile level listed twice, before any input is read."""
-    repeated = next((t for k, t in enumerate(thetas) if t in thetas[:k]), None)
-    if repeated is not None:
-        raise ConfigError(f"option theta lists the level {repeated!r} more than once")
+    """Reject a quantile level listed twice, and two levels that share the
+    tag ``f"{theta:g}"`` that names their outputs, before any input is read."""
+    for k, theta in enumerate(thetas):
+        twin = next((t for t in thetas[:k] if f"{t:g}" == f"{theta:g}"), None)
+        if twin == theta:
+            raise ConfigError(f"option theta lists the level {theta!r} more than once")
+        if twin is not None:
+            raise ConfigError(f"option theta lists the levels {twin!r} and {theta!r}, which share "
+                              f"the output tag {theta:g}")
 
 
 # ---------------------------------------------------------------------------

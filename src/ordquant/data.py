@@ -175,11 +175,18 @@ def _resolve_columns(path, header, schema):
         covariates = [c for c in header if c not in reserved]
     else:
         covariates = list(schema.covariates)
+        twice = next((c for k, c in enumerate(covariates) if c in covariates[:k]), None)
+        if twice is not None:
+            raise SchemaError(f"{path}: the covariate list names column {twice!r} twice")
         absent = [c for c in covariates if c not in header]
         if absent:
             raise SchemaError(f"{path}: missing covariate column(s) {absent}")
     if not covariates:
         raise SchemaError(f"{path}: no covariate columns available")
+    repeated = next((c for c in (schema.subject, schema.response, time_col, *covariates)
+                     if c is not None and header.count(c) > 1), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: the header names column {repeated!r} {header.count(repeated)} times")
     pos = {name: header.index(name) for name in header}
     return {
         "subject": pos[schema.subject],

@@ -39,10 +39,9 @@ __all__ = [
 TRUE_BETA = (-5.0, -10.0, 15.0)
 TRUE_CUTPOINTS = (-0.8416, -0.2533, 0.2533, 0.8416)
 
-# Fit-time cut-point support for simulated designs; comfortably contains
-# the true cut-points while keeping the order-statistics prior proper.
-SIM_DELTA_MIN = -3.0
-SIM_DELTA_MAX = 3.0
+# The study's priors: a cut-point support that comfortably contains the
+# true cut-points while keeping the order-statistics prior proper.
+_SIM_PRIORS = Priors(delta_min=-3.0, delta_max=3.0)
 
 # The replication study's parameters: the first columns of ``gibbs.parameter_names``.
 _STUDY_NAMES = ([f"beta_{k + 1}" for k in range(len(TRUE_BETA))]
@@ -136,17 +135,14 @@ def write_scenario_dataset(dataset: OrdinalDataset, config: ScenarioConfig, path
 # Replication study
 # ---------------------------------------------------------------------------
 
-def sim_priors() -> Priors:
-    return Priors(delta_min=SIM_DELTA_MIN, delta_max=SIM_DELTA_MAX)
-
-
 def posterior_mean_estimator(dataset: OrdinalDataset, theta: float, sampler: SamplerConfig) -> dict[str, float]:
-    """Default per-replication estimator: posterior means from one fit."""
+    """Posterior means from one ``run_chain`` fit: an ``estimator`` for
+    ``run_replication_study``, and the reference its batched default equals."""
     return _posterior_means(run_chain(_sim_spec(theta, dataset), sampler).values)
 
 
 def _sim_spec(theta: float, dataset: OrdinalDataset) -> ModelSpec:
-    return ModelSpec(theta=theta, dataset=dataset, priors=sim_priors())
+    return ModelSpec(theta=theta, dataset=dataset, priors=_SIM_PRIORS)
 
 
 def _posterior_means(values: np.ndarray) -> dict[str, float]:
@@ -178,44 +174,43 @@ def _fit_config(config: ScenarioConfig, sampler: SamplerConfig, rep: int, q: int
     return replace(sampler, seed=child_seed(config.seed, STREAM_REPLICATION, rep, 1 + q))
 
 
-def _replication_worker(args):
-    """One replication's estimates at every level, from ``estimator``, or the
-    error that ended its first failed fit."""
-    config, sampler, thetas, rep, estimator = args
-    dataset = _replication_dataset(config, rep)
-    try:
-        return {theta: estimator(dataset, theta, _fit_config(config, sampler, rep, q))
-                for q, theta in enumerate(thetas)}
-    except (ChainDivergedError, FloatingPointError) as exc:
-        return exc
-
-
 def _replication_group(args) -> list:
-    """Posterior means of the replications ``reps``, or the error that ended
-    each one's first failed fit.
+    """The estimates of the replications ``reps`` at every level, or the
+    error that ended each one's first failed fit.
 
-    At each level the chains of the replications still alive are read
-    through ``gibbs.batched`` and sampled by ``gibbs.sample_batch``, and a
+    The levels run one at a time, and at each the replications still alive
+    run in order, so a failed replication is not fit at later levels.  With
+    an ``estimator``, a replication's estimates are its result, and a
+    ``ChainDivergedError`` or ``FloatingPointError`` it raises is the
+    replication's outcome.  Without one, the chains are read through
+    ``gibbs.batched`` and sampled by ``gibbs.sample_batch``, and a
     replication's dataset is generated when the batch of its first chain is
     formed, so a worker holds one batch's datasets and rows at a time.  Each
     chain draws from its own stream, so the estimates equal
     ``posterior_mean_estimator``'s."""
-    config, sampler, thetas, reps = args
+    config, sampler, thetas, reps, estimator = args
     chains = sampler.num_chains
     outcomes = {rep: {} for rep in reps}
     for q, theta in enumerate(thetas):
         alive = [rep for rep in reps if isinstance(outcomes[rep], dict)]
-        fits = ((_sim_spec(theta, _replication_dataset(config, rep)), _fit_config(config, sampler, rep, q))
-                for rep in alive)
-        tasks = ((spec, cfg, chain) for spec, cfg in fits for chain in range(chains))
+        fits = ((_replication_dataset(config, rep), _fit_config(config, sampler, rep, q)) for rep in alive)
+        tasks = ((_sim_spec(theta, dataset), cfg, chain) for dataset, cfg in fits for chain in range(chains))
         blocks = (block for batch in batched(tasks) for block in sample_batch(batch))
         for rep in alive:
-            rows = [next(blocks) for _ in range(chains)]
-            failure = next((b for b in rows if isinstance(b, Exception)), None)
-            if failure is None:
-                outcomes[rep][theta] = _posterior_means(np.concatenate(rows))
+            if estimator is None:
+                rows = [next(blocks) for _ in range(chains)]
+                failure = next((b for b in rows if isinstance(b, Exception)), None)
+                outcome = _posterior_means(np.concatenate(rows)) if failure is None else failure
             else:
-                outcomes[rep] = failure
+                dataset, cfg = next(fits)
+                try:
+                    outcome = estimator(dataset, theta, cfg)
+                except (ChainDivergedError, FloatingPointError) as exc:
+                    outcome = exc
+            if isinstance(outcome, Exception):
+                outcomes[rep] = outcome
+            else:
+                outcomes[rep][theta] = outcome
     return [outcomes[rep] for rep in reps]
 
 
@@ -232,27 +227,23 @@ def run_replication_study(
     whose fit diverges is recorded and skipped; each level's report lists
     the failures.  With two or more completed replications, each level's
     report gets the efficiency block ``theta=<level>`` against the first
-    level (exactly 1 there).  Without an ``estimator``, the replications
-    are split into up to ``jobs`` contiguous groups, one task each, and a
-    group reads its chains a level at a time through ``gibbs.batched`` and
-    ``gibbs.sample_batch``, generating each replication's dataset again at
-    each level (``_replication_group``).  With an ``estimator``, each
-    replication is a task that calls it at every level and returns its
-    failure as data (``_replication_worker``).  With ``jobs > 1`` the tasks
-    run in up to ``jobs`` worker processes.  Aggregation is in
-    replication-index order either way, so the output is identical for any
-    ``jobs``, and the default equals ``estimator=posterior_mean_estimator``.
+    level (exactly 1 there).  The replications are split into up to
+    ``jobs`` contiguous groups, and each group is one task that fits its
+    replications a level at a time, generating each replication's dataset
+    again at each level (``_replication_group``).  Without an
+    ``estimator``, a level's chains are sampled in batches; with one, it is
+    called once per replication and level as ``estimator(dataset, theta,
+    sampler)``.  With ``jobs > 1`` the groups run in up to ``jobs`` worker
+    processes.  Aggregation is in replication-index order, so the output is
+    identical for any ``jobs``, and the default equals
+    ``estimator=posterior_mean_estimator``.
     """
     thetas = [float(t) for t in thetas]
     names = list(_STUDY_NAMES)
     truth = dict(zip(names, TRUE_BETA + TRUE_CUTPOINTS))
 
-    if estimator is None:
-        groups = [(config, sampler, thetas, reps) for reps in split_groups(range(config.replications), jobs)]
-        outcomes = (outcome for group in ordered_map(_replication_group, groups, jobs) for outcome in group)
-    else:
-        tasks = [(config, sampler, thetas, rep, estimator) for rep in range(config.replications)]
-        outcomes = ordered_map(_replication_worker, tasks, jobs)
+    groups = [(config, sampler, thetas, reps, estimator) for reps in split_groups(range(config.replications), jobs)]
+    outcomes = (outcome for group in ordered_map(_replication_group, groups, jobs) for outcome in group)
     results: dict[int, dict] = {}
     failures: list[str] = []
     for rep, outcome in enumerate(outcomes):
@@ -278,11 +269,10 @@ def run_replication_study(
             bias=bias,
             failures=list(failures),
         )
-    if len(completed) >= 2:
-        ref = estimates[thetas[0]]
-        for theta in thetas:
+        if len(completed) >= 2:
+            ref = estimates[thetas[0]]
             reports[theta].efficiency[f"theta={theta:g}"] = {
-                name: relative_efficiency(estimates[theta][:, j], ref[:, j]) for j, name in enumerate(names)
+                name: relative_efficiency(mat[:, j], ref[:, j]) for j, name in enumerate(names)
             }
     return ReplicationRun(thetas, names, estimates, reports)
 

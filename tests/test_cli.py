@@ -194,7 +194,8 @@ class TestFit:
                     "--seed", "1"])
         assert code == 2
 
-    @pytest.mark.parametrize("args", [["--level", "2"], ["--response-col", "nope"]], ids=["level", "schema"])
+    @pytest.mark.parametrize("args", [["--level", "2"], ["--response-col", "nope"], ["--covariates", "x1,x1"]],
+                             ids=["level", "schema", "repeated-covariate"])
     def test_rejected_run_creates_no_directory(self, tmp_path, toy_csv, args):
         out = tmp_path / "f3"
         assert run(["fit", "--input", toy_csv, "--seed", "4", "--out", out, *args]) == 2
@@ -249,16 +250,19 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not [p for p in out.rglob("*") if p.is_file()]
 
-    def test_repeated_level_exits_2_before_reading_input(self, tmp_path, toy_csv, monkeypatch, capsys):
+    @pytest.mark.parametrize("args,message", [
+        (["--theta", "0.25,0.5", "--theta", "0.5"], "option theta lists the level 0.5 more than once"),
+        (["--theta", "0.1,0.1000001"], "option theta lists the levels 0.1 and 0.1000001, which share the output tag 0.1"),
+    ], ids=["exact-repeat", "shared-tag"])
+    def test_repeated_level_exits_2_before_reading_input(self, tmp_path, toy_csv, monkeypatch, capsys, args, message):
         def untouched(*args, **kwargs):
             raise AssertionError("read the input or sampled before the levels were checked")
 
         monkeypatch.setattr(cli, "ingest_csv", untouched)
         monkeypatch.setattr(cli, "run_chain", untouched)
         out = tmp_path / "runs"
-        assert run(["fit", "--input", toy_csv, "--theta", "0.25,0.5", "--theta", "0.5",
-                    "--seed", "3", "--out", out]) == 2
-        assert "option theta lists the level 0.5 more than once" in capsys.readouterr().err
+        assert run(["fit", "--input", toy_csv, *args, "--seed", "3", "--out", out]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -342,7 +346,8 @@ class TestReplicate:
         (["--jobs", "0"], "option jobs must be at least 1, got 0"),
         (["--jobs", "-4"], "option jobs must be at least 1, got -4"),
         (["--theta", "0.5,0.25,0.5"], "option theta lists the level 0.5 more than once"),
-    ], ids=["jobs-0", "jobs-negative", "repeated-theta"])
+        (["--theta", "0.25,0.2500001"], "option theta lists the levels 0.25 and 0.2500001, which share the output tag 0.25"),
+    ], ids=["jobs-0", "jobs-negative", "repeated-theta", "shared-tag"])
     def test_bad_option_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.setattr(cli, "run_replication_study", self.no_study)
         out = tmp_path / "runs"

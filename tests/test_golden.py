@@ -1,6 +1,7 @@
 """Byte identity: the sha256 of every output file of a set of small, fast
-runs, manifests aside, and criterion 5's late shrink-factor maximum, each
-against its record in ``golden.json``.
+runs, manifests aside, and criterion 5's late shrink-factor maximum (from
+the fit ``conftest.py`` shares with the acceptance suite), each against its
+record in ``golden.json``.
 
 The BLAS can change the last bits of ``x @ beta``, so the records hold only
 on the numpy and BLAS that made them; on any other the test fails and says
@@ -19,9 +20,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ordquant.cli import main
+
+from .conftest import run_criterion_5
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -49,10 +51,6 @@ RUNS = {
                     "--seed", "9"],
 }
 
-# Criterion 5's fit (tests/test_acceptance.py), from the "sim2" run's dataset.
-CRITERION_5 = ["fit", "--input", "{sim2}/dataset.csv", "--theta", "0.5", "--iterations", "10000",
-               "--burn-in", "2000", "--chains", "2", "--overdispersed-starts", "--seed", "17", *_SIM_PRIORS]
-
 
 def environment() -> dict[str, str]:
     """The numpy version and the BLAS it was built with."""
@@ -71,19 +69,23 @@ def _run(root: Path, name: str, args: list[str], dirs: dict[str, Path]) -> Path:
     return run_dir
 
 
-def record_runs(root: Path) -> dict:
-    """The sha256 of every output but the manifests of ``RUNS``, by
-    ``run/file``, and the largest shrink factor past sweep 5000 of criterion
-    5's fit, to 17 digits."""
+def record_runs(root: Path) -> dict[str, str]:
+    """The sha256 of every output but the manifests of ``RUNS``, by ``run/file``."""
     dirs, digests = {}, {}
     for name, args in RUNS.items():
         dirs[name] = _run(root, name, args, dirs)
         for path in sorted(dirs[name].iterdir()):
             if path.name != "manifest.txt":
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    plot = (_run(root, "criterion-5", CRITERION_5, dirs) / "mpsrf-theta0.5.dat").read_text().split("\n")
+    return digests
+
+
+def late_max(run_dir: Path) -> str:
+    """The largest shrink factor past sweep 5000 of criterion 5's fit in
+    ``run_dir``, to 17 digits."""
+    plot = (run_dir / "mpsrf-theta0.5.dat").read_text().split("\n")
     late = max(float(v) for t, v in (line.split() for line in plot if line) if int(t) > 5000)
-    return {"criterion_5_late_max": f"{late:.17g}", "digests": digests}
+    return f"{late:.17g}"
 
 
 def load_golden() -> dict:
@@ -96,24 +98,20 @@ def load_golden() -> dict:
     return record
 
 
-@pytest.fixture(scope="module")
-def recorded(tmp_path_factory):
-    return record_runs(tmp_path_factory.mktemp("golden"))
-
-
-def test_output_digests(recorded):
-    want, got = load_golden()["digests"], recorded["digests"]
+def test_output_digests(tmp_path):
+    want, got = load_golden()["digests"], record_runs(tmp_path)
     changed = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not changed, f"outputs differ from golden.json: {changed}"
 
 
-def test_criterion_5_late_max(recorded):
-    assert recorded["criterion_5_late_max"] == load_golden()["criterion_5_late_max"]
+def test_criterion_5_late_max(criterion_5_fit):
+    assert late_max(criterion_5_fit()) == load_golden()["criterion_5_late_max"]
 
 
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        record = {**environment(), **record_runs(Path(tmp))}
+        record = {**environment(), "criterion_5_late_max": late_max(run_criterion_5(Path(tmp, "criterion-5"))),
+                  "digests": record_runs(Path(tmp, "runs"))}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(record['digests'])} digests to {GOLDEN}", file=sys.stderr)
 

@@ -199,6 +199,34 @@ class TestIngestErrors:
         assert ingest_error(ingest_csv_rowwise, f, CsvSchema()) == expected
 
 
+class TestRepeatedColumns:
+    """A column the schema reads is named once in the header and once in the
+    covariate list; a repeat is a schema error that names the file and the
+    column.  A repeated column the schema does not read is ignored."""
+
+    @pytest.mark.parametrize("header,covariates,message", [
+        ("subject,y,x1,x1", None, "the header names column 'x1' 2 times"),
+        ("subject,y,x1,y", None, "the header names column 'y' 2 times"),
+        ("subject,time,y,x1,time", None, "the header names column 'time' 2 times"),
+        ("subject,y,x1,x2", ("x1", "x1"), "the covariate list names column 'x1' twice"),
+        ("subject,y,x1,x2, x2 ", ("x2",), "the header names column 'x2' 2 times"),
+    ], ids=["covariate-in-header", "response-in-header", "time-in-header", "covariate-list", "stripped-header"])
+    def test_repeated_column_is_a_schema_error(self, tmp_path, header, covariates, message):
+        f = tmp_path / "twice.csv"
+        write_lines(f, [header, ",".join(["a", "1"] + ["0"] * (header.count(",") - 1))])
+        for call in (ingest_csv, ingest_csv_rowwise):
+            with pytest.raises(SchemaError) as info:
+                call(f, CsvSchema(covariates=covariates))
+            assert str(info.value) == f"{f}: {message}"
+
+    def test_repeated_unread_column_is_ignored(self, tmp_path):
+        f = tmp_path / "notes.csv"
+        write_lines(f, ["subject,y,note,x1,note", "a,1,p,0.5,q", "a,2,r,-0.5,s"])
+        ds = ingest_csv(f, CsvSchema(covariates=("x1",)))
+        assert ds.covariate_names == ["x1"]
+        assert ds.x.tolist() == [[0.5], [-0.5]]
+
+
 @pytest.mark.usefixtures("chunk_rows")
 class TestIngestTimeRange:
     """A time index must fit in ``intp``; a wider one is bad input, reported

@@ -164,6 +164,17 @@ def always_fails(dataset, theta, sampler):
     raise ChainDivergedError("synthetic")
 
 
+TWO_LEVELS = ScenarioConfig(scenario="sim1", subjects=5, obs_per_subject=3, replications=3, seed=13)
+
+
+def fails_replication_1_first(dataset, theta, sampler):
+    """``posterior_mean_estimator``, but the fit of ``TWO_LEVELS``'s
+    replication 1 at the first level diverges."""
+    if sampler.seed == simulate._fit_config(TWO_LEVELS, sampler, 1, 0).seed:
+        raise ChainDivergedError("synthetic")
+    return posterior_mean_estimator(dataset, theta, sampler)
+
+
 class TestReplicationStudy:
     def test_single_replication_bookkeeping(self):
         cfg = ScenarioConfig(scenario="sim1", subjects=6, obs_per_subject=3, replications=1, seed=3)
@@ -340,6 +351,26 @@ class TestReplicationStudy:
         assert "at sweep 5 with non-finite beta" in failures[0]
         for theta in clean.thetas:
             assert batched.estimates[theta].tobytes() == clean.estimates[theta][[0, 1, 3]].tobytes()
+
+    def test_estimator_failure_skips_later_levels(self):
+        sampler = SamplerConfig(iterations=40, burn_in=10)
+        thetas = [0.25, 0.5]
+        fits = []
+
+        def recording(dataset, theta, cfg):
+            fits.append((cfg.seed, theta))
+            return fails_replication_1_first(dataset, theta, cfg)
+
+        run = run_replication_study(TWO_LEVELS, sampler, thetas, estimator=recording)
+        expected = [(simulate._fit_config(TWO_LEVELS, sampler, rep, q).seed, theta)
+                    for q, theta in enumerate(thetas) for rep in range(3) if (rep, q) != (1, 1)]
+        assert sorted(fits) == sorted(expected)
+        clean = run_replication_study(TWO_LEVELS, sampler, thetas)
+        for theta in thetas:
+            assert run.reports[theta].failures == ["replication 1: synthetic"]
+            assert run.estimates[theta].tobytes() == clean.estimates[theta][[0, 2]].tobytes()
+        pooled = run_replication_study(TWO_LEVELS, sampler, thetas, estimator=fails_replication_1_first, jobs=2)
+        self.assert_same_run(pooled, run)
 
     def test_estimates_csv(self, tmp_path):
         cfg = ScenarioConfig(scenario="sim1", subjects=5, obs_per_subject=3, replications=2, seed=9)
