@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,6 +29,7 @@ from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
 from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
 from .kvfile import read_kv, write_kv
 from .model import ModelSpec, Priors
+from .parallel import usable_cpus
 from .simulate import ScenarioConfig, generate, run_replication_study, write_scenario_dataset
 from .streams import STREAM_DATASET, fresh_seed, substream
 
@@ -247,9 +247,12 @@ def _check_report_options(resolved: dict) -> None:
 
 
 def _check_levels(thetas: list[float]) -> None:
-    """Reject a quantile level listed twice, and two levels that share the
-    tag ``f"{theta:g}"`` that names their outputs, before any input is read."""
+    """Reject a quantile level outside (0, 1), a level listed twice, and two
+    levels that share the tag ``f"{theta:g}"`` that names their outputs,
+    before any input is read or any level sampled."""
     for k, theta in enumerate(thetas):
+        if not 0.0 < theta < 1.0:
+            raise ConfigError(f"option theta: quantile level must lie in (0, 1), got {theta!r}")
         twin = next((t for t in thetas[:k] if f"{t:g}" == f"{theta:g}"), None)
         if twin == theta:
             raise ConfigError(f"option theta lists the level {theta!r} more than once")
@@ -287,11 +290,9 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
         raise DataError(f"input {input_path} has sha256 {digest}, but the manifest records {expected}")
     priors = _priors_from(resolved)
     specs = [ModelSpec(theta=theta, dataset=dataset, priors=priors) for theta in resolved["theta"]]
-    # One worker process per chain, up to the CPUs this process may run on
-    # (all CPUs where the OS has no affinity masks); the draws do not depend
-    # on the number of workers.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(config.num_chains, cpus)
+    # One worker process per chain, up to the CPUs this process may run on;
+    # the draws do not depend on the number of workers.
+    jobs = min(config.num_chains, usable_cpus())
     for spec in specs:
         draws = run_chain(spec, config, jobs)
         write_draws(draws, out_dir / f"draws-theta{spec.theta:g}.csv", spec)

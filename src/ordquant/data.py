@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import DataError, SchemaError
 
 __all__ = ["CsvSchema", "OrdinalDataset", "ingest_csv", "write_csv"]
@@ -85,6 +86,9 @@ class OrdinalDataset:
             raise DataError("response categories must lie in 1..C")
         if not np.isfinite(self.x).all():
             raise DataError("covariates must be finite")
+        if parallel.is_chunked(n):
+            # A chunked chain reads x one column at a time, so x is stored by column.
+            self.x = np.asfortranarray(self.x)
         if len(self.subject_ids) != self.subject_index.max() + 1:
             raise DataError("subject ids do not match the subject index")
         boundaries = np.flatnonzero(np.diff(self.subject_index))
@@ -181,6 +185,10 @@ def _resolve_columns(path, header, schema):
         absent = [c for c in covariates if c not in header]
         if absent:
             raise SchemaError(f"{path}: missing covariate column(s) {absent}")
+        roles = {schema.subject: "subject", schema.response: "response", time_col: "time"}
+        clash = next((c for c in covariates if c in roles), None)
+        if clash is not None:
+            raise SchemaError(f"{path}: covariate column {clash!r} is also the {roles[clash]} column")
     if not covariates:
         raise SchemaError(f"{path}: no covariate columns available")
     repeated = next((c for c in (schema.subject, schema.response, time_col, *covariates)

@@ -32,7 +32,18 @@ one after another, each with one worker per chain, capped by the usable
 CPUs, so up to the CPUs every chain samples alone.  The replication study
 reads each level's chains of a worker's replications through the same two
 functions, so a batch may hold chains of several replications' fits.
-Workers never start pools of their own.
+Workers never start process pools of their own.
+
+Observation chunks.  A chain of more than ``parallel._CHUNK_OBSERVATIONS``
+(65,536) observations (``model.chunked``) runs its per-observation passes
+over equal contiguous chunks on a thread pool (``parallel.map_chunks``):
+``update_v``'s draws after the location move, ``update_l`` and
+``initialize_state``'s liability draw (``model.per_observation``),
+``update_beta``'s residual and inner-product passes, and ``update_alpha``'s
+per-subject sums.  The scalar draws and every other step stay on the
+calling thread in their one-chain order.  Such a chain is always a batch of
+its own, and its threads are the CPUs its process is not already using for
+chain workers, so a one-chain ``fit`` on 2 CPUs samples on both.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -48,10 +59,18 @@ batch draws from its own generator in its one-chain order, and every
 reduction keeps the one-chain bits: a stacked ``matmul`` for ``x @ beta``,
 a ``take`` or ``bincount`` over chain-offset indices, a per-chain
 ``np.dot`` or row sum; scalar draws and the truncated-normal tail stay
-per-chain loops.  There is no cross-block cache; only constants of the
-dataset are cached, on the dataset.  ``run_chain`` turns a numerical
-failure inside a block, or a non-finite state after a sweep, into
-``ChainDivergedError`` naming the chain, the sweep and the block.
+per-chain loops.  A chunked chain draws chunk 0 from its generator and
+chunk j from child j of ``rng.spawn(k - 1)``, spawned inside the block at
+each pass that draws, so a block stays a pure function of
+``(state, spec, rng)``; it calls no BLAS: x beta one column at a time
+(``model.column_product``), sums over observations by ``np.einsum`` or as
+per-chunk sums added in chunk order.  So its draws depend on the
+observation count, but neither on the number of threads nor on the BLAS.
+There is no cross-block cache; only constants of the dataset are cached,
+on the dataset.  ``run_chain`` turns a numerical failure inside a block, or
+a non-finite state after a sweep, into ``ChainDivergedError`` naming the
+chain, the sweep and the block; in a chunked pass every chunk runs, and the
+first failure in chunk order is the one raised.
 
 Aliasing.  Blocks write into the state's arrays in place where they can:
 the location move shifts ``alpha``, the cut-points and ``latent_l``, and
@@ -68,6 +87,7 @@ import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -77,10 +97,10 @@ from . import __version__
 from .data import _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
-from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, draw_liabilities, initialize_state, linear_predictor,
-                    nonfinite_blocks, stack_specs, stack_states)
+from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, column_product, draw_liabilities,
+                    initialize_state, linear_predictor, nonfinite_blocks, per_observation, stack_specs, stack_states)
 from .distributions import _gig_half, _trunc_normal
-from .parallel import ordered_map
+from .parallel import is_chunked, map_chunks, observation_chunks, ordered_map
 from .streams import STREAM_CHAIN, substream
 
 __all__ = [
@@ -101,6 +121,8 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
+# The inner product of two vectors without the BLAS, for a chunked chain.
+_inner = partial(np.einsum, "i,i->")
 # Chain-observations, and retained draw cells, one batch of chains holds
 # (``batched``).
 _BATCH_CELLS = 1 << 16
@@ -188,27 +210,34 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
     """Mixing variables: GIG(1/2) with rho1^2 = residual^2 / 2, rho2^2 = 1/2.
 
     The location move runs first: it leaves the residual L - x beta - alpha,
-    and so this block's conditional, unchanged.
+    and so this block's conditional, unchanged.  The draws run per
+    observation chunk (``model.per_observation``).
     """
     _shift_location(state, spec, rng)
     ds = spec.dataset
-    resid = linear_predictor(ds.x, state.beta)
-    np.subtract(state.latent_l, resid, out=resid)
-    effect = state.alpha.take(ds.subject_index)
-    resid -= effect
-    rho1_sq = np.multiply(resid, 0.5, out=effect)
-    rho1_sq *= resid
-    np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
-    np.sqrt(rho1_sq, out=rho1_sq)
-    # The draws of _gig_half(rho1, sqrt(1/2)), with the Wald means written
-    # over rho1 and the reciprocals over the Wald draws.
-    means = np.divide(_SQRT_HALF, rho1_sq, out=rho1_sq)
+    batch = state.beta.ndim > 1
+    # A chunked chain's chunks write their draws into one new array.
+    out = np.empty_like(state.latent_v) if chunked(state) else None
 
-    def draw(g, mean):
+    def wald(g, mean):
         return g.wald(mean, _SQRT_HALF * _SQRT_HALF)
 
-    v = _stacked(draw, rng, means) if state.beta.ndim > 1 else draw(rng, means)
-    state.latent_v = np.divide(1.0, v, out=v)
+    def draw(rows, resid, g):
+        np.subtract(state.latent_l[rows], resid, out=resid)
+        effect = state.alpha.take(ds.subject_index[rows])
+        resid -= effect
+        rho1_sq = np.multiply(resid, 0.5, out=effect)
+        rho1_sq *= resid
+        np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
+        np.sqrt(rho1_sq, out=rho1_sq)
+        # The draws of _gig_half(rho1, sqrt(1/2)), with the Wald means written
+        # over rho1 and the reciprocals over the Wald draws.
+        means = np.divide(_SQRT_HALF, rho1_sq, out=rho1_sq)
+        v = _stacked(wald, g, means) if batch else wald(g, means)
+        return np.divide(1.0, v, out=v if out is None else out[rows])
+
+    parts = per_observation(state, spec, draw, rng)
+    state.latent_v = parts[0] if out is None else out
 
 
 def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -216,7 +245,12 @@ def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
 
     Each chain's two inner products per coefficient are its own ``np.dot``
     and its draw its own scalar call, so a batch draws every chain's bits.
+    A chunked chain builds its residuals and sums its inner products per
+    chunk (``_update_beta_chunked``).
     """
+    if chunked(state):
+        _update_beta_chunked(state, spec, rng)
+        return
     ds = spec.dataset
     x, v, beta = ds.x, state.latent_v, state.beta
     batch = beta.ndim > 1
@@ -233,18 +267,55 @@ def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
         if batch:
             precision = [np.dot(t, w) for t, w in zip(term, inv2v)]
             np.multiply(r, xk, out=term)
-            beta[:, k] = [_draw_coefficient(*chain) for chain in zip(rng, term, inv2v, precision, s_k)]
+            beta[:, k] = [_draw_coefficient(g, np.dot(t, w), *rest)
+                          for g, t, w, *rest in zip(rng, term, inv2v, precision, s_k)]
         else:
             precision = np.dot(term, inv2v)
             np.multiply(r, xk, out=term)
-            beta[k] = _draw_coefficient(rng, term, inv2v, precision, s_k)
+            beta[k] = _draw_coefficient(rng, np.dot(term, inv2v), precision, s_k)
         r -= np.multiply(xk, beta[:, k, None] if batch else beta[k], out=term)
 
 
-def _draw_coefficient(g, rx: np.ndarray, inv2v: np.ndarray, precision: float, s_k: float) -> float:
-    """One chain's coefficient k, from its r x_k, 1 / (2 v) and data precision."""
+def _update_beta_chunked(state: ChainState, spec: ModelSpec, rng) -> None:
+    """``update_beta`` for a chunked chain: one pass over the chunks per
+    coefficient, on the thread share.  The first builds each chunk's
+    residuals; pass k moves them from coefficient k - 1 to k and sums the
+    chunk's two inner products with ``np.einsum``.  The caller adds the
+    chunks' sums in chunk order and draws the coefficient."""
+    ds = spec.dataset
+    beta = state.beta
+    chunks = observation_chunks(ds.num_observations)
+    parts = [None] * len(chunks)  # each chunk's x, residuals, 1 / (2 v) and scratch
+
+    def sums(k, j):
+        if k == 0:
+            rows = chunks[j]
+            x, v = ds.x[rows], state.latent_v[rows]
+            r = column_product(x, beta)
+            np.subtract(state.latent_l[rows], r, out=r)
+            term = state.alpha.take(ds.subject_index[rows])
+            r -= term
+            r -= np.multiply(v, spec.xi, out=term)
+            parts[j] = x, r, np.divide(0.5, v), term
+        x, r, inv2v, term = parts[j]
+        if k > 0:
+            r -= np.multiply(x[:, k - 1], beta[k - 1], out=term)
+        xk = x[:, k]
+        r += np.multiply(xk, beta[k], out=term)
+        return np.einsum("i,i,i->", xk, xk, inv2v), np.einsum("i,i,i->", r, xk, inv2v)
+
+    for k, s_k in enumerate(state.s.tolist()):
+        precision = rx = 0.0
+        for chunk_precision, chunk_rx in map_chunks(partial(sums, k), len(chunks)):
+            precision += chunk_precision
+            rx += chunk_rx
+        beta[k] = _draw_coefficient(rng, rx, precision, s_k)
+
+
+def _draw_coefficient(g, rx: float, precision: float, s_k: float) -> float:
+    """One chain's coefficient k, from its sum of r x_k / (2 v) and its data precision."""
     variance = 1.0 / (precision + 1.0 / s_k)
-    return variance * np.dot(rx, inv2v) + math.sqrt(variance) * g.standard_normal()
+    return variance * rx + math.sqrt(variance) * g.standard_normal()
 
 
 def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
@@ -274,18 +345,28 @@ def update_lambda_sq(state: ChainState, spec: ModelSpec, rng) -> None:
 
 
 def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
-    """Subject effects: normal with data precision sum_j 1/(2 v_ij) + 1/phi."""
+    """Subject effects: normal with data precision sum_j 1/(2 v_ij) + 1/phi.
+
+    A chunked chain sums each chunk's terms per subject and adds the
+    chunks' sums in chunk order (``model.per_observation``).
+    """
     ds = spec.dataset
-    v = state.latent_v
-    inv2v = np.divide(0.5, v)
-    variance = _subject_sums(ds, inv2v)
+
+    def sums(rows, eta, _):
+        v = state.latent_v[rows]
+        inv2v = np.divide(0.5, v)
+        np.subtract(state.latent_l[rows], eta, out=eta)
+        eta -= np.multiply(v, spec.xi)
+        eta *= inv2v
+        index = ds.subject_index[rows]
+        return _subject_sums(ds, index, inv2v), _subject_sums(ds, index, eta)
+
+    (variance, mean), *later = per_observation(state, spec, sums)
+    for chunk_variance, chunk_mean in later:
+        variance += chunk_variance
+        mean += chunk_mean
     variance += 1.0 / (state.phi[:, None] if state.beta.ndim > 1 else state.phi)
     np.divide(1.0, variance, out=variance)
-    eta = linear_predictor(ds.x, state.beta)
-    np.subtract(state.latent_l, eta, out=eta)
-    eta -= np.multiply(v, spec.xi)
-    eta *= inv2v
-    mean = _subject_sums(ds, eta)
     mean *= variance
     # The draws rng.normal(mean, sd) would make, without its array-parameter cost.
     def draw(g):
@@ -297,13 +378,14 @@ def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
     state.alpha = alpha
 
 
-def _subject_sums(ds, weights: np.ndarray) -> np.ndarray:
-    """Each chain's per-subject sums of ``weights``.  In a batch, one
+def _subject_sums(ds, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each chain's per-subject sums of ``weights``, the terms of the
+    observations ``index`` holds the subjects of.  In a batch, one
     ``bincount`` over the chain-offset subject index adds each chain's
     terms in its one-chain order."""
     if weights.ndim == 1:
-        return np.bincount(ds.subject_index, weights=weights, minlength=ds.num_subjects)
-    sums = np.bincount(ds.subject_index.ravel(), weights=weights.ravel(), minlength=weights.shape[0] * ds.num_subjects)
+        return np.bincount(index, weights=weights, minlength=ds.num_subjects)
+    sums = np.bincount(index.ravel(), weights=weights.ravel(), minlength=weights.shape[0] * ds.num_subjects)
     return sums.reshape(weights.shape[0], ds.num_subjects)
 
 
@@ -311,9 +393,10 @@ def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
     """Random-effect variance: inverse-gamma(N/2 + b1, scale = sum(alpha^2)/2 + b2)."""
     pri = spec.priors
     shape = 0.5 * spec.dataset.num_subjects + pri.b1
+    dot = _inner if chunked(state) else np.dot
 
     def draw(g, alpha):
-        return 1.0 / g.gamma(shape, 1.0 / (0.5 * float(np.dot(alpha, alpha)) + pri.b2))
+        return 1.0 / g.gamma(shape, 1.0 / (0.5 * float(dot(alpha, alpha)) + pri.b2))
 
     state.phi = _stacked(draw, rng, state.alpha) if state.beta.ndim > 1 else draw(rng, state.alpha)
 
@@ -470,13 +553,17 @@ def batched(tasks):
     time: as many as keep the batch's chain-observations and retained draw
     cells within ``_BATCH_CELLS`` for its first task, and at least one.  So
     a batch of large panels or of long chains is one chain, and holds what a
-    one-chain run holds.  A batch's tasks must share one design and one
-    configuration but for its seed.  A task is read when its batch forms."""
+    one-chain run holds; a chain whose passes are chunked (``model.chunked``)
+    is always a batch of its own, so its draws never depend on its batch.  A
+    batch's tasks must share one design and one configuration but for its
+    seed.  A task is read when its batch forms."""
     tasks = iter(tasks)
     for first in tasks:
         spec, config, _ = first
+        n = spec.dataset.num_observations
         row_cells = config.retained_per_chain * len(parameter_names(spec, config.retain_alpha))
-        size = max(1, _BATCH_CELLS // max(spec.dataset.num_observations, row_cells))
+        # A chain whose passes are chunked samples alone, whatever the bounds.
+        size = 1 if is_chunked(n) else max(1, _BATCH_CELLS // max(n, row_cells))
         yield [first, *islice(tasks, size - 1)]
 
 
@@ -556,7 +643,10 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
     overflows) pays for the per-block scan.
     """
     scalars = state.lambda_sq + state.phi
-    dot, scalars = (np.dot, scalars) if state.beta.ndim == 1 else (np.vdot, scalars.sum())
+    if state.beta.ndim > 1:
+        dot, scalars = np.vdot, scalars.sum()
+    else:
+        dot = _inner if chunked(state) else np.dot
     probe = (dot(state.latent_l, state.latent_v) + dot(state.alpha, state.alpha) + dot(state.beta, state.s)
              + state.cutpoints[..., 1:-1].sum() + scalars)
     if not math.isfinite(probe):

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import parallel
 from .data import OrdinalDataset
 from .distributions import _trunc_normal_gathered
 from .errors import ConfigError
@@ -201,23 +202,68 @@ def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
     and the standard deviation take two arrays, the uniforms are drawn into
     the previous liability array, whose values are lost, and the cut-point
     bounds are gathered inside the truncated-normal draw.  A batch state
-    draws with ``rng``, the chains' generators, under a ``BatchSpec``.
+    draws with ``rng``, the chains' generators, under a ``BatchSpec``.  A
+    chunked state (``per_observation``) holds these arrays per chunk.
     """
     ds = spec.dataset
-    v = state.latent_v
-    center = linear_predictor(ds.x, state.beta)
-    sd = state.alpha.take(ds.subject_index)
-    center += sd
-    center += np.multiply(v, spec.xi, out=sd)
-    np.sqrt(np.multiply(v, 2.0, out=sd), out=sd)
-    cuts = state.cutpoints
-    state.latent_l = _trunc_normal_gathered(center, sd, _shifted_cutpoints(cuts), cuts, ds.y, rng, state.latent_l)
+    v, cuts = state.latent_v, state.cutpoints
+    below = _shifted_cutpoints(cuts)
+
+    def draw(rows, center, g):
+        sd = state.alpha.take(ds.subject_index[rows])
+        center += sd
+        center += np.multiply(v[rows], spec.xi, out=sd)
+        np.sqrt(np.multiply(v[rows], 2.0, out=sd), out=sd)
+        _trunc_normal_gathered(center, sd, below, cuts, ds.y[rows], g, state.latent_l[rows])
+
+    per_observation(state, spec, draw, rng)
+
+
+def per_observation(state: ChainState, spec, func, rng=None) -> list:
+    """``func(rows, xbeta, g)`` over a pass's observations, in a list.
+
+    ``rows`` indexes the observation axis, ``xbeta`` is a fresh array of
+    x beta on those rows and ``g`` the generator for them (None when
+    ``rng`` is).  A batch, and a chain of at most
+    ``parallel._CHUNK_OBSERVATIONS`` observations, run as one call on every
+    row, with ``linear_predictor`` and ``rng``.  A larger chain is chunked
+    (``chunked``): its ``parallel.observation_chunks`` run on the thread
+    share, each with x beta from ``column_product``, chunk 0 drawing from
+    ``rng`` and chunk j from child j of ``rng.spawn(k - 1)``, spawned at
+    each call.  So the draws depend on the observation count, never on the
+    number of threads, and each call is a pure function of the state, the
+    spec and ``rng``.
+    """
+    x, beta = spec.dataset.x, state.beta
+    if not chunked(state):
+        return [func(slice(None), linear_predictor(x, beta), rng)]
+    chunks = parallel.observation_chunks(x.shape[0])
+    gens = [None] * len(chunks) if rng is None else [rng, *rng.spawn(len(chunks) - 1)]
+    return parallel.map_chunks(lambda j: func(chunks[j], column_product(x[chunks[j]], beta), gens[j]), len(chunks))
+
+
+def chunked(state: ChainState) -> bool:
+    """Whether the per-observation passes of ``state`` run over observation
+    chunks: one chain of more than ``parallel._CHUNK_OBSERVATIONS``
+    observations.  A batch never chunks (``gibbs.batched`` gives a chain of
+    that size a batch of its own)."""
+    return state.beta.ndim == 1 and parallel.is_chunked(state.latent_l.shape[0])
 
 
 def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """``x @ beta`` for one chain; for a batch, each chain's product by one
     stacked matmul, which gives every chain the bits of its own ``x @ beta``."""
     return x @ beta if beta.ndim == 1 else np.matmul(x, beta[..., None])[..., 0]
+
+
+def column_product(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``x @ beta`` for one chain, one column at a time in coefficient
+    order, so its bits depend on no BLAS; a chunked chain's x beta."""
+    out = np.multiply(x[:, 0], beta[0])
+    term = np.empty_like(out)
+    for k in range(1, beta.size):
+        out += np.multiply(x[:, k], beta[k], out=term)
+    return out
 
 
 def _shifted_cutpoints(cuts: np.ndarray) -> np.ndarray:

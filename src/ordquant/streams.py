@@ -9,6 +9,7 @@ scheduling order:
 consumer                                  derivation
 ========================================  =========================================
 chain ``c`` of a fit                      ``substream(seed, STREAM_CHAIN, c)``
+chunks 1..k-1 of a chunked pass           ``g.spawn(k - 1)`` of chain ``c``'s ``g``
 standalone simulated dataset              ``substream(seed, STREAM_DATASET, 0)``
 replication ``r``: dataset                ``substream(seed, STREAM_REPLICATION, r, 0)``
 replication ``r``: fit seed, quantile q   ``child_seed(seed, STREAM_REPLICATION, r, 1 + q)``
@@ -16,6 +17,14 @@ replication ``r``: fit seed, quantile q   ``child_seed(seed, STREAM_REPLICATION,
 
 A replication's fit seed is itself a 64-bit seed, so any single replication
 fit can be reproduced standalone with the ``fit`` machinery.
+
+A chain of more than 65,536 observations draws its per-observation passes
+over k observation chunks (``model.per_observation``): chunk 0 from the
+chain's generator ``g``, chunk j from the j-th child of ``g.spawn(k - 1)``,
+called at each pass that draws.  The children's spawn keys extend the
+chain's, ``(STREAM_CHAIN, c, m)`` for the m-th child ``g`` has spawned, so
+they are distinct from every other stream and depend only on the order of
+the passes.
 """
 
 from __future__ import annotations

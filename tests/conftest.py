@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ordquant import parallel
 from ordquant.cli import main
 
 # The random-effects desk panel (sim2, 40 subjects x 10, seed 2026), and
@@ -29,3 +30,17 @@ def criterion_5_fit(tmp_path_factory):
     the session's first call only, so the first test to ask pays for it
     inside its own timing, and every later one reads the same outputs."""
     return functools.cache(lambda: run_criterion_5(tmp_path_factory.mktemp("criterion-5")))
+
+
+@pytest.fixture
+def thread_share(monkeypatch):
+    """``use(threads)`` gives the chunked passes a thread share of
+    ``threads``; the pools made are shut down after the test."""
+    monkeypatch.setattr(parallel, "_pool", None)
+
+    def use(threads):
+        parallel._shut_down_pool()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: threads)
+
+    yield use
+    parallel._shut_down_pool()

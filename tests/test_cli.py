@@ -194,8 +194,9 @@ class TestFit:
                     "--seed", "1"])
         assert code == 2
 
-    @pytest.mark.parametrize("args", [["--level", "2"], ["--response-col", "nope"], ["--covariates", "x1,x1"]],
-                             ids=["level", "schema", "repeated-covariate"])
+    @pytest.mark.parametrize("args", [["--level", "2"], ["--response-col", "nope"], ["--covariates", "x1,x1"],
+                                      ["--covariates", "y"]],
+                             ids=["level", "schema", "repeated-covariate", "covariate-is-response"])
     def test_rejected_run_creates_no_directory(self, tmp_path, toy_csv, args):
         out = tmp_path / "f3"
         assert run(["fit", "--input", toy_csv, "--seed", "4", "--out", out, *args]) == 2
@@ -203,6 +204,18 @@ class TestFit:
         out.mkdir()
         assert run(["fit", "--input", toy_csv, "--seed", "4", "--out", out, *args]) == 2
         assert out.is_dir() and not any(out.iterdir())
+
+    @pytest.mark.parametrize("covariates,role", [("y", "response"), ("x1,subject", "subject")])
+    def test_covariate_that_is_a_model_column_exits_2(self, tmp_path, toy_csv, monkeypatch, capsys, covariates, role):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a covariate that is a model column")
+
+        monkeypatch.setattr(cli, "run_chain", no_sampling)
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--covariates", covariates, "--seed", "3", "--out", out]) == 2
+        column = covariates.split(",")[-1]
+        assert f"{toy_csv}: covariate column {column!r} is also the {role} column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_row_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -249,6 +262,18 @@ class TestFit:
                     "--seed", "3", "--out", out, *args]) == 2
         assert message in capsys.readouterr().err
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("theta", ["1.5", "0", "1", "-0.25", "nan"])
+    def test_out_of_range_level_exits_2_before_reading_input(self, tmp_path, toy_csv, monkeypatch, capsys, theta):
+        def untouched(*args, **kwargs):
+            raise AssertionError("read the input or sampled before the levels were checked")
+
+        monkeypatch.setattr(cli, "ingest_csv", untouched)
+        monkeypatch.setattr(cli, "run_chain", untouched)
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--theta", f"0.5,{theta}", "--seed", "3", "--out", out]) == 2
+        assert f"option theta: quantile level must lie in (0, 1), got {float(theta)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,message", [
         (["--theta", "0.25,0.5", "--theta", "0.5"], "option theta lists the level 0.5 more than once"),
@@ -347,7 +372,8 @@ class TestReplicate:
         (["--jobs", "-4"], "option jobs must be at least 1, got -4"),
         (["--theta", "0.5,0.25,0.5"], "option theta lists the level 0.5 more than once"),
         (["--theta", "0.25,0.2500001"], "option theta lists the levels 0.25 and 0.2500001, which share the output tag 0.25"),
-    ], ids=["jobs-0", "jobs-negative", "repeated-theta", "shared-tag"])
+        (["--theta", "0.5,1.5"], "option theta: quantile level must lie in (0, 1), got 1.5"),
+    ], ids=["jobs-0", "jobs-negative", "repeated-theta", "shared-tag", "theta-out-of-range"])
     def test_bad_option_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.setattr(cli, "run_replication_study", self.no_study)
         out = tmp_path / "runs"

@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from ordquant.data import OrdinalDataset
 from ordquant.distributions import _TAIL_CUTOFF
 from ordquant.errors import ChainDivergedError, ConfigError, SchemaError
-from ordquant import data, gibbs
+from ordquant import data, gibbs, model, parallel
 from ordquant.gibbs import (
     PosteriorDraws,
     SamplerConfig,
@@ -26,9 +27,10 @@ from ordquant.gibbs import (
     update_v,
     write_draws,
 )
-from ordquant.model import ChainState, ModelSpec, Priors, initialize_state, nonfinite_blocks, stack_specs, stack_states
+from ordquant.model import (ChainState, ModelSpec, Priors, chunked, initialize_state, nonfinite_blocks, stack_specs,
+                            stack_states)
 from ordquant.simulate import ScenarioConfig, generate
-from ordquant.streams import STREAM_CHAIN, substream
+from ordquant.streams import STREAM_CHAIN, STREAM_DATASET, substream
 
 from .oracles import (
     gig_moment,
@@ -1017,6 +1019,200 @@ class TestBatchedChains:
         assert sweeps["batch"] == 5
         assert str(outcomes[2]) == str(alone.value)
         assert [rows.tobytes() for k, rows in enumerate(outcomes) if k != 2] == clean[:2] + clean[3:]
+
+
+def desk_spec():
+    """The 400-observation desk data (sim2, 40 subjects x 10, dataset seed 2026)."""
+    ds = generate(ScenarioConfig(scenario="sim2", subjects=40, obs_per_subject=10),
+                  substream(2026, STREAM_DATASET, 0))
+    return ModelSpec(theta=0.5, dataset=ds, priors=Priors(delta_min=-3, delta_max=3))
+
+
+def one_conditional_spec(n, y, theta=0.5):
+    """n observations of 100 subjects, one covariate of zeros, every response
+    ``y`` of two categories: each observation has the same conditional."""
+    subjects = 100
+    ds = OrdinalDataset([f"s{i}" for i in range(subjects)], np.repeat(np.arange(subjects), n // subjects),
+                        np.full(n, y), np.zeros((n, 1)), np.tile(np.arange(n // subjects), subjects), 2)
+    return ModelSpec(theta=theta, dataset=ds)
+
+
+class TestChunkedPasses:
+    """A chain of more than ``parallel._CHUNK_OBSERVATIONS`` observations runs
+    its per-observation passes over equal observation chunks on a thread
+    share.  The bound is lowered to 128 here, so the desk data runs as four
+    chunks of 100 observations; a dataset is made after the bound is set,
+    because a chunked dataset stores its covariates by column."""
+
+    CONFIG = SamplerConfig(iterations=30, burn_in=10, thin=2, seed=9, overdispersed_starts=True, retain_alpha=True)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 128)
+
+    def test_chunk_layout(self, monkeypatch):
+        assert parallel.observation_chunks(400) == [slice(0, 100), slice(100, 200), slice(200, 300), slice(300, 400)]
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 1 << 16)
+        assert [s.stop - s.start for s in parallel.observation_chunks(200_000)] == [50_000] * 4
+        assert [s.stop - s.start for s in parallel.observation_chunks(65_537)] == [32_768, 32_769]
+        assert parallel.observation_chunks(65_536) == [slice(0, 65_536)]
+
+    @pytest.mark.parametrize("bound, chunks", [(399, True), (400, False)])
+    def test_only_a_chain_above_the_bound_is_chunked(self, monkeypatch, bound, chunks):
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", bound)
+        spec = desk_spec()
+        assert spec.dataset.x.flags.f_contiguous == chunks
+        assert chunked(initialize_state(spec, rng(1))) == chunks
+        runs = [run_chain(spec, self.CONFIG).values.tobytes()]
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 1 << 16)
+        runs.append(run_chain(desk_spec(), self.CONFIG).values.tobytes())
+        assert (runs[0] != runs[1]) == chunks
+        assert not chunked(stack_states([initialize_state(spec, rng(k)) for k in range(2)]))
+
+    def test_draws_identical_for_one_and_two_threads(self, thread_share, monkeypatch):
+        spec = desk_spec()
+        workers = []
+
+        def column_product(x, beta, product=model.column_product):
+            workers.append(threading.current_thread().name)
+            return product(x, beta)
+
+        monkeypatch.setattr(model, "column_product", column_product)
+        draws = {}
+        for threads in (1, 2):
+            thread_share(threads)
+            workers.clear()
+            draws[threads] = run_chain(spec, self.CONFIG).values.tobytes()
+            helped = {name for name in workers if name.startswith("ordquant-chunk")}
+            assert bool(helped) == (threads == 2)
+        assert draws[1] == draws[2]
+
+    def test_draws_identical_for_any_jobs(self):
+        spec = desk_spec()
+        config = replace(self.CONFIG, num_chains=2)
+        assert run_chain(spec, config, jobs=2).values.tobytes() == run_chain(spec, config).values.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_called_alone_reproduce_run_chain(self, thread_share, threads):
+        # The benchmark's traced run calls each block as op(state, spec, rng)
+        # with the chain's generator alone.
+        thread_share(threads)
+        spec, cfg = desk_spec(), self.CONFIG
+        g = substream(cfg.seed, STREAM_CHAIN, 0)
+        state = initialize_state(spec, g, overdispersed=True)
+        rows = []
+        for t in range(1, cfg.iterations + 1):
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
+            if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+                rows.append(np.concatenate([state.beta, state.cutpoints[1:-1], [state.lambda_sq, state.phi],
+                                            state.alpha]))
+        assert run_chain(spec, cfg).values.tobytes() == np.array(rows).tobytes()
+
+    def test_chunk_streams_are_spawned_by_each_drawing_pass(self):
+        # Chunk 0 draws from the chain's generator, chunks 1..3 from
+        # rng.spawn(3), called at each pass that draws per observation.
+        spec = desk_spec()
+        g = rng(5)
+        state = initialize_state(spec, g)
+        spawned = g.bit_generator.seed_seq.n_children_spawned
+        assert spawned == 3
+        for op in gibbs._SWEEP:
+            op(state, spec, g)
+            spawned += 3 if op in (update_v, update_l) else 0
+            assert g.bit_generator.seed_seq.n_children_spawned == spawned, op.__name__
+
+    def test_update_v_ks_on_chunks(self, monkeypatch):
+        # Residual 2 everywhere: v ~ GIG(1/2, rho1^2 = 2, rho2^2 = 1/2), in each chunk.
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 25_000)
+        spec = one_conditional_spec(100_000, 2)
+        n = spec.dataset.num_observations
+        state = ChainState(np.zeros(1), np.zeros(100), np.full(n, 2.0), np.ones(n), np.ones(1), 1.0, 1.0,
+                           np.array([-np.inf, 0.0, np.inf]))
+        update_v(state, spec, rng(81))
+
+        def lk(x):
+            return -0.5 * np.log(x) - (2.0 / x + 0.5 * x) / 2.0
+
+        for rows in parallel.observation_chunks(n):
+            assert ks_vs_log_kernel(state.latent_v[rows], lk, 1e-6, 80.0) < 0.015
+        assert ks_vs_log_kernel(state.latent_v, lk, 1e-6, 80.0) < 0.01
+
+    def test_update_l_ks_on_chunks(self, monkeypatch):
+        # Category 1 below a cut at 0, centre 0, variance 2 v = 1: negative half-normals.
+        from scipy.special import ndtr
+
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 25_000)
+        spec = one_conditional_spec(100_000, 1)
+        n = spec.dataset.num_observations
+        state = ChainState(np.zeros(1), np.zeros(100), np.full(n, -0.5), np.full(n, 0.5), np.ones(1), 1.0, 1.0,
+                           np.array([-np.inf, 0.0, np.inf]))
+        update_l(state, spec, rng(82))
+        assert np.all(state.latent_l < 0.0)
+        for rows in parallel.observation_chunks(n):
+            assert ks_vs_cdf(state.latent_l[rows], lambda x: 2.0 * ndtr(x)) < 0.015
+        assert ks_vs_cdf(state.latent_l, lambda x: 2.0 * ndtr(x)) < 0.01
+
+    def test_update_beta_ks_on_chunks(self, thread_share):
+        # beta_1 from its closed-form conditional, and beta_2 from its
+        # conditional given each fresh beta_1, with sums over four chunks.
+        from scipy.special import ndtr
+
+        thread_share(1)
+        spec = desk_spec()
+        g = rng(83)
+        state = initialize_state(spec, g, overdispersed=True)
+        for _ in range(5):
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
+        ds, beta0 = spec.dataset, state.beta.copy()
+        x, w = ds.x, 0.5 / state.latent_v
+        base = state.latent_l - state.alpha[ds.subject_index] - spec.xi * state.latent_v
+
+        def conditional(k, beta):
+            r = base - np.delete(x, k, axis=1) @ np.delete(beta, k)
+            precision = np.sum(w * x[:, k] ** 2) + 1.0 / state.s[k]
+            return np.sum(w * r * x[:, k]) / precision, precision
+
+        m = 10_000
+        first, second = np.empty(m), np.empty(m)
+        mean0, precision0 = conditional(0, beta0)
+        for i in range(m):
+            state.beta = beta0.copy()
+            update_beta(state, spec, g)
+            first[i] = (state.beta[0] - mean0) * np.sqrt(precision0)
+            mean1, precision1 = conditional(1, np.array([state.beta[0], 0.0, beta0[2]]))
+            second[i] = (state.beta[1] - mean1) * np.sqrt(precision1)
+        assert ks_vs_cdf(first, ndtr) < 0.02
+        assert ks_vs_cdf(second, ndtr) < 0.02
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_chunk_in_chunk_order_raises(self, thread_share, monkeypatch, threads):
+        thread_share(threads)
+        spec = desk_spec()
+        g = substream(9, STREAM_CHAIN, 3)
+        state = initialize_state(spec, g)
+        starts = [rows.start for rows in parallel.observation_chunks(spec.dataset.num_observations)]
+        later_failed = threading.Event()
+        calls = []
+
+        def draw(mean, sd, lower, upper, index, rng_, out, draw=model._trunc_normal_gathered):
+            j = starts.index((out.ctypes.data - state.latent_l.ctypes.data) // out.itemsize)
+            calls.append(j)
+            if j == 2:
+                later_failed.set()
+                raise FloatingPointError("chunk 2 failed")
+            if j == 1:
+                later_failed.wait(0.5)  # with a second thread, chunk 2 fails first
+                raise ValueError("chunk 1 failed")
+            return draw(mean, sd, lower, upper, index, rng_, out)
+
+        monkeypatch.setattr(model, "_trunc_normal_gathered", draw)
+        config = SamplerConfig(iterations=5, burn_in=0)
+        rows = np.empty((config.retained_per_chain, len(gibbs.parameter_names(spec))))
+        with pytest.raises(ChainDivergedError, match=r"^chain 3: update_l failed at sweep 1: chunk 1 failed$"):
+            gibbs._run_sweeps(state, spec, g, config, rows, 3)
+        assert sorted(calls) == [0, 1, 2, 3]
 
 
 class TestPosteriorDrawsIO:

@@ -49,6 +49,11 @@ RUNS = {
     "multi-batch": ["replicate", "--scenario", "sim2", "--replications", "3", "--subjects", "2000",
                     "--n-per-subject", "10", "--iterations", "12", "--burn-in", "4", "--chains", "2",
                     "--seed", "9"],
+    # 66,000 observations: each chain's per-observation passes run over two
+    # observation chunks, inside forked chain workers.
+    "chunked-sim2": ["simulate", "--scenario", "sim2", "--subjects", "6600", "--n-per-subject", "10", "--seed", "7"],
+    "chunked-fit": ["fit", "--input", "{chunked-sim2}/dataset.csv", "--theta", "0.5", "--iterations", "8",
+                    "--burn-in", "2", "--chains", "2", "--overdispersed-starts", "--seed", "13", *_SIM_PRIORS],
 }
 
 

@@ -182,6 +182,19 @@ class TestIngestErrors:
         assert ingest_error(ingest_csv, f, schema) == f"{f}:{expected}"
         assert ingest_error(ingest_csv_rowwise, f, schema) == f"{f}:{expected}"
 
+    @pytest.mark.parametrize("covariates,message", [
+        (("y",), "covariate column 'y' is also the response column"),
+        (("x1", "subject"), "covariate column 'subject' is also the subject column"),
+        (("time", "x1"), "covariate column 'time' is also the time column"),
+    ], ids=["response", "subject", "time"])
+    def test_covariate_that_is_a_model_column(self, tmp_path, covariates, message):
+        f = tmp_path / "roles.csv"
+        write_lines(f, ["subject,y,x1,time", "a,1,0.5,0", "a,2,0.1,1"])
+        for call in (ingest_csv, ingest_csv_rowwise):
+            with pytest.raises(SchemaError) as info:
+                call(f, CsvSchema(covariates=covariates))
+            assert str(info.value) == f"{f}: {message}"
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_line_after_multi_line_subject_ids(self, tmp_path, newline):
         # Quoted ids span lines 2-3 and 4-6, as write_csv writes them, so the
