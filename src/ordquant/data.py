@@ -275,20 +275,14 @@ def _convert(cells, kind, errors, describe):
     return values
 
 
-def write_csv(dataset: OrdinalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
-    """Write ``dataset`` using the same column layout ``ingest_csv`` reads.
-
-    With ``schema.time=None`` no time column is written; ``ingest_csv``
-    then ranks each subject's observations in file order."""
-    header = [schema.subject, schema.response, *dataset.covariate_names]
+def write_csv(dataset: OrdinalDataset, path) -> None:
+    """Write ``dataset`` in the column layout ``ingest_csv`` reads by default."""
+    schema = CsvSchema()
+    header = [schema.subject, schema.response, *dataset.covariate_names, schema.time]
     labels = _csv_cells([None, *dataset.category_labels])  # indexed by y in 1..C
-    columns = [_csv_cells(dataset.subject_ids)[dataset.subject_index], labels[dataset.y], *dataset.x.T]
-    row_format = "%s,%s" + ",%.17g" * dataset.num_covariates
-    if schema.time:
-        header.append(schema.time)
-        columns.append(dataset.time_index)
-        row_format += ",%d"
-    _write_table(path, header, row_format, columns)
+    columns = [_csv_cells(dataset.subject_ids)[dataset.subject_index], labels[dataset.y], *dataset.x.T,
+               dataset.time_index]
+    _write_table(path, header, "%s,%s" + ",%.17g" * dataset.num_covariates + ",%d", columns)
 
 
 def _write_table(path, header: list[str], row_format: str, columns) -> None:

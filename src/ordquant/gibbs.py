@@ -17,17 +17,18 @@ liabilities.
 Chain scheduling.  A chain is strictly sequential, and each chain draws
 only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
 ``batched`` alone decides how chains become batches: at most
-``_BATCH_CELLS`` chain-observations and ``_BATCH_CELLS`` retained draw
-cells each.  ``sample_batch`` samples one: one call of a block advances
-every chain of it, and one chain alone runs on one-chain arrays.  A batch
-in which any chain fails, or ends a sweep non-finite, is sampled again one
-chain at a time, so a failure reads as it does in a one-chain run and the
-other chains keep their draws.  ``run_chain(spec, config, jobs)`` splits
-the chains into up to ``jobs`` contiguous groups, each read through
-``batched``, and ``parallel.ordered_map`` runs the batches in up to
-``jobs`` worker processes (in this process when ``jobs`` is 1).  The
-parent copies each chain's rows into the draws matrix in chain order, so
-the draws are identical for any ``jobs``.  ``ordquant fit`` runs the levels
+``parallel._CHUNK_OBSERVATIONS`` (65,536) chain-observations and as many
+retained draw cells each.  ``sample_batch`` samples one: one call of a
+block advances every chain of it, and one chain alone runs on one-chain
+arrays.  A batch in which any chain fails, or ends a sweep non-finite, is
+sampled again one chain at a time, so a failure reads as it does in a
+one-chain run and the other chains keep their draws.
+``run_chain(spec, config, jobs)`` splits the chains into up to ``jobs``
+contiguous groups, each read through ``batched``, and
+``parallel.ordered_map`` runs the batches in up to ``jobs`` worker
+processes (in this process when ``jobs`` is 1).  The parent copies each
+chain's rows into the draws matrix in chain order, so the draws are
+identical for any ``jobs``.  ``ordquant fit`` runs the levels
 one after another, each with one worker per chain, capped by the usable
 CPUs, so up to the CPUs every chain samples alone.  The replication study
 reads each level's chains of a worker's replications through the same two
@@ -41,9 +42,10 @@ over equal contiguous chunks on a thread pool (``parallel.map_chunks``):
 ``initialize_state``'s liability draw (``model.per_observation``),
 ``update_beta``'s residual and inner-product passes, and ``update_alpha``'s
 per-subject sums.  The scalar draws and every other step stay on the
-calling thread in their one-chain order.  Such a chain is always a batch of
-its own, and its threads are the CPUs its process is not already using for
-chain workers, so a one-chain ``fit`` on 2 CPUs samples on both.
+calling thread in their one-chain order.  Such a chain holds more
+observations than a batch may, so ``batched`` gives it a batch of its own,
+and its threads are the CPUs its process is not already using for chain
+workers, so a one-chain ``fit`` on 2 CPUs samples on both.
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
@@ -66,6 +68,8 @@ each pass that draws, so a block stays a pure function of
 (``model.column_product``), sums over observations by ``np.einsum`` or as
 per-chunk sums added in chunk order.  So its draws depend on the
 observation count, but neither on the number of threads nor on the BLAS.
+An unchunked chain's ``np.dot`` and ``x @ beta`` do call the BLAS, whose
+last bits change with its thread count above about 10k elements.
 There is no cross-block cache; only constants of the dataset are cached,
 on the dataset.  ``run_chain`` turns a numerical failure inside a block, or
 a non-finite state after a sweep, into ``ChainDivergedError`` naming the
@@ -73,12 +77,13 @@ chain, the sweep and the block; in a chunked pass every chunk runs, and the
 first failure in chunk order is the one raised.
 
 Aliasing.  Blocks write into the state's arrays in place where they can:
-the location move shifts ``alpha``, the cut-points and ``latent_l``, and
-``update_l`` draws the new liabilities over the previous ``latent_l``
-array.  In a batch the same holds for the stacked arrays, and a chain's
-row is a view into them.  An array taken from the state before a block
-therefore holds the block's new values after it; ``ChainState.copy()``
-keeps a draw.
+the location move shifts ``alpha``, the cut-points and ``latent_l``,
+``update_v`` writes the new mixing variables over the previous
+``latent_v`` array, and ``update_l`` draws the new liabilities over the
+previous ``latent_l`` array.  In a batch the same holds for the stacked
+arrays, and a chain's row is a view into them.  An array taken from the
+state before a block therefore holds the block's new values after it;
+``ChainState.copy()`` keeps a draw.
 """
 
 from __future__ import annotations
@@ -93,14 +98,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .data import _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
-from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, column_product, draw_liabilities,
-                    initialize_state, linear_predictor, nonfinite_blocks, per_observation, stack_specs, stack_states)
+from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
+                    nonfinite_blocks, per_observation, stack_specs, stack_states)
 from .distributions import _gig_half, _trunc_normal
-from .parallel import is_chunked, map_chunks, observation_chunks, ordered_map
 from .streams import STREAM_CHAIN, substream
 
 __all__ = [
@@ -122,10 +126,12 @@ __all__ = [
 
 _SQRT_HALF = float(np.sqrt(0.5))
 # The inner product of two vectors without the BLAS, for a chunked chain.
+# Bits: above about 10k elements ``np.dot`` gives different bits at
+# OPENBLAS_NUM_THREADS=1 and 2.  Speed: the BLAS threads compete with the
+# chunk threads; ``np.vdot`` in ``_check_finite`` keeps every bit but took a
+# 200k-observation sweep from 31 to 49-53 ms (29.8 ms at one BLAS thread)
+# on 2 CPUs.
 _inner = partial(np.einsum, "i,i->")
-# Chain-observations, and retained draw cells, one batch of chains holds
-# (``batched``).
-_BATCH_CELLS = 1 << 16
 _INTP = np.iinfo(np.intp)
 
 
@@ -211,13 +217,12 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
 
     The location move runs first: it leaves the residual L - x beta - alpha,
     and so this block's conditional, unchanged.  The draws run per
-    observation chunk (``model.per_observation``).
+    observation chunk (``model.per_observation``) and are written over
+    ``state.latent_v``.
     """
     _shift_location(state, spec, rng)
     ds = spec.dataset
     batch = state.beta.ndim > 1
-    # A chunked chain's chunks write their draws into one new array.
-    out = np.empty_like(state.latent_v) if chunked(state) else None
 
     def wald(g, mean):
         return g.wald(mean, _SQRT_HALF * _SQRT_HALF)
@@ -231,85 +236,67 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
         np.maximum(rho1_sq, RHO1_SQ_FLOOR, out=rho1_sq)
         np.sqrt(rho1_sq, out=rho1_sq)
         # The draws of _gig_half(rho1, sqrt(1/2)), with the Wald means written
-        # over rho1 and the reciprocals over the Wald draws.
+        # over rho1 and the reciprocals over the mixing variables.
         means = np.divide(_SQRT_HALF, rho1_sq, out=rho1_sq)
         v = _stacked(wald, g, means) if batch else wald(g, means)
-        return np.divide(1.0, v, out=v if out is None else out[rows])
+        np.divide(1.0, v, out=state.latent_v[rows])
 
-    parts = per_observation(state, spec, draw, rng)
-    state.latent_v = parts[0] if out is None else out
+    per_observation(state, spec, draw, rng)
 
 
 def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
     """Coefficients, swept in ascending index against fresh partial residuals.
 
-    Each chain's two inner products per coefficient are its own ``np.dot``
-    and its draw its own scalar call, so a batch draws every chain's bits.
-    A chunked chain builds its residuals and sums its inner products per
-    chunk (``_update_beta_chunked``).
+    One ``model.per_observation`` pass builds each part's residuals, weights
+    1 / (2 v) and scratch: one part, or one per observation chunk.
+    Coefficient k then runs one pass over the parts, which moves the
+    residuals from coefficient k - 1 to k and returns the part's two inner
+    products; the parts' sums are added in part order.  A chain's inner
+    products are its own ``np.dot`` (a chunk's ``np.einsum``, which calls no
+    BLAS) and its draw its own scalar call, so a batch draws every chain's
+    bits.
     """
-    if chunked(state):
-        _update_beta_chunked(state, spec, rng)
-        return
-    ds = spec.dataset
-    x, v, beta = ds.x, state.latent_v, state.beta
-    batch = beta.ndim > 1
-    inv2v = np.divide(0.5, v)
-    r = linear_predictor(x, beta)
-    np.subtract(state.latent_l, r, out=r)
-    term = state.alpha.take(ds.subject_index)
-    r -= term
-    r -= np.multiply(v, spec.xi, out=term)
-    for k, s_k in enumerate(state.s.T.tolist()):
-        xk = x[..., k]
-        r += np.multiply(xk, beta[:, k, None] if batch else beta[k], out=term)
-        np.multiply(xk, xk, out=term)
-        if batch:
-            precision = [np.dot(t, w) for t, w in zip(term, inv2v)]
-            np.multiply(r, xk, out=term)
-            beta[:, k] = [_draw_coefficient(g, np.dot(t, w), *rest)
-                          for g, t, w, *rest in zip(rng, term, inv2v, precision, s_k)]
-        else:
-            precision = np.dot(term, inv2v)
-            np.multiply(r, xk, out=term)
-            beta[k] = _draw_coefficient(rng, np.dot(term, inv2v), precision, s_k)
-        r -= np.multiply(xk, beta[:, k, None] if batch else beta[k], out=term)
-
-
-def _update_beta_chunked(state: ChainState, spec: ModelSpec, rng) -> None:
-    """``update_beta`` for a chunked chain: one pass over the chunks per
-    coefficient, on the thread share.  The first builds each chunk's
-    residuals; pass k moves them from coefficient k - 1 to k and sums the
-    chunk's two inner products with ``np.einsum``.  The caller adds the
-    chunks' sums in chunk order and draws the coefficient."""
     ds = spec.dataset
     beta = state.beta
-    chunks = observation_chunks(ds.num_observations)
-    parts = [None] * len(chunks)  # each chunk's x, residuals, 1 / (2 v) and scratch
+    batch = beta.ndim > 1
+    by_chunk = chunked(state)
+
+    def coefficient(k):
+        return beta[:, k, None] if batch else beta[k]
+
+    def inner(a, b, w, term):
+        """Each chain's sum of a b w, with ``term`` as scratch."""
+        if by_chunk:
+            return np.einsum("i,i,i->", a, b, w)
+        np.multiply(a, b, out=term)
+        return [np.dot(t, u) for t, u in zip(term, w)] if batch else np.dot(term, w)
+
+    def residuals(rows, r, _):
+        x, v = ds.x[rows], state.latent_v[rows]
+        np.subtract(state.latent_l[rows], r, out=r)
+        term = state.alpha.take(ds.subject_index[rows])
+        r -= term
+        r -= np.multiply(v, spec.xi, out=term)
+        return x, r, np.divide(0.5, v), term
 
     def sums(k, j):
-        if k == 0:
-            rows = chunks[j]
-            x, v = ds.x[rows], state.latent_v[rows]
-            r = column_product(x, beta)
-            np.subtract(state.latent_l[rows], r, out=r)
-            term = state.alpha.take(ds.subject_index[rows])
-            r -= term
-            r -= np.multiply(v, spec.xi, out=term)
-            parts[j] = x, r, np.divide(0.5, v), term
         x, r, inv2v, term = parts[j]
         if k > 0:
-            r -= np.multiply(x[:, k - 1], beta[k - 1], out=term)
-        xk = x[:, k]
-        r += np.multiply(xk, beta[k], out=term)
-        return np.einsum("i,i,i->", xk, xk, inv2v), np.einsum("i,i,i->", r, xk, inv2v)
+            r -= np.multiply(x[..., k - 1], coefficient(k - 1), out=term)
+        xk = x[..., k]
+        r += np.multiply(xk, coefficient(k), out=term)
+        return inner(xk, xk, inv2v, term), inner(r, xk, inv2v, term)
 
-    for k, s_k in enumerate(state.s.tolist()):
-        precision = rx = 0.0
-        for chunk_precision, chunk_rx in map_chunks(partial(sums, k), len(chunks)):
-            precision += chunk_precision
-            rx += chunk_rx
-        beta[k] = _draw_coefficient(rng, rx, precision, s_k)
+    parts = per_observation(state, spec, residuals)
+    for k, s_k in enumerate(state.s.T.tolist()):
+        (precision, rx), *later = parallel.map_chunks(partial(sums, k), len(parts))
+        for part_precision, part_rx in later:
+            precision += part_precision
+            rx += part_rx
+        if batch:
+            beta[:, k] = [_draw_coefficient(*chain) for chain in zip(rng, rx, precision, s_k)]
+        else:
+            beta[k] = _draw_coefficient(rng, rx, precision, s_k)
 
 
 def _draw_coefficient(g, rx: float, precision: float, s_k: float) -> float:
@@ -529,7 +516,7 @@ def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> Posterio
                for batch in batched((spec, config, chain) for chain in group)]
     # Each batch's rows are copied as they arrive, so one batch's rows are
     # held besides the draws matrix; closing cancels the batches not started.
-    with closing(ordered_map(sample_batch, batches, jobs)) as outcomes:
+    with closing(parallel.ordered_map(sample_batch, batches, jobs)) as outcomes:
         for chain, block in enumerate(block for batch in outcomes for block in batch):
             if isinstance(block, Exception):
                 raise block
@@ -551,10 +538,11 @@ def split_groups(items, parts: int) -> list[list]:
 def batched(tasks):
     """``(spec, config, chain)`` tasks from any iterable, read a batch at a
     time: as many as keep the batch's chain-observations and retained draw
-    cells within ``_BATCH_CELLS`` for its first task, and at least one.  So
-    a batch of large panels or of long chains is one chain, and holds what a
-    one-chain run holds; a chain whose passes are chunked (``model.chunked``)
-    is always a batch of its own, so its draws never depend on its batch.  A
+    cells within ``parallel._CHUNK_OBSERVATIONS`` for its first task, and at
+    least one.  So a batch of large panels or of long chains is one chain,
+    and holds what a one-chain run holds; a chain whose passes are chunked
+    (``model.chunked``) holds more observations than that bound, so it is
+    always a batch of its own and its draws never depend on its batch.  A
     batch's tasks must share one design and one configuration but for its
     seed.  A task is read when its batch forms."""
     tasks = iter(tasks)
@@ -562,8 +550,7 @@ def batched(tasks):
         spec, config, _ = first
         n = spec.dataset.num_observations
         row_cells = config.retained_per_chain * len(parameter_names(spec, config.retain_alpha))
-        # A chain whose passes are chunked samples alone, whatever the bounds.
-        size = 1 if is_chunked(n) else max(1, _BATCH_CELLS // max(n, row_cells))
+        size = max(1, parallel._CHUNK_OBSERVATIONS // max(n, row_cells))
         yield [first, *islice(tasks, size - 1)]
 
 

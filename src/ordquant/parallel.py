@@ -27,8 +27,9 @@ import os
 
 __all__ = ["ordered_map"]
 
-# Observations one chunk holds at most: the same bound as a batch's
-# chain-observations (``gibbs._BATCH_CELLS``).
+# Observations one chunk holds at most, and the one bound of a batch of
+# chains: at most this many chain-observations and retained draw cells
+# (``gibbs.batched``), so a chunked chain is always a batch of its own.
 _CHUNK_OBSERVATIONS = 1 << 16
 
 _pool = None    # (thread pool or None, thread share) once made
@@ -59,8 +60,10 @@ def map_chunks(func, count: int) -> list:
     The caller and the pool's threads each take the next chunk not yet
     taken until none is left.  Every chunk runs, whichever fails; then the
     first failure in chunk order is raised, so a failure reads the same for
-    any thread count.
+    any thread count.  One chunk runs on the caller and makes no pool.
     """
+    if count == 1:
+        return [func(0)]
     outcomes = [None] * count
     chunks = iter(range(count))
 

@@ -86,6 +86,23 @@ class TestUpdateV:
             update_v(state, spec, g)
             assert state.latent_v[0] > 0.0
 
+    @pytest.mark.parametrize("shape", ["one-chain", "batch", "chunked"])
+    def test_draws_over_the_previous_array(self, monkeypatch, shape):
+        if shape == "chunked":
+            monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 128)  # 200 observations: two chunks
+        spec = liability_spec(0.3, subjects=40)
+        if shape == "batch":
+            state = stack_states([initialize_state(spec, rng(k)) for k in range(2)])
+            spec, g = stack_specs([spec] * 2), [rng(5), rng(6)]
+        else:
+            state, g = initialize_state(spec, rng(0)), rng(5)
+        assert chunked(state) == (shape == "chunked")
+        previous = state.latent_v
+        before = previous.copy()
+        update_v(state, spec, g)
+        assert state.latent_v is previous
+        assert not np.array_equal(previous, before)
+
 
 class TestUpdateBeta:
     def test_no_data_reduces_to_prior(self):
@@ -932,8 +949,8 @@ class TestBatchedChains:
 
     @pytest.mark.parametrize("long_chains", [False, True], ids=["observations", "retained-draws"])
     def test_batches_are_bounded(self, monkeypatch, long_chains):
-        # A batch holds at most _BATCH_CELLS chain-observations and at most
-        # _BATCH_CELLS retained draw cells, so long chains are split.
+        # A batch holds at most parallel._CHUNK_OBSERVATIONS chain-observations
+        # and as many retained draw cells, so long chains are split.
         tasks = self.tasks(5, 0.5, True)
         if not long_chains:
             short = SamplerConfig(iterations=30, burn_in=6, thin=12)
@@ -950,7 +967,7 @@ class TestBatchedChains:
 
         monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
         for cells, want in ((2 * max(n, row_cells), [2, 2, 1]), (2 * min(n, row_cells), [1] * 5)):
-            monkeypatch.setattr(gibbs, "_BATCH_CELLS", cells)
+            monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", cells)
             sizes.clear()
             self.sample(tasks)
             assert sizes == want
@@ -1086,6 +1103,21 @@ class TestChunkedPasses:
             helped = {name for name in workers if name.startswith("ordquant-chunk")}
             assert bool(helped) == (threads == 2)
         assert draws[1] == draws[2]
+
+    def test_chunked_chain_calls_no_blas(self, monkeypatch):
+        # Above about 10k elements np.dot gives different bits at one and two
+        # BLAS threads, so a chunked chain, whose draws must not depend on the
+        # thread count, reaches no BLAS product.
+        spec = desk_spec()
+        expected = run_chain(spec, self.CONFIG).values.tobytes()
+
+        def blas(*args, **kwargs):
+            raise AssertionError("a chunked chain called the BLAS")
+
+        for name in ("dot", "vdot", "matmul", "inner"):
+            monkeypatch.setattr(np, name, blas)
+        monkeypatch.setattr(model, "linear_predictor", blas)
+        assert run_chain(spec, self.CONFIG).values.tobytes() == expected
 
     def test_draws_identical_for_any_jobs(self):
         spec = desk_spec()

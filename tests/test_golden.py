@@ -5,7 +5,10 @@ record in ``golden.json``.
 
 The BLAS can change the last bits of ``x @ beta``, so the records hold only
 on the numpy and BLAS that made them; on any other the test fails and says
-so.  A change that alters draws on purpose regenerates the records with
+so.  They also hold only at the BLAS thread count that made them: an
+unchunked inner product of more than about 10k elements sums in another
+order at another count, so the ``multi-batch`` run's estimates and report
+made at two threads differ at ``OPENBLAS_NUM_THREADS=1``.  A change that alters draws on purpose regenerates the records with
 
     PYTHONPATH=src python -m tests.test_golden
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ordquant import gibbs, simulate
+from ordquant import gibbs, parallel, simulate
 from ordquant.diagnostics import relative_efficiency
 from ordquant.errors import ChainDivergedError, ConfigError
 from ordquant.gibbs import SamplerConfig
@@ -287,7 +287,7 @@ class TestReplicationStudy:
 
         monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
         for cells, want in ((2 * row_cells, [2, 2, 1]), (row_cells, [1] * 5)):
-            monkeypatch.setattr(gibbs, "_BATCH_CELLS", cells)
+            monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", cells)
             sizes.clear()
             self.assert_same_run(run_replication_study(cfg, sampler, thetas=[0.5]), reference)
             assert sizes == want
@@ -310,7 +310,7 @@ class TestReplicationStudy:
         monkeypatch.setattr(simulate, "_replication_dataset", replication_dataset)
         monkeypatch.setattr(gibbs, "_sample_chains", sample_chains)
         row_cells = sampler.retained_per_chain * (len(TRUE_BETA) + len(TRUE_CUTPOINTS) + 2)
-        monkeypatch.setattr(gibbs, "_BATCH_CELLS", 2 * row_cells)
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", 2 * row_cells)
         run_replication_study(cfg, sampler, thetas=[0.5], jobs=1)
         assert calls == ["generate", "generate", "sample 2", "generate", "generate", "sample 2",
                          "generate", "sample 1"]
