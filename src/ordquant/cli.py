@@ -279,10 +279,10 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
         overdispersed_starts=resolved["overdispersed-starts"],
         retain_alpha=resolved["retain-alpha"] or resolved["dic"],
     )
-    retained = config.retained_per_chain * config.num_chains
+    retained = config.retained_per_chain
     if retained < 2:
-        raise ConfigError(f"options iterations, burn-in, thin and chains retain {retained} draw; "
-                          "the summaries need at least two")
+        need = " per chain; the shrink factor needs" if config.num_chains > 1 else "; the summaries need"
+        raise ConfigError(f"options iterations, burn-in, thin and chains retain {retained} draw{need} at least two")
     dataset = ingest_csv(input_path, _schema_from(resolved))
     digest = _sha256(input_path)
     expected = resolved.get("input_sha256")
@@ -304,17 +304,17 @@ def _run_fit(resolved: dict, out_dir: Path) -> dict:
 def _write_reports(out_dir: Path, tag: str, draws, resolved: dict, with_mpsrf: bool, dic_spec) -> None:
     """The summary files of ``draws``, the shrink-factor files when
     ``with_mpsrf``, and DIC under ``dic_spec`` unless it is None, each named
-    ``<kind><tag>.<ext>``."""
+    ``<kind><tag>.<ext>``, once all of them are computed."""
     table = summarize(draws, level=resolved["level"])
+    series = mpsrf(draws, checkpoints=resolved["checkpoints"]) if with_mpsrf else None
+    result = dic(draws, dic_spec) if dic_spec is not None else None
     table.to_csv(out_dir / f"summary{tag}.csv")
     (out_dir / f"summary{tag}.txt").write_text(table.to_text(), encoding="utf-8")
-    if with_mpsrf:
-        series = mpsrf(draws, checkpoints=resolved["checkpoints"])
+    if series is not None:
         series.to_csv(out_dir / f"mpsrf{tag}.csv")
         series.to_plot_file(out_dir / f"mpsrf{tag}.dat")
         (out_dir / f"mpsrf{tag}.txt").write_text(series.to_text(), encoding="utf-8")
-    if dic_spec is not None:
-        result = dic(draws, dic_spec)
+    if result is not None:
         write_kv(
             out_dir / f"dic{tag}.txt",
             {
@@ -367,8 +367,6 @@ def _write_report_csv(run, path) -> None:
 def _run_diagnose(resolved: dict, out_dir: Path) -> None:
     _check_report_options(resolved)
     draws = read_draws(resolved["draws"])
-    if resolved["mpsrf"] and draws.num_chains < 2:
-        raise ConfigError("the multivariate shrink factor needs at least two chains")
     spec = None
     if resolved["dic"]:
         if not resolved["data"] or resolved["theta"] is None:

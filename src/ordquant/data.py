@@ -132,16 +132,15 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
     row, in check order: width, subject, response, covariates, time."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
+        file_chunks = _record_chunks(fh, DataError)
+        header = next(file_chunks)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
         header = [h.strip() for h in header]
         columns = _resolve_columns(path, header, schema)
         ids: dict[str, int] = {}
         chunks = [_parse_chunk(path, records, first, len(header), columns, schema, ids)
-                  for first, records in _record_chunks(reader, len(header))]
+                  for first, records in file_chunks]
     if not ids:
         raise DataError(f"{path}: no data rows")
 
@@ -302,11 +301,24 @@ def _write_table(path, header: list[str], row_format: str, columns) -> None:
             fh.writelines(map(row_format.__mod__, zip(*(column[start:start + rows].tolist() for column in columns))))
 
 
-def _record_chunks(reader, width: int):
-    """Successive chunks of ``reader``'s records, of ``width`` fields each
-    when well formed, as (index of the chunk's first record, records)."""
-    rows = max(1, _CHUNK_CELLS // width)
-    return ((k * rows, records) for k, records in enumerate(iter(lambda: list(islice(reader, rows)), [])))
+def _record_chunks(fh, error):
+    """The header of the CSV file ``fh`` (None if empty), then chunks of its
+    records as (index of the chunk's first record, records).  A field over the
+    csv module's limit, or bytes that are not UTF-8, raise ``error`` at their line."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        yield header
+        rows = max(1, _CHUNK_CELLS // len(header))
+        for k, records in enumerate(iter(lambda: list(islice(reader, rows)), [])):
+            yield k * rows, records
+    except csv.Error as exc:
+        raise error(f"{fh.name}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # A line decodes alone (no byte of a character is a newline); "ignore" drops its bad bytes.
+        with open(fh.name, "rb") as lines:
+            line = next((k for k, raw in enumerate(lines, 1) if raw.decode(errors="ignore").encode() != raw), 0)
+        raise error(f"{fh.name}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
 
 
 def _line_of(path, index: int) -> int:

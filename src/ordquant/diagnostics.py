@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .data import _csv_cells, _write_table
 from .distributions import sld_cdf
 from .gibbs import PosteriorDraws
@@ -33,12 +34,6 @@ __all__ = [
 # Probability floor for likelihood cells in the deviance; cells this small
 # are counted and flagged rather than producing -inf.
 _CELL_FLOOR = 1e-300
-
-# The deviance is computed for blocks of at most _DIC_BLOCK_DRAWS draws,
-# fewer when a block would exceed _DIC_BLOCK_CELLS likelihood cells (but
-# always at least one draw), so the temporaries stay small on large panels.
-_DIC_BLOCK_DRAWS = 64
-_DIC_BLOCK_CELLS = 1 << 16
 
 _MPSRF_RIDGE = 1e-10
 
@@ -135,17 +130,19 @@ def mpsrf(draws: PosteriorDraws, checkpoints) -> MpsrfSeries:
     lambda_1 is the top generalized eigenvalue of the between-chain against
     the within-chain covariance.  A singular within-chain matrix gets a
     trace-proportional ridge and the checkpoint is flagged.  Non-finite
-    draws raise ``ValueError``.  The parameters are the coefficients and
-    the cut-points.
+    draws, or fewer than two draws per chain, raise ``ValueError``.  k > 1
+    checkpoints span the second draw to the last, and one is the last draw.
+    The parameters are the coefficients and the cut-points.
     """
-    if draws.num_chains < 2:
-        raise ValueError("the multivariate shrink factor needs at least two chains")
+    if draws.num_chains < 2 or draws.chain_length < 2:
+        raise ValueError("the multivariate shrink factor needs at least two chains of at least two draws")
     parameters = [n for n in draws.names if n.startswith(("beta_", "delta_"))]
     mat = draws.by_chain(parameters)  # (m, n, k)
     m, n_total, _ = mat.shape
     iters = np.sort(draws.iteration[draws.chain == draws.chain[0]])
     if np.isscalar(checkpoints):
-        marks = iters[np.unique(np.linspace(1, n_total - 1, int(checkpoints)).astype(int))]
+        start = 1 if checkpoints > 1 else n_total - 1
+        marks = iters[np.unique(np.linspace(start, n_total - 1, int(checkpoints)).astype(int))]
     else:
         marks = np.asarray(sorted(checkpoints))
 
@@ -218,7 +215,9 @@ def dic(draws: PosteriorDraws, spec: ModelSpec) -> DicResult:
     the standardized cut-points (the mixing variable integrated out
     analytically), conditional on the subject effects; subject effects are
     treated as parameters, so the draws must retain them.  Cells below the
-    probability floor are clamped and counted.
+    probability floor are clamped and counted.  The deviances are taken in
+    blocks of ``max(1, parallel._CHUNK_OBSERVATIONS // n)`` draws for ``n``
+    observations; each is its own row sum, so no bit depends on the block.
     """
     ds = spec.dataset
     position = {name: j for j, name in enumerate(draws.names)}
@@ -236,7 +235,7 @@ def dic(draws: PosteriorDraws, spec: ModelSpec) -> DicResult:
     # are taken column by column, so no copy of every retained draw is made.
     columns = [[position[n] for n in names] for names in (beta_names, delta_names, alpha_names)]
     rows = draws.values.shape[0]
-    block = max(1, min(_DIC_BLOCK_DRAWS, _DIC_BLOCK_CELLS // ds.num_observations))
+    block = max(1, parallel._CHUNK_OBSERVATIONS // ds.num_observations)
     devs = np.empty(rows)
     floored = 0
     for start in range(0, rows, block):

@@ -4,9 +4,12 @@ The module defines the skewed-Laplace CDF, which the deviance uses, and the
 two samplers the Gibbs sweep needs beyond the generator's own gamma, normal
 and uniform draws:
 
-* ``gig(1/2, rho1, rho2)``: density ~ x^(-1/2) exp{-(rho1^2 / x + rho2^2 x) / 2}
-* ``trunc_normal(mean, variance, lower, upper)``: N(mean, variance)
+* ``sample_gig(0.5, rho1, rho2, rng)``: density ~ x^(-1/2) exp{-(rho1^2 / x + rho2^2 x) / 2}
+* ``sample_trunc_normal(mean, variance, lower, upper, rng)``: N(mean, variance)
   restricted to (lower, upper)
+
+Each returns one draw per element of its arguments' broadcast shape, and
+``sld_cdf(eps, theta)`` an array of the shape of ``eps``.
 
 All samplers draw from an explicit ``numpy.random.Generator``.  A generator
 is single-owner and must not be shared across concurrent callers; distinct
@@ -45,15 +48,14 @@ def sld_cdf(eps, theta):
     eps = np.asarray(eps, dtype=float)
     left = eps <= 0.0
     e = np.exp(eps * np.where(left, 1.0 - theta, -theta))
-    out = np.where(left, theta * e, 1.0 - (1.0 - theta) * e)
-    return float(out) if out.ndim == 0 else out
+    return np.where(left, theta * e, 1.0 - (1.0 - theta) * e)
 
 
 # ---------------------------------------------------------------------------
 # Generalized inverse Gaussian
 # ---------------------------------------------------------------------------
 
-def sample_gig(nu, rho1, rho2, rng, size=None):
+def sample_gig(nu, rho1, rho2, rng):
     """Draw from the GIG law with kernel x^(nu-1) exp{-(rho1^2/x + rho2^2 x)/2}.
 
     Only nu = 1/2, the order every GIG draw of the Gibbs sweep has, is
@@ -68,42 +70,34 @@ def sample_gig(nu, rho1, rho2, rng, size=None):
     rho2 = np.asarray(rho2, dtype=float)
     if not (np.all(rho1 > 0.0) and np.all(rho2 > 0.0)):
         raise ValueError("rho1 and rho2 must be strictly positive")
-    return _gig_half(rho1, rho2, rng, size)
+    return _gig_half(rho1, rho2, rng)
 
 
-def _gig_half(rho1, rho2, rng, size=None):
+def _gig_half(rho1, rho2, rng):
     """GIG(1/2) draws with no argument checks: rho1 and rho2 must be positive."""
-    return 1.0 / rng.wald(rho2 / rho1, rho2 * rho2, size=size)
+    return 1.0 / rng.wald(rho2 / rho1, rho2 * rho2)
 
 
 # ---------------------------------------------------------------------------
 # Truncated normal
 # ---------------------------------------------------------------------------
 
-def sample_trunc_normal(mean, variance, lower, upper, rng, size=None):
+def sample_trunc_normal(mean, variance, lower, upper, rng):
     """Draw from N(mean, variance) restricted to (lower, upper).
 
     Inverse-CDF sampling in the body of the distribution; once the whole
     interval lies beyond ``_TAIL_CUTOFF`` standard deviations on one side,
     a shifted-exponential rejection sampler takes over, which stays exact
     and NaN-free for arbitrarily remote intervals.  Bounds may be +-inf.
-    Scalar inputs give a float; array inputs or ``size`` give an array.
+    The draws are an array of the arguments' broadcast shape.
     """
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    mean, variance, lower, upper = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mean, variance, lower, upper)))
     if not np.all(variance > 0.0):
         raise ValueError("variance must be strictly positive")
     if not np.all(lower < upper):
         raise ValueError("lower bound must be strictly below upper bound")
-
-    scalar = size is None and all(a.ndim == 0 for a in (mean, variance, lower, upper))
-    shape = np.broadcast_shapes(mean.shape, variance.shape, lower.shape, upper.shape)
-    if size is not None:
-        shape = (int(size),) if np.isscalar(size) else tuple(size)
-    x = _trunc_normal(*(np.broadcast_to(a, shape).ravel() for a in (mean, variance, lower, upper)), rng)
-    return float(x[0]) if scalar else x.reshape(shape)
+    return _trunc_normal(mean.ravel(), variance.ravel(), lower.ravel(), upper.ravel(), rng).reshape(mean.shape)
 
 
 def _trunc_normal(mean, variance, lower, upper, rng):

@@ -88,7 +88,6 @@ state before a block therefore holds the block's new values after it;
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -99,7 +98,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .data import _line_of, _record_chunks, _write_table
+from .data import _INTP, _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
 from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
@@ -132,7 +131,6 @@ _SQRT_HALF = float(np.sqrt(0.5))
 # 200k-observation sweep from 31 to 49-53 ms (29.8 ms at one BLAS thread)
 # on 2 CPUs.
 _inner = partial(np.einsum, "i,i->")
-_INTP = np.iinfo(np.intp)
 
 
 @dataclass(frozen=True)
@@ -669,7 +667,7 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec) -> None:
 
 
 def read_draws(paths) -> PosteriorDraws:
-    """Load one or more draws CSVs; each extra file appends its chains.
+    """Load the draws CSVs of the list ``paths``; each extra file appends its chains.
 
     Each file is parsed in chunks of records, one column at a time.  A row
     with the wrong number of fields, a ``chain`` or ``iteration`` that is not
@@ -680,16 +678,14 @@ def read_draws(paths) -> PosteriorDraws:
     way, but only after every cell of every file has parsed, so a later cell
     that does not parse wins over an earlier ``nan``.
     """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
     names: list[str] | None = None
     chains, iters, values = [], [], []
     sources = []  # (first row, path, header) of each file
     rows = offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            file_chunks = _record_chunks(fh, SchemaError)
+            header = next(file_chunks)
             if header is None or header[:2] != ["chain", "iteration"]:
                 raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
             if names is None:
@@ -698,7 +694,7 @@ def read_draws(paths) -> PosteriorDraws:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
             sources.append((rows, path, header))
             local_max = -1
-            for first, records in _record_chunks(reader, len(header)):
+            for first, records in file_chunks:
                 chain, iteration, block = _parse_draws(path, header, records, first)
                 local_max = max(local_max, int(chain.max()))
                 chain += offset

@@ -28,8 +28,8 @@ import os
 __all__ = ["ordered_map"]
 
 # Observations one chunk holds at most, and the one bound of a batch of
-# chains: at most this many chain-observations and retained draw cells
-# (``gibbs.batched``), so a chunked chain is always a batch of its own.
+# chains (``gibbs.batched``: chain-observations and retained draw cells, so
+# a chunked chain is a batch of its own) and of a DIC block's cells.
 _CHUNK_OBSERVATIONS = 1 << 16
 
 _pool = None    # (thread pool or None, thread share) once made

@@ -100,17 +100,17 @@ def test_criterion_1_distribution_layer():
         g = np.random.default_rng(1001)
         for rho1 in (0.1, 1.0, 10.0):
             for rho2 in (0.1, 1.0, 10.0):
-                sample = oq.distributions.sample_gig(0.5, rho1, rho2, g, size=DRAWS)
+                sample = oq.distributions.sample_gig(0.5, np.full(DRAWS, rho1), rho2, g)
                 assert sample.mean() == pytest.approx(gig_moment(1, rho1, rho2), rel=0.02)
                 assert np.mean(sample ** 2) == pytest.approx(gig_moment(2, rho1, rho2), rel=0.02)
 
-        body = oq.distributions.sample_trunc_normal(0.5, 2.0, -1.0, 2.0, g, size=DRAWS)
+        body = oq.distributions.sample_trunc_normal(np.full(DRAWS, 0.5), 2.0, -1.0, 2.0, g)
         sd = math.sqrt(2.0)
         a, b = (-1.0 - 0.5) / sd, (2.0 - 0.5) / sd
         cdf = lambda x: (ndtr((x - 0.5) / sd) - ndtr(a)) / (ndtr(b) - ndtr(a))
         assert ks_vs_cdf(body, cdf) < 0.01
 
-        tail = oq.distributions.sample_trunc_normal(0.0, 1.0, 5.5, 7.0, g, size=DRAWS)
+        tail = oq.distributions.sample_trunc_normal(np.zeros(DRAWS), 1.0, 5.5, 7.0, g)
         assert ks_vs_log_kernel(tail, lambda x: -0.5 * x * x, 5.5, 7.0) < 0.01
 
         theta = 0.25

@@ -180,12 +180,40 @@ class TestFit:
         assert run([*args, "--out", tmp_path / "no-affinity"]) == 0
         assert digests(tmp_path / "no-affinity") == serial
 
-    @pytest.mark.parametrize("args", [["--iterations", "3", "--burn-in", "2"],
-                                      ["--iterations", "12", "--burn-in", "2", "--thin", "6"]], ids=["burn-in", "thin"])
-    def test_one_retained_draw_exits_2_before_sampling(self, tmp_path, toy_csv, capsys, args):
+    # Two chains of one draw each hold the summaries' two draws, but the
+    # shrink factor needs two draws per chain.
+    @pytest.mark.parametrize("args, message", [
+        (["--iterations", "3", "--burn-in", "2"], "retain 1 draw; the summaries need at least two"),
+        (["--iterations", "12", "--burn-in", "2", "--thin", "6"], "retain 1 draw; the summaries need at least two"),
+        (["--chains", "2", "--iterations", "3", "--burn-in", "2"],
+         "retain 1 draw per chain; the shrink factor needs at least two"),
+    ], ids=["burn-in", "thin", "one-per-chain"])
+    def test_one_retained_draw_exits_2_before_sampling(self, tmp_path, toy_csv, capsys, args, message):
         out = tmp_path / "runs"
         assert run(["fit", "--input", toy_csv, "--seed", "3", "--out", out, *args]) == 2
-        assert "retain 1 draw; the summaries need at least two" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [1, 4], ids=["header", "row"])
+    def test_oversized_field_exits_2_naming_the_line(self, tmp_path, toy_csv, capsys, line):
+        lines = toy_csv.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] += "," + "9" * 140_000
+        toy_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--seed", "3", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"toy.csv:{line}: field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, line", [(b"subject", b"subj\xe9ct", 1), (b"b,2,0.8", b"\xe9,2,0.8", 5)],
+                             ids=["header", "row"])
+    def test_non_utf8_dataset_exits_2_naming_the_line(self, tmp_path, toy_csv, capsys, old, new, line):
+        toy_csv.write_bytes(toy_csv.read_bytes().replace(old, new))
+        out = tmp_path / "runs"
+        assert run(["fit", "--input", toy_csv, "--seed", "3", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(
+            f"toy.csv:{line}: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
         assert not out.exists()
 
     def test_schema_error_exit_2(self, tmp_path, toy_csv):
@@ -444,6 +472,24 @@ class TestDiagnose:
         assert run(["diagnose", "--mpsrf", "--seed", "0", "--out", tmp_path / "d",
                     two_chain_files[0]]) == 2
 
+    def test_one_draw_per_chain_mpsrf_exits_2(self, tmp_path, capsys):
+        draws = tmp_path / "draws.csv"
+        draws.write_text("chain,iteration,beta_1,delta_1\n0,3,0.1,0.2\n1,3,0.3,0.1\n", encoding="utf-8")
+        out = tmp_path / "d"
+        assert run(["diagnose", "--mpsrf", "--seed", "0", "--out", out, draws]) == 2
+        assert capsys.readouterr().err == ("error: the multivariate shrink factor needs at least two chains "
+                                           "of at least two draws\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+    def test_oversized_draws_field_exits_2(self, tmp_path, two_chain_files, capsys, line):
+        lines = two_chain_files[1].read_text().splitlines()
+        lines[line - 1] += "," + "9" * 140_000
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diagnose", "--seed", "0", "--out", tmp_path / "d", two_chain_files[0], bad]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{line}: field larger than field limit (131072)\n"
+
     def test_summary_and_dic(self, tmp_path, toy_csv):
         fits = tmp_path / "fits"
         run(["fit", "--input", toy_csv, "--iterations", "80", "--burn-in", "20",
@@ -556,7 +602,7 @@ class TestTableBytes:
         values = np.arange(16.0).reshape(4, 4) ** 1.5 - 7.0
         draws = PosteriorDraws(self.NAMES, values, np.zeros(4, dtype=np.intp), np.arange(1, 5))
         draws.to_csv(tmp_path / "draws.csv")
-        assert read_draws(tmp_path / "draws.csv").names == self.NAMES
+        assert read_draws([tmp_path / "draws.csv"]).names == self.NAMES
         assert run(["diagnose", "--seed", "0", "--out", tmp_path, tmp_path / "draws.csv"]) == 0
         table = summarize(draws)
         rows = [[name, *g17(summary_row(table, name).values()), f"{table.level:.17g}"] for name in self.NAMES]
@@ -636,7 +682,7 @@ class TestReplay:
         out = tmp_path / "my runs"
         assert run(["fit", "--input", wide_csv, "--covariates", "age group", "--iterations", "60",
                     "--burn-in", "10", "--retain-alpha", "--seed", "4", "--out", out]) == 0
-        assert [n for n in read_draws(out / "fit-4" / "draws-theta0.5.csv").names if n.startswith("beta_")] == ["beta_1"]
+        assert [n for n in read_draws([out / "fit-4" / "draws-theta0.5.csv"]).names if n.startswith("beta_")] == ["beta_1"]
         assert read_kv(manifest_of(out, "fit", 4))["covariates"] == "age group"
         assert run(["diagnose", "--seed", "0", "--out", out, out / "fit-4" / "draws-theta0.5.csv"]) == 0
         replayed = tmp_path / "replayed"
@@ -732,7 +778,7 @@ class TestOptionText:
         assert run(["fit", "--input", wide_csv, "--config", cfg, "--iterations", "40", "--burn-in", "10",
                     "--seed", "6", "--out", out]) == 0
         assert read_kv(manifest_of(out, "fit", 6))["covariates"] == "age group"
-        assert [n for n in read_draws(out / "fit-6" / "draws-theta0.5.csv").names if n.startswith("beta_")] == ["beta_1"]
+        assert [n for n in read_draws([out / "fit-6" / "draws-theta0.5.csv"]).names if n.startswith("beta_")] == ["beta_1"]
 
     @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
     def test_bad_value_names_option(self, tmp_path, toy_csv, capsys, source):

@@ -119,6 +119,20 @@ class TestMpsrf:
         with pytest.raises(ValueError):
             mpsrf(make_draws(np.arange(10.0), names=["beta_1"]), checkpoints=[10])
 
+    def test_needs_two_draws_per_chain(self):
+        with pytest.raises(ValueError, match="at least two chains of at least two draws"):
+            mpsrf(make_draws(np.arange(2.0), names=["beta_1"], chains=2), checkpoints=20)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 20, 400])
+    def test_checkpoint_count_grid(self, count):
+        # Two or more checkpoints keep their grid from the second retained
+        # draw to the last; one checkpoint is the last draw, not the second.
+        n = 300
+        draws = make_draws(np.random.default_rng(9).normal(size=2 * n), names=["beta_1"], chains=2)
+        series = mpsrf(draws, checkpoints=count)
+        grid = np.unique(np.linspace(1, n - 1, count).astype(int)) if count > 1 else [n - 1]
+        assert series.iterations == [int(i) + 1 for i in grid]  # draw i has iteration i + 1
+
     def test_singular_within_is_ridged_and_flagged(self):
         # second parameter constant within each chain but different across
         m, n = 2, 50

@@ -39,17 +39,19 @@ class TestSldDensity:
 
 class TestSldCdf:
     def test_anchored_at_quantile_level(self):
-        assert sld_cdf(0.0, 0.25) == pytest.approx(0.25)
+        assert sld_cdf(np.array([0.0]), 0.25) == pytest.approx([0.25])
 
     def test_upper_limit(self):
-        assert sld_cdf(1e8, 0.5) == pytest.approx(1.0)
-        assert sld_cdf(np.inf, 0.5) == 1.0
+        big, inf = sld_cdf(np.array([1e8, np.inf]), 0.5)
+        assert big == pytest.approx(1.0)
+        assert inf == 1.0
 
     def test_value_matches_quadrature(self):
         # integral of the density over (-inf, 1] at theta = 0.5
         left, _ = quad(lambda e: sld_density(e, 0.5), -60, 1.0, limit=200)
-        assert sld_cdf(1.0, 0.5) == pytest.approx(1.0 - 0.5 * np.exp(-0.5), abs=1e-12)
-        assert sld_cdf(1.0, 0.5) == pytest.approx(left, abs=1e-8)
+        cdf = sld_cdf(np.array([1.0]), 0.5)[0]
+        assert cdf == pytest.approx(1.0 - 0.5 * np.exp(-0.5), abs=1e-12)
+        assert cdf == pytest.approx(left, abs=1e-8)
 
     def test_monotone(self):
         e = np.linspace(-20, 20, 2001)
@@ -58,7 +60,7 @@ class TestSldCdf:
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.5])
     def test_invalid_theta(self, theta):
         with pytest.raises(ValueError, match="quantile level must lie in"):
-            sld_cdf(1.0, theta)
+            sld_cdf(np.array([1.0]), theta)
 
     @pytest.mark.parametrize("theta", [0.05, 0.25, 0.3, 0.5, 0.7, 0.95, 1e-9])
     def test_bits_match_two_branch_reference(self, theta):
@@ -67,7 +69,7 @@ class TestSldCdf:
         want = sld_cdf_two_branch(eps, theta)
         assert sld_cdf(eps, theta).tobytes() == want.tobytes()
         assert sld_cdf(eps.reshape(100, -1), theta).tobytes() == want.tobytes()
-        assert [sld_cdf(e, theta) for e in special[:8]] == want[:8].tolist()
+        assert [sld_cdf(np.array([e]), theta)[0] for e in special[:8]] == want[:8].tolist()
 
     @given(
         st.floats(-20, 20), st.floats(-20, 20),
@@ -82,7 +84,8 @@ class TestSldCdf:
             quad(lambda e: sld_density(e, theta), u, w, limit=200)[0]
             for u, w in zip(pieces, pieces[1:])
         )
-        assert sld_cdf(hi, theta) - sld_cdf(lo, theta) == pytest.approx(integral, abs=1e-8)
+        at_lo, at_hi = sld_cdf(np.array([lo, hi]), theta)
+        assert at_hi - at_lo == pytest.approx(integral, abs=1e-8)
 
     def test_mixture_representation_matches_cdf(self):
         # exponential-rate theta(1-theta) mixing plus conditional normal
@@ -95,29 +98,29 @@ class TestSldCdf:
 
 class TestSampleGig:
     def test_half_order_mean(self):
-        draws = sample_gig(0.5, 1.0, 1.0, rng(1), size=100000)
+        draws = sample_gig(0.5, np.full(100000, 1.0), 1.0, rng(1))
         assert draws.mean() == pytest.approx(2.0, rel=0.02)
 
     def test_support(self):
-        draws = sample_gig(0.5, 0.3, 2.5, rng(2), size=20000)
+        draws = sample_gig(0.5, np.full(20000, 0.3), 2.5, rng(2))
         assert np.all(draws > 0.0)
 
     def test_ks_against_quadrature_cdf(self):
-        draws = sample_gig(0.5, 2.0, 3.0, rng(3), size=100000)
+        draws = sample_gig(0.5, np.full(100000, 2.0), 3.0, rng(3))
         lk = lambda x: -0.5 * np.log(x) - 0.5 * (4.0 / x + 9.0 * x)
         assert ks_vs_log_kernel(draws, lk, 1e-6, 15.0) < 0.01
 
     @pytest.mark.parametrize("rho1", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("rho2", [0.1, 1.0, 10.0])
     def test_moment_grid(self, rho1, rho2):
-        draws = sample_gig(0.5, rho1, rho2, rng(int(rho1 * 1000 + rho2 * 10)), size=100000)
+        draws = sample_gig(0.5, np.full(100000, rho1), rho2, rng(int(rho1 * 1000 + rho2 * 10)))
         assert draws.mean() == pytest.approx(gig_moment(1, rho1, rho2), rel=0.02)
         assert np.mean(draws ** 2) == pytest.approx(gig_moment(2, rho1, rho2), rel=0.02)
 
     @pytest.mark.parametrize("nu", [-0.5, 2.0])
     def test_other_orders_raise(self, nu):
         with pytest.raises(ValueError, match="nu = 1/2"):
-            sample_gig(nu, 1.5, 0.8, rng(4), size=10)
+            sample_gig(nu, np.full(10, 1.5), 0.8, rng(4))
 
     def test_vectorized_parameters(self):
         r1 = np.array([0.5, 1.0, 2.0])
@@ -133,37 +136,37 @@ class TestSampleGig:
 
 class TestSampleTruncNormal:
     def test_half_line_mean(self):
-        draws = sample_trunc_normal(0.0, 1.0, -np.inf, 0.0, rng(1), size=100000)
+        draws = sample_trunc_normal(np.zeros(100000), 1.0, -np.inf, 0.0, rng(1))
         assert draws.mean() == pytest.approx(-np.sqrt(2.0 / np.pi), rel=0.02)
         assert np.all(draws < 0.0)
 
     def test_interval_support(self):
-        draws = sample_trunc_normal(5.0, 4.0, 0.0, 1.0, rng(2), size=20000)
+        draws = sample_trunc_normal(np.full(20000, 5.0), 4.0, 0.0, 1.0, rng(2))
         assert np.all((draws > 0.0) & (draws < 1.0))
 
     def test_symmetric_interval_mean(self):
-        draws = sample_trunc_normal(0.0, 1.0, -0.1, 0.1, rng(3), size=100000)
+        draws = sample_trunc_normal(np.zeros(100000), 1.0, -0.1, 0.1, rng(3))
         assert abs(draws.mean()) < 0.01
 
     def test_ks_in_body(self):
-        draws = sample_trunc_normal(1.0, 4.0, -1.0, 2.5, rng(4), size=100000)
+        draws = sample_trunc_normal(np.full(100000, 1.0), 4.0, -1.0, 2.5, rng(4))
         a, b = (-1.0 - 1.0) / 2.0, (2.5 - 1.0) / 2.0
         z = lambda x: (x - 1.0) / 2.0
         cdf = lambda x: (ndtr(z(x)) - ndtr(a)) / (ndtr(b) - ndtr(a))
         assert ks_vs_cdf(draws, cdf) < 0.01
 
     def test_ks_in_far_tail(self):
-        draws = sample_trunc_normal(0.0, 1.0, 6.0, 7.0, rng(5), size=100000)
+        draws = sample_trunc_normal(np.zeros(100000), 1.0, 6.0, 7.0, rng(5))
         lk = lambda x: -0.5 * x * x
         assert ks_vs_log_kernel(draws, lk, 6.0, 7.0) < 0.01
 
     def test_mass_zero_interval_is_finite_and_inside(self):
         # both bounds far beyond 8 sigma on the same side
-        draws = sample_trunc_normal(0.0, 1.0, 10.0, 10.5, rng(6), size=5000)
+        draws = sample_trunc_normal(np.zeros(5000), 1.0, 10.0, 10.5, rng(6))
         assert np.all(np.isfinite(draws))
         assert np.all((draws > 10.0) & (draws < 10.5))
-        one = sample_trunc_normal(0.0, 1.0, -45.0, -44.0, rng(7))
-        assert -45.0 < one < -44.0
+        one = sample_trunc_normal(np.zeros(1), 1.0, -45.0, -44.0, rng(7))
+        assert -45.0 < one[0] < -44.0
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -251,9 +254,9 @@ class TestTruncNormalPaths:
 
 class TestReproducibility:
     def test_identical_seed_identical_draws(self):
-        a = sample_gig(0.5, 1.3, 0.9, rng(42), size=100)
-        b = sample_gig(0.5, 1.3, 0.9, rng(42), size=100)
+        a = sample_gig(0.5, np.full(100, 1.3), 0.9, rng(42))
+        b = sample_gig(0.5, np.full(100, 1.3), 0.9, rng(42))
         np.testing.assert_array_equal(a, b)
-        a = sample_trunc_normal(0.5, 2.0, -1.0, 9.0, rng(42), size=100)
-        b = sample_trunc_normal(0.5, 2.0, -1.0, 9.0, rng(42), size=100)
+        a = sample_trunc_normal(np.full(100, 0.5), 2.0, -1.0, 9.0, rng(42))
+        b = sample_trunc_normal(np.full(100, 0.5), 2.0, -1.0, 9.0, rng(42))
         np.testing.assert_array_equal(a, b)

@@ -64,3 +64,51 @@ def test_every_definition_has_a_reader(path):
     used = referenced_names()
     orphans = [name for name in module_definitions(path) if name not in used]
     assert not orphans, f"{path.name} defines names that no program file reads: {orphans}"
+
+
+# Defaulted parameters that no program call has to pass: ``cli.main`` reads
+# ``sys.argv`` when it is called without arguments, as the console script does.
+UNPASSED_BY_DESIGN = {("main", "argv")}
+
+
+@functools.cache
+def program_calls() -> dict[str, list[ast.Call]]:
+    """The calls in the caller files, by the called function's bare or attribute name."""
+    calls = {}
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, index, name: str, bound: bool) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at ``index`` among the
+    positional parameters (None for a keyword-only one); a method call's
+    receiver fills ``self`` when ``bound``.  A starred argument may pass any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) + bound > index
+
+
+@pytest.mark.parametrize("path", sorted(Path(ordquant.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_every_defaulted_parameter_is_passed(path):
+    unpassed = []
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for parent in ast.walk(tree):
+        for func in ast.iter_child_nodes(parent):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            bound = isinstance(parent, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+            unpassed += [f"{func.name}({name}=)" for index, name in defaulted
+                         if (func.name, name) not in UNPASSED_BY_DESIGN
+                         and not any(passes(call, index, name, bound) for call in program_calls().get(func.name, []))]
+    assert not unpassed, f"{path.name} has defaulted parameters that no program call passes: {unpassed}"

@@ -1253,7 +1253,7 @@ class TestPosteriorDrawsIO:
         draws = run_chain(spec, SamplerConfig(iterations=30, burn_in=10, seed=2, num_chains=2))
         path = tmp_path / "draws.csv"
         write_draws(draws, path, spec)
-        again = read_draws(path)
+        again = read_draws([path])
         assert again.names == draws.names
         np.testing.assert_allclose(again.values, draws.values, rtol=0, atol=0)
         np.testing.assert_array_equal(again.chain, draws.chain)
@@ -1380,7 +1380,7 @@ class TestPosteriorDrawsIO:
         edit_cell(4, column, value)(lines)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError) as info:
-            read_draws(path)
+            read_draws([path])
         assert str(info.value) == f"{path}:4: {message}"
 
     def test_unequal_chain_lengths_rejected(self):

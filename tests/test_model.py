@@ -52,6 +52,15 @@ class TestIngest:
         with pytest.raises(DataError, match="no data rows"):
             ingest_csv(f)
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        # Far past the text reader's first decoded block, after two-byte characters.
+        f = tmp_path / "late.csv"
+        rows = ["subject,y,x1"] + [f"s\u00e9{i // 10},{1 + i % 3},0.5" for i in range(20_000)]
+        f.write_bytes("\n".join(rows).encode("utf-8").replace(b"s\xc3\xa91499,", b"s\xff1499,", 1) + b"\n")
+        with pytest.raises(DataError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}:14992: byte 0xff is not UTF-8 (invalid start byte)"
+
     def test_non_integer_category(self, tmp_path):
         f = tmp_path / "frac.csv"
         write_lines(f, ["subject,y,x1", "a,1,0.5", "a,2.5,0.1"])
