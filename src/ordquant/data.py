@@ -12,9 +12,9 @@ bytes ``csv.writer`` writes, so datasets round-trip unchanged.
 This module also holds the package's one CSV table layer.  Every table
 ordquant writes goes through ``_write_table``, which formats a chunk of
 rows with one row format.  Both readers, ``ingest_csv`` here and
-``gibbs.read_draws``, take records from ``_record_chunks`` and convert a
-chunk one column at a time, each with its own cell rules, and name a bad
-record's line with ``_line_of``.  A chunk holds about ``_CHUNK_CELLS``
+``gibbs.read_draws``, take records from ``_record_chunks``, convert a chunk
+one column at a time with ``_convert`` and ``_fit_intp``, each reader with
+its own cell rule, and name a bad record's line with ``_line_of``.  A chunk holds about ``_CHUNK_CELLS``
 cells, so its row count follows the table's width."""
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class OrdinalDataset:
             raise DataError("subject ids do not match the subject index")
         boundaries = np.flatnonzero(np.diff(self.subject_index))
         groups = np.concatenate([[self.subject_index[0]], self.subject_index[boundaries + 1]])
-        if len(np.unique(groups)) != len(groups) or not np.array_equal(np.sort(groups), np.arange(len(self.subject_ids))):
+        if not np.array_equal(np.sort(groups), np.arange(len(self.subject_ids))):
             raise DataError("observations must be grouped contiguously by subject")
         if not self.covariate_names:
             self.covariate_names = [f"x{j + 1}" for j in range(self.x.shape[1])]
@@ -161,7 +161,7 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
     else:
         C = labels.size
         if C < 2:
-            raise DataError("an ordinal response needs at least two distinct categories")
+            raise DataError(f"{path}: an ordinal response needs at least two distinct categories")
         y = np.searchsorted(labels, y) + 1
         category_labels = labels.tolist()
     return OrdinalDataset(list(ids), subject, y, x, t, C, category_labels=category_labels,
@@ -229,7 +229,8 @@ def _parse_chunk(path, records, first, width, columns, schema, ids):
         local[sid] = ids.setdefault(sid, len(ids))
     subject = np.fromiter(map(local.__getitem__, subjects), np.intp, n)
 
-    y = _convert(cells[columns["response"]], int, errors, lambda cell: f"response {cell!r} is not an integer category")
+    y = _convert(cells[columns["response"]], int, errors, lambda cell: f"response {cell!r} is not an integer category",
+                 str.strip)
     C = schema.num_categories
     if C is not None:
         outside = np.flatnonzero((y < 1) | (y > C))
@@ -238,40 +239,52 @@ def _parse_chunk(path, records, first, width, columns, schema, ids):
     x = np.empty((n, len(columns["covariates"])))
     for j, (name, col) in enumerate(columns["covariates"]):
         values = _convert(cells[col], float, errors, lambda cell: f"covariate {name!r} value {cell!r} is not numeric"
-                          if cell else f"missing value in covariate {name!r}")
-        if values.size == n:
-            x[:, j] = values
+                          if cell else f"missing value in covariate {name!r}", str.strip)
+        x[:values.size, j] = values
+        odd = np.flatnonzero(~np.isfinite(x[:values.size, j]))
+        if odd.size:
+            errors.append((odd[0], f"covariate {name!r} value {cells[col][odd[0]].strip()!r} is not finite"))
     t = np.zeros(n, dtype=np.intp)
     if columns["time"] is not None:
-        t = _convert(cells[columns["time"]], int, errors, lambda cell: f"time index {cell!r} is not an integer")
-        if t.dtype == object:  # converted cell by cell, so a value may not fit in intp
-            wide = next((i for i, v in enumerate(t) if not _INTP.min <= v <= _INTP.max), None)
-            if wide is not None:
-                errors.append((wide, f"time index {t[wide]} does not fit in a {_INTP.bits}-bit integer"))
+        t = _convert(cells[columns["time"]], int, errors, lambda cell: f"time index {cell!r} is not an integer",
+                     str.strip)
+        t = _fit_intp(t, errors, "time index")
     if errors:
         bad, message = min(errors, key=lambda error: error[0])
         raise DataError(f"{path}:{_line_of(path, first + keep[bad])}: {message}")
     return subject, y, x, t
 
 
-def _convert(cells, kind, errors, describe):
+def _convert(cells, kind, errors, describe, rule):
     """``cells`` converted by ``kind`` into an array.  At the first cell that
-    does not convert, its position and ``describe(cell.strip())`` are added to
-    ``errors`` and the values before it are returned.  ``int`` and ``float``
-    skip what ``str.strip`` does but U+001C..U+001F, and an integer may not fit
-    in ``intp``, so a chunk that fails is converted again cell by cell after
-    ``strip`` into Python numbers."""
+    does not convert, its position and ``describe(rule(cell))`` are added to
+    ``errors`` and the values before it are returned.  A chunk that fails is
+    converted again cell by cell, each as ``rule`` gives it, into Python
+    numbers, which ``_fit_intp`` range-checks.  A dataset's rule ``str.strip``
+    also skips U+001C..U+001F; a draws file's ``str`` keeps what ``kind`` sees."""
     try:
         return np.fromiter(map(kind, cells), np.intp if kind is int else np.float64, len(cells))
     except (ValueError, OverflowError):
         values = np.empty(len(cells), object)
-    for i, cell in enumerate(cells):
+    for i, cell in enumerate(map(rule, cells)):
         try:
-            values[i] = kind(cell.strip())
+            values[i] = kind(cell)
         except ValueError:
-            errors.append((i, describe(cell.strip())))
+            errors.append((i, describe(cell)))
             return values[:i]
     return values
+
+
+def _fit_intp(values, errors, label: str) -> np.ndarray:
+    """An integer column from ``_convert`` as ``intp``.  At the first value
+    that does not fit, its position and a message led by ``label`` are added
+    to ``errors`` and the values before it are returned."""
+    if values.dtype == object:  # converted cell by cell, so a value may not fit in intp
+        wide = next((i for i, v in enumerate(values) if not _INTP.min <= v <= _INTP.max), None)
+        if wide is not None:
+            errors.append((wide, f"{label} {values[wide]} does not fit in a {_INTP.bits}-bit integer"))
+            values = values[:wide]
+    return values.astype(np.intp, copy=False)
 
 
 def write_csv(dataset: OrdinalDataset, path) -> None:

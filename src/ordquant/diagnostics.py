@@ -130,7 +130,8 @@ def mpsrf(draws: PosteriorDraws, checkpoints) -> MpsrfSeries:
     lambda_1 is the top generalized eigenvalue of the between-chain against
     the within-chain covariance.  A singular within-chain matrix gets a
     trace-proportional ridge and the checkpoint is flagged.  Non-finite
-    draws, or fewer than two draws per chain, raise ``ValueError``.  k > 1
+    draws, fewer than two draws per chain, or chains that do not share
+    their iteration numbers raise ``ValueError``.  k > 1
     checkpoints span the second draw to the last, and one is the last draw.
     The parameters are the coefficients and the cut-points.
     """
@@ -139,7 +140,13 @@ def mpsrf(draws: PosteriorDraws, checkpoints) -> MpsrfSeries:
     parameters = [n for n in draws.names if n.startswith(("beta_", "delta_"))]
     mat = draws.by_chain(parameters)  # (m, n, k)
     m, n_total, _ = mat.shape
-    iters = np.sort(draws.iteration[draws.chain == draws.chain[0]])
+    grid = draws.iteration[np.lexsort((draws.iteration, draws.chain))].reshape(m, n_total)
+    apart = np.argwhere(grid != grid[0])
+    if apart.size:
+        c, j = apart[0]
+        raise ValueError(f"the multivariate shrink factor needs chains that share their iteration numbers, but "
+                         f"draw {j + 1} of chain {c} is at iteration {grid[c, j]}, and chain 0's at {grid[0, j]}")
+    iters = grid[0]
     if np.isscalar(checkpoints):
         start = 1 if checkpoints > 1 else n_total - 1
         marks = iters[np.unique(np.linspace(start, n_total - 1, int(checkpoints)).astype(int))]

@@ -90,7 +90,8 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -98,7 +99,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .data import _INTP, _line_of, _record_chunks, _write_table
+from .data import _convert, _fit_intp, _line_of, _record_chunks, _write_table
 from .errors import ChainDivergedError, ConfigError, SchemaError
 from .kvfile import write_kv
 from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
@@ -669,18 +670,22 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec) -> None:
 def read_draws(paths) -> PosteriorDraws:
     """Load the draws CSVs of the list ``paths``; each extra file appends its chains.
 
-    Each file is parsed in chunks of records, one column at a time.  A row
-    with the wrong number of fields, a ``chain`` or ``iteration`` that is not
-    an integer or does not fit in 64 bits, a negative ``chain``, or a draw
-    that does not parse as a number raises ``SchemaError`` naming the file,
-    the line and the column, at the first such row in file order.  A draw
-    that parses but is not finite (``nan``, ``inf``) is reported the same
-    way, but only after every cell of every file has parsed, so a later cell
-    that does not parse wins over an earlier ``nan``.
+    Each file is parsed in chunks of records, one column at a time.  A header
+    that names a column twice or no parameter column raises ``SchemaError``
+    naming the file.  A row with the wrong number of fields, a ``chain`` or
+    ``iteration`` that is not an integer or does not fit in 64 bits, a
+    negative ``chain``, or a draw that does not parse as a number raises
+    ``SchemaError`` naming the file, the line and the column, at the first
+    such row in file order.  Once every cell of every file has parsed, so
+    that a later cell that does not parse wins over them, the same is raised
+    at the first draw that is not finite (``nan``, ``inf``), then at the
+    first row that repeats its chain's iteration.  Last, a chain with fewer
+    rows than the longest (a chain number a file skips has none) raises
+    ``SchemaError`` naming its file and its number in that file.
     """
     names: list[str] | None = None
     chains, iters, values = [], [], []
-    sources = []  # (first row, path, header) of each file
+    sources = []  # (first row, first chain, path) of each file
     rows = offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -688,11 +693,17 @@ def read_draws(paths) -> PosteriorDraws:
             header = next(file_chunks)
             if header is None or header[:2] != ["chain", "iteration"]:
                 raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
+            counts = Counter(header)
+            repeated = next((name for name in header if counts[name] > 1), None)
+            if repeated is not None:
+                raise SchemaError(f"{path}: the header names column {repeated!r} {counts[repeated]} times")
+            if len(header) == 2:
+                raise SchemaError(f"{path}: the header names no parameter column after chain,iteration")
             if names is None:
                 names = header[2:]
             elif header[2:] != names:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
-            sources.append((rows, path, header))
+            sources.append((rows, offset, path))
             local_max = -1
             for first, records in file_chunks:
                 chain, iteration, block = _parse_draws(path, header, records, first)
@@ -705,60 +716,63 @@ def read_draws(paths) -> PosteriorDraws:
         offset += local_max + 1
     if not rows:
         raise SchemaError("draws files contain no rows")
+
+    def at(row: int) -> str:  # "path:line" of a row in file order
+        first, _, path = next(src for src in reversed(sources) if src[0] <= row)
+        return f"{path}:{_line_of(path, row - first)}"
+
+    def numbered(c) -> tuple[int, object]:  # chain c as its file numbers it, and that file
+        _, first, path = next(src for src in reversed(sources) if src[1] <= c)
+        return int(c) - first, path
+
     matrix = np.concatenate(values)
     del values  # the chunks take as much memory as the matrix
     if not np.isfinite(matrix).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
-        first, path, header = next(src for src in reversed(sources) if src[0] <= row)
-        raise SchemaError(f"{path}:{_line_of(path, row - first)}: column {header[col + 2]}: "
-                          f"{matrix[row, col]} is not finite")
-    draws = PosteriorDraws(names, matrix, np.concatenate(chains), np.concatenate(iters))
-    order = np.lexsort((draws.iteration, draws.chain))
-    return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])
+        raise SchemaError(f"{at(row)}: column {names[col]}: {matrix[row, col]} is not finite")
+    chain, iteration = np.concatenate(chains), np.concatenate(iters)
+    order = np.lexsort((iteration, chain))
+    chain, iteration = chain[order], iteration[order]
+    repeats = np.flatnonzero((np.diff(chain) == 0) & (np.diff(iteration) == 0)) + 1
+    if repeats.size:
+        k = repeats[order[repeats].argmin()]  # a stable sort puts a repeat after the row it repeats
+        raise SchemaError(f"{at(int(order[k]))}: column iteration: chain {numbered(chain[k])[0]} "
+                          f"repeats iteration {iteration[k]}")
+    lengths = np.bincount(chain)
+    short = np.flatnonzero(lengths != lengths.max())
+    if short.size:
+        (c, path), (longest, other) = numbered(short[0]), numbered(lengths.argmax())
+        raise SchemaError(f"{path}: chain {c} has {lengths[short[0]]} draws, but chain {longest} of {other} "
+                          f"has {lengths.max()}; chains must have equal length")
+    return PosteriorDraws(names, matrix[order], chain, iteration)
 
 
 def _parse_draws(path, header: list[str], records: list[list[str]], first: int):
     """Chains, iterations and draws of ``records``, the records of ``path``
-    from index ``first`` on, converted one column at a time.  A chunk that
-    does not convert is searched row by row for its first bad cell."""
-    n, width = len(records), len(header)
-    if set(map(len, records)) == {width}:
-        cells = list(zip(*records))
-        try:
-            chain = np.fromiter(map(int, cells[0]), np.intp, n)
-            iteration = np.fromiter(map(int, cells[1]), np.intp, n)
-            block = np.empty((n, width - 2))
-            for j, column in enumerate(cells[2:]):
-                block[:, j] = np.fromiter(map(float, column), np.float64, n)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if chain.min() >= 0:
-                return chain, iteration, block
-    for i, rec in enumerate(records):
-        fault = _row_fault(header, rec)
-        if fault:
-            raise SchemaError(f"{path}:{_line_of(path, first + i)}: {fault}")
-    raise SchemaError(f"{path}: records {first + 1}..{first + n} do not parse")
-
-
-def _row_fault(header: list[str], rec: list[str]) -> str | None:
-    """What is wrong with one draws record, at its first bad cell, or None."""
-    if len(rec) != len(header):
-        # A short row names its first missing column, a long one the
-        # number of its first extra column.
-        column = header[len(rec)] if len(rec) < len(header) else len(header) + 1
-        return f"column {column}: expected {len(header)} fields, got {len(rec)}"
-    for j, (name, cell) in enumerate(zip(header, rec)):
-        try:
-            int(cell) if j < 2 else float(cell)
-        except ValueError:
-            return f"column {name}: {cell!r} is not {'an integer' if j < 2 else 'a number'}"
-    c, t = int(rec[0]), int(rec[1])
-    if c < 0:
-        return f"column chain: {c} is negative"
-    for name, value in (("chain", c), ("iteration", t)):
-        if not _INTP.min <= value <= _INTP.max:
-            return f"column {name}: {value} does not fit in a {_INTP.bits}-bit integer"
-    return None
-
+    from index ``first`` on, each column converted by ``_convert``.  The
+    earliest bad record raises its first failing check, in this order: width,
+    cells left to right, a negative chain, then the 64-bit range."""
+    width = len(header)
+    errors = []  # (record, message), in check order
+    if set(map(len, records)) != {width}:
+        bad = next(i for i, rec in enumerate(records) if len(rec) != width)
+        got = len(records[bad])
+        # A short row names its first missing column, a long one the number of its first extra column.
+        errors.append((bad, f"column {header[got] if got < width else width + 1}: expected {width} fields, got {got}"))
+        records = records[:bad]
+    cells = list(zip(*records)) or [()] * width
+    chain = _convert(cells[0], int, errors, lambda cell: f"column chain: {cell!r} is not an integer", str)
+    iteration = _convert(cells[1], int, errors, lambda cell: f"column iteration: {cell!r} is not an integer", str)
+    block = np.empty((len(records), width - 2))
+    for j, name in enumerate(header[2:]):
+        values = _convert(cells[j + 2], float, errors, lambda cell: f"column {name}: {cell!r} is not a number", str)
+        block[:values.size, j] = values
+    negative = np.flatnonzero(chain < 0)
+    if negative.size:
+        errors.append((negative[0], f"column chain: {chain[negative[0]]} is negative"))
+    chain = _fit_intp(chain, errors, "column chain:")
+    iteration = _fit_intp(iteration, errors, "column iteration:")
+    if errors:
+        bad, message = min(errors, key=lambda error: error[0])
+        raise SchemaError(f"{path}:{_line_of(path, first + bad)}: {message}")
+    return chain, iteration, block

@@ -161,6 +161,7 @@ def ingest_csv_rowwise(path, schema=None):
     same errors and warnings with the same text.
     """
     import csv
+    import math
     import warnings
     from pathlib import Path
 
@@ -205,6 +206,8 @@ def ingest_csv_rowwise(path, schema=None):
                     xs.append(float(cell))
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: covariate {name!r} value {cell!r} is not numeric") from None
+                if not math.isfinite(xs[-1]):
+                    raise DataError(f"{path}:{lineno}: covariate {name!r} value {cell!r} is not finite")
             if columns["time"] is not None:
                 t_raw = raw[columns["time"]].strip()
                 try:
@@ -232,7 +235,7 @@ def ingest_csv_rowwise(path, schema=None):
     else:
         C = len(labels)
         if C < 2:
-            raise DataError("an ordinal response needs at least two distinct categories")
+            raise DataError(f"{path}: an ordinal response needs at least two distinct categories")
         remap = {lab: i + 1 for i, lab in enumerate(labels)}
         category_labels = labels
     rows = sorted(enumerate(rows), key=lambda item: (order[item[1][0]], item[0]))
@@ -452,11 +455,16 @@ def read_draws_rowwise(paths):
             header = next(reader, None)
             if header is None or header[:2] != ["chain", "iteration"]:
                 raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise SchemaError(f"{path}: the header names column {name!r} {header.count(name)} times")
+            if len(header) == 2:
+                raise SchemaError(f"{path}: the header names no parameter column after chain,iteration")
             if names is None:
                 names = header[2:]
             elif header[2:] != names:
                 raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
-            sources.append((len(values), path, header))
+            sources.append((len(values), path, header, offset))
             local_max = -1
             for rec in reader:
                 if len(rec) != len(header):
@@ -482,8 +490,27 @@ def read_draws_rowwise(paths):
     matrix = np.array(values)
     if not np.isfinite(matrix).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
-        _, path, header = next(src for src in reversed(sources) if src[0] <= row)
+        _, path, header, _ = next(src for src in reversed(sources) if src[0] <= row)
         raise SchemaError(f"{path}:{lines[row]}: column {header[col + 2]}: {matrix[row, col]} is not finite")
+    seen = set()
+    for row, key in enumerate(zip(chains, iters)):
+        if key in seen:
+            _, path, _, first_chain = [src for src in sources if src[0] <= row][-1]
+            raise SchemaError(f"{path}:{lines[row]}: column iteration: chain {key[0] - first_chain} "
+                              f"repeats iteration {key[1]}")
+        seen.add(key)
+    lengths = [chains.count(c) for c in range(max(chains) + 1)]
+
+    def numbered(c):
+        _, path, _, first_chain = [src for src in sources if src[3] <= c][-1]
+        return c - first_chain, path
+
+    longest = lengths.index(max(lengths))
+    for c, length in enumerate(lengths):
+        if length != lengths[longest]:
+            (k, path), (j, other) = numbered(c), numbered(longest)
+            raise SchemaError(f"{path}: chain {k} has {length} draws, but chain {j} of {other} has "
+                              f"{lengths[longest]}; chains must have equal length")
     draws = PosteriorDraws(names, matrix, np.array(chains), np.array(iters))
     order = np.lexsort((draws.iteration, draws.chain))
     return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])

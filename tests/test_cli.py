@@ -256,6 +256,20 @@ class TestFit:
         assert run(["fit", "--input", bad, "--seed", "1", "--out", tmp_path / "r"]) == 2
         assert f"{bad}:3: time index 99999999999999999999 does not fit in a 64-bit integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a,1,0.5\na,2,nan\n", "{f}:3: covariate 'x1' value 'nan' is not finite"),
+        ("a,1,1e400\na,2,0.2\n", "{f}:2: covariate 'x1' value '1e400' is not finite"),
+        ("a,1,0.5\na,2,-inf\n", "{f}:3: covariate 'x1' value '-inf' is not finite"),
+        ("a,2,0.5\nb,2,0.1\n", "{f}: an ordinal response needs at least two distinct categories"),
+    ], ids=["nan", "beyond-float", "infinite", "one-category"])
+    def test_bad_dataset_exits_2_with_one_line(self, tmp_path, capsys, rows, message):
+        f = tmp_path / "bad.csv"
+        f.write_text("subject,y,x1\n" + rows, encoding="utf-8")
+        out = tmp_path / "r"
+        assert run(["fit", "--input", f, "--seed", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(f=f)}\n"
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path, toy_csv):
         cfg = tmp_path / "fit.conf"
         cfg.write_text("iterations = 60\nburn-in = 10\ntheta = 0.25\n", encoding="utf-8")
@@ -518,6 +532,32 @@ class TestDiagnose:
                     *two_chain_files]) == 2
         assert "option checkpoints must be at least 1, got 0" in capsys.readouterr().err
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("files, flags, message", [
+        ({"a": "chain,iteration,beta_1,beta_1,delta_1\n0,1,0.1,0.2,0.3\n0,2,0.2,0.1,0.3\n"}, [],
+         "{a}: the header names column 'beta_1' 2 times"),
+        ({"a": "chain,iteration\n0,1\n0,2\n"}, [], "{a}: the header names no parameter column after chain,iteration"),
+        ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,1,0.2\n"}, [],
+         "{a}:3: column iteration: chain 0 repeats iteration 1"),
+        ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.2\n0,3,0.3\n",
+          "b": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.2\n"}, [],
+         "{b}: chain 0 has 2 draws, but chain 0 of {a} has 3; chains must have equal length"),
+        ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.2\n2,1,0.1\n2,2,0.3\n"}, ["--mpsrf"],
+         "{a}: chain 1 has 0 draws, but chain 0 of {a} has 2; chains must have equal length"),
+        ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.3\n1,5,0.2\n1,6,0.5\n"}, ["--mpsrf"],
+         "the multivariate shrink factor needs chains that share their iteration numbers, "
+         "but draw 1 of chain 1 is at iteration 5, and chain 0's at 1"),
+    ], ids=["repeated-column", "no-parameter", "repeated-iteration", "unequal-chains", "skipped-chain",
+            "iteration-grids"])
+    def test_bad_draws_exit_2_with_one_line(self, tmp_path, capsys, files, flags, message):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text, encoding="utf-8")
+        out = tmp_path / "d"
+        assert run(["diagnose", *flags, "--seed", "0", "--out", out, *paths.values()]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert not out.exists()
 
     def test_bad_draws_cell_exit_2(self, tmp_path, two_chain_files, capsys):
         lines = two_chain_files[1].read_text().splitlines()

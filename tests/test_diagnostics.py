@@ -123,6 +123,22 @@ class TestMpsrf:
         with pytest.raises(ValueError, match="at least two chains of at least two draws"):
             mpsrf(make_draws(np.arange(2.0), names=["beta_1"], chains=2), checkpoints=20)
 
+    @pytest.mark.parametrize("iterations, message", [
+        ([1, 2, 5, 6], "draw 1 of chain 1 is at iteration 5, and chain 0's at 1"),
+        ([1, 2, 3, 1, 3, 4], "draw 2 of chain 1 is at iteration 3, and chain 0's at 2"),
+    ], ids=["disjoint", "overlapping"])
+    def test_chains_must_share_their_iterations(self, iterations, message):
+        per = len(iterations) // 2
+        draws = PosteriorDraws(["beta_1"], np.arange(2.0 * per)[:, None] ** 2, np.repeat([0, 1], per), iterations)
+        with pytest.raises(ValueError) as info:
+            mpsrf(draws, checkpoints=[10])
+        assert str(info.value) == ("the multivariate shrink factor needs chains that share their iteration "
+                                   f"numbers, but {message}")
+
+    def test_shared_iterations_in_any_row_order(self):
+        draws = PosteriorDraws(["beta_1"], np.array([[0.0], [1.0], [3.0], [2.0]]), [0, 1, 0, 1], [2, 1, 1, 2])
+        assert mpsrf(draws, checkpoints=[2]).iterations == [2]
+
     @pytest.mark.parametrize("count", [1, 2, 3, 20, 400])
     def test_checkpoint_count_grid(self, count):
         # Two or more checkpoints keep their grid from the second retained

@@ -1309,6 +1309,10 @@ class TestPosteriorDrawsIO:
         (2, lambda f: ["0.5"] + f[1:], "draws.csv:2: column chain: '0.5' is not an integer"),
         (3, lambda f: ["-1"] + f[1:], "draws.csv:3: column chain: -1 is negative"),
         (7, lambda f: f[:1] + ["x"] + f[2:], "draws.csv:7: column iteration: 'x' is not an integer"),
+        (6, lambda f: f[:1] + ["13"] + f[2:], "draws.csv:6: column iteration: chain 0 repeats iteration 13"),
+        (1, lambda f: f[:3] + ["beta_1"] + f[4:], "draws.csv: the header names column 'beta_1' 2 times"),
+        (1, lambda f: f[:2] + ["iteration"] + f[3:], "draws.csv: the header names column 'iteration' 2 times"),
+        (1, lambda f: f[:2], "draws.csv: the header names no parameter column after chain,iteration"),
     ])
     def test_bad_cells_name_file_line_and_column(self, tmp_path, line, edit, message):
         spec = small_sim_spec()
@@ -1339,6 +1343,14 @@ class TestPosteriorDrawsIO:
         "multi-line record, then a nan": ([], [edit_cell(3, 3, '"0.5\r\n"'), edit_cell(9, 4, "-inf")]),
         "padded cells": ([], [edit_cell(5, 0, " 0\t"), edit_cell(6, 3, "\u2003-1.25 ")]),
         "separator cell": ([], [edit_cell(4, 3, "\x1c0.5")]),
+        "header repeats a column": ([], [edit_cell(1, 3, "beta_1")]),
+        "no parameter column": ([], [edit_line(1, "chain,iteration")]),
+        "repeated iteration": ([], [edit_cell(6, 1, "14")]),
+        "first repeat in file order": ([], [edit_cell(7, 1, "12"), edit_cell(9, 1, "11")]),
+        "nan before a repeat": ([], [edit_cell(3, 1, "11"), edit_cell(9, 4, "nan")]),
+        "unequal chains": ([], [edit_cell(11, 0, "1")]),
+        "repeat before unequal chains": ([], [edit_cell(4, 1, "12"), edit_cell(11, 0, "1")]),
+        "first file's chain is short": ([edit_cell(11, 0, "1")], []),
     }
 
     @pytest.mark.parametrize("chunk", [1, data._CHUNK_CELLS])
@@ -1382,6 +1394,30 @@ class TestPosteriorDrawsIO:
         with pytest.raises(SchemaError) as info:
             read_draws([path])
         assert str(info.value) == f"{path}:4: {message}"
+
+    @pytest.mark.parametrize("files, message", [
+        ({"a": "0,1,0.1\n0,2,0.2\n0,3,0.3\n", "b": "0,1,0.1\n0,2,0.2\n"},
+         "{b}: chain 0 has 2 draws, but chain 0 of {a} has 3; chains must have equal length"),
+        ({"a": "0,1,0.1\n0,2,0.2\n", "b": "0,1,0.1\n0,2,0.2\n0,3,0.3\n"},
+         "{a}: chain 0 has 2 draws, but chain 0 of {b} has 3; chains must have equal length"),
+        ({"a": "0,1,0.1\n0,2,0.2\n2,1,0.3\n2,2,0.4\n"},
+         "{a}: chain 1 has 0 draws, but chain 0 of {a} has 2; chains must have equal length"),
+        ({"a": "0,1,0.1\n0,2,0.2\n", "b": "1,1,0.3\n1,2,0.4\n"},
+         "{b}: chain 0 has 0 draws, but chain 0 of {a} has 2; chains must have equal length"),
+        ({"a": "1,5,0.1\n0,1,0.2\n1,6,0.3\n0,1,0.4\n"}, "{a}:5: column iteration: chain 0 repeats iteration 1"),
+        ({"a": "0,1,0.1\n0,2,0.2\n", "b": "3,7,0.1\n0,1,0.1\n3,7,0.2\n"},
+         "{b}:4: column iteration: chain 3 repeats iteration 7"),
+    ], ids=["second-file-short", "first-file-short", "skipped-chain", "skipped-first-chain", "repeat",
+            "repeat-in-second-file"])
+    def test_chain_rows_name_file_and_chain(self, tmp_path, files, message):
+        paths = {}
+        for name, rows in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("chain,iteration,beta_1\n" + rows)
+        for call in (read_draws, read_draws_rowwise):
+            with pytest.raises(SchemaError) as info:
+                call(list(paths.values()))
+            assert str(info.value) == message.format(**paths)
 
     def test_unequal_chain_lengths_rejected(self):
         with pytest.raises(ValueError):

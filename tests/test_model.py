@@ -182,6 +182,20 @@ class TestIngestErrors:
                                  "3: category 99999999999999999999 outside declared range 1..4"),
         "parse-before-later-range-error": (["subject,y,x1", "a,1,0.5", "a,x,0.5", "a,7,0.5"], 4,
                                            "3: response 'x' is not an integer category"),
+        "nan-covariate": (["subject,y,x1,x2", "a,1,0.5,1", "a,2,nan,1"], None,
+                          "3: covariate 'x1' value 'nan' is not finite"),
+        "infinite-covariate": (["subject,y,x1,x2", "a,1,0.5,1", "a,2,0.1, -inf "], None,
+                               "3: covariate 'x2' value '-inf' is not finite"),
+        "covariate-beyond-float": (["subject,y,x1", "a,1,0.5", "a,2,0.1", "a,1,1e400"], None,
+                                   "4: covariate 'x1' value '1e400' is not finite"),
+        "non-finite-before-later-covariate": (["subject,y,x1,x2", "a,1,0.5,1", "a,2,inf,bad"], None,
+                                              "3: covariate 'x1' value 'inf' is not finite"),
+        "covariate-before-later-non-finite": (["subject,y,x1,x2", "a,1,0.5,1", "a,2,bad,nan"], None,
+                                              "3: covariate 'x1' value 'bad' is not numeric"),
+        "earlier-non-finite-row-wins": (["subject,y,x1,time", "a,1,0.5,0", "a,2,NaN,1", "a,1,0.5,zz"], None,
+                                        "3: covariate 'x1' value 'NaN' is not finite"),
+        "non-finite-before-time": (["subject,y,x1,time", "a,1,0.5,0", "a,2,inf,zz"], None,
+                                   "3: covariate 'x1' value 'inf' is not finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -192,6 +206,13 @@ class TestIngestErrors:
         schema = CsvSchema(num_categories=categories)
         assert ingest_error(ingest_csv, f, schema) == f"{f}:{expected}"
         assert ingest_error(ingest_csv_rowwise, f, schema) == f"{f}:{expected}"
+
+    def test_one_category_names_the_file(self, tmp_path):
+        f = tmp_path / "flat.csv"
+        write_lines(f, ["subject,y,x1", "a,3,0.5", "b,3,0.1"])
+        for call in (ingest_csv, ingest_csv_rowwise):
+            assert ingest_error(call, f, CsvSchema()) == (
+                f"{f}: an ordinal response needs at least two distinct categories")
 
     @pytest.mark.parametrize("covariates,message", [
         (("y",), "covariate column 'y' is also the response column"),
@@ -379,6 +400,20 @@ class TestPriors:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             Priors(**kwargs)
+
+
+class TestInMemoryDataset:
+    """``OrdinalDataset`` checks what it is given, however it was built."""
+
+    @pytest.mark.parametrize("subject_index,x,message", [
+        ([0, 0, 1, 0], [0.5, -0.5, 1.0, -1.0], "observations must be grouped contiguously by subject"),
+        ([0, 1, 0, 1], [0.5, -0.5, 1.0, -1.0], "observations must be grouped contiguously by subject"),
+        ([0, 0, 1, 1], [0.5, np.nan, 1.0, -1.0], "covariates must be finite"),
+    ], ids=["subject-reappears", "alternating-subjects", "nan-covariate"])
+    def test_rejected(self, subject_index, x, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            OrdinalDataset(["u", "w"], np.array(subject_index), np.array([2, 1, 2, 1]),
+                           np.array(x)[:, None], np.arange(4), 2)
 
 
 def toy_dataset():
