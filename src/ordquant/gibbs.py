@@ -677,15 +677,18 @@ def read_draws(paths) -> PosteriorDraws:
     negative ``chain``, or a draw that does not parse as a number raises
     ``SchemaError`` naming the file, the line and the column, at the first
     such row in file order.  Once every cell of every file has parsed, so
-    that a later cell that does not parse wins over them, the same is raised
-    at the first draw that is not finite (``nan``, ``inf``), then at the
-    first row that repeats its chain's iteration.  Last, a chain with fewer
+    that a later cell that does not parse wins over them, a file with a
+    header and no rows raises ``SchemaError`` naming the first such file
+    (or saying that no file has rows); then the same is raised at the first
+    draw that is not finite (``nan``, ``inf``), then at the first row that
+    repeats its chain's iteration.  Last, a chain with fewer
     rows than the longest (a chain number a file skips has none) raises
     ``SchemaError`` naming its file and its number in that file.
     """
     names: list[str] | None = None
     chains, iters, values = [], [], []
     sources = []  # (first row, first chain, path) of each file
+    empty = []  # the files with a header and no rows
     rows = offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -713,9 +716,13 @@ def read_draws(paths) -> PosteriorDraws:
                 iters.append(iteration)
                 values.append(block)
                 rows += len(records)
+        if local_max < 0:
+            empty.append(path)
         offset += local_max + 1
     if not rows:
         raise SchemaError("draws files contain no rows")
+    if empty:
+        raise SchemaError(f"{empty[0]}: the draws file has a header and no rows")
 
     def at(row: int) -> str:  # "path:line" of a row in file order
         first, _, path = next(src for src in reversed(sources) if src[0] <= row)

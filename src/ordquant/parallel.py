@@ -16,9 +16,17 @@ chunk writes only its own slices and draws only from its own generator, so
 the draws are identical for any number of threads.  The pool is made on
 first use and kept, because a pool per call costs about four maps on a
 live one; where the share is one CPU, the chunks run in order on the
-caller.  No thread of the pool is alive across a fork: ``ordered_map``
-shuts the pool down before it forks, and a forked child drops the
-parent's pool.
+caller.  No thread of the pool is alive across a fork: ``ordered_map`` and
+``spool_parts`` shut the pool down before they fork, and a forked child
+drops the parent's pool.
+
+``spool_parts`` is the process counterpart of ``map_chunks``, for work that
+holds the GIL, such as formatting a large table's text: part 0 writes on
+the caller, straight into the output, and parts 1..k-1 in children forked
+from the caller, each into its own spool, which the caller then appends in
+part order.  k is the CPU share, so it is 1 inside chain workers and
+under a one-CPU affinity mask; ``data._write_table`` forks only for a
+table of at least ``_SPOOL_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ __all__ = ["ordered_map"]
 # chains (``gibbs.batched``: chain-observations and retained draw cells, so
 # a chunked chain is a batch of its own) and of a DIC block's cells.
 _CHUNK_OBSERVATIONS = 1 << 16
+# Cells a table must hold before ``data._write_table`` formats it in parts
+# on forked children (``spool_parts``): below it, a fork and a spool cost
+# more than half the table's formatting saves.
+_SPOOL_CELLS = 1 << 17
 
 _pool = None    # (thread pool or None, thread share) once made
 _workers = 1    # worker processes of the ordered_map that forked this process
@@ -39,6 +51,12 @@ _workers = 1    # worker processes of the ordered_map that forked this process
 def usable_cpus() -> int:
     """The CPUs this process may run on (all CPUs where the OS has no affinity masks)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def cpu_share() -> int:
+    """The usable CPUs divided among the workers of the ``ordered_map``
+    that forked this process, and at least one."""
+    return max(1, usable_cpus() // _workers)
 
 
 def is_chunked(n: int) -> bool:
@@ -90,7 +108,7 @@ def _thread_pool():
     holds one thread fewer, none where the share is one CPU."""
     global _pool
     if _pool is None:
-        threads = max(1, usable_cpus() // _workers)
+        threads = cpu_share()
         pool = None
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -154,3 +172,89 @@ def ordered_map(func, tasks, jobs: int = 1):
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, context, initializer=_set_workers, initargs=(workers,)) as pool:
         yield from pool.map(func, tasks)
+
+
+def spool_parts(write, count: int, out) -> None:
+    """``write(j, file)`` for every part ``j`` in ``range(count)``, so that
+    ``out`` receives part 0's text, then part 1's, and so on.
+
+    ``out`` is a text file opened with ``newline=""``.  Part 0 runs on the
+    caller and writes straight into ``out``.  Each other part runs in a
+    child forked from the caller and writes into its own spool: an
+    unlinked temporary file in ``out``'s directory, made before the fork,
+    which the child sees as a text file in ``out``'s encoding.  Every
+    child leaves through ``os._exit`` and is reaped, whichever part fails;
+    then the first failure in part order is raised, a child's with its own
+    type and message, and otherwise each spool's bytes are appended to
+    ``out`` in part order.  The thread pool is shut down before the first
+    fork, as ``ordered_map`` does.  One part runs on the caller and forks
+    nothing.
+    """
+    if count == 1:
+        write(0, out)
+        return
+    import shutil
+    import tempfile
+    from contextlib import ExitStack
+
+    _shut_down_pool()
+    directory = os.path.dirname(os.path.abspath(out.name))
+    pids, spools = [], []
+    with ExitStack() as stack:
+        try:
+            for j in range(1, count):
+                spool = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                pids.append(_fork_part(write, j, spool, out.encoding))
+                spools.append(spool)
+            write(0, out)
+        finally:
+            failures = [_reap(pid, spool, j) for j, (pid, spool) in enumerate(zip(pids, spools), 1)]
+        failure = next((exc for exc in failures if exc is not None), None)
+        if failure is not None:
+            raise failure
+        out.flush()
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, out.buffer)
+
+
+def _fork_part(write, j: int, spool, encoding: str) -> int:
+    """Fork a child that writes part ``j`` into ``spool`` and return its
+    pid.  The child exits 0 once the part is written, or 1 once its
+    failure is pickled into the emptied spool (3 if even that fails)."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 3
+    try:
+        try:
+            with open(spool.fileno(), "w", encoding=encoding, newline="", closefd=False) as text:
+                write(j, text)
+            code = 0
+        except BaseException as exc:  # raised again by the caller
+            import pickle
+
+            spool.seek(0)
+            spool.truncate()
+            pickle.dump(exc, spool)
+            spool.flush()
+            code = 1
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, spool, j: int) -> BaseException | None:
+    """Wait for the child ``pid`` that ``_fork_part`` forked for part ``j``:
+    None if it wrote its part, else its failure."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    if code == 1:
+        import pickle
+
+        spool.seek(0)
+        try:
+            return pickle.load(spool)
+        except Exception:  # the failure does not rebuild here; its exit code is reported
+            pass
+    return ChildProcessError(f"the child forked for part {j} exited with code {code}")

@@ -1,6 +1,7 @@
 """Fixtures shared by more than one test module."""
 
 import functools
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,19 @@ def run_criterion_5(root: Path) -> Path:
     dataset = root / "simulate-2026" / "dataset.csv"
     assert main([*CRITERION_5, "--input", str(dataset), "--out", str(root)]) == 0
     return root / "fit-17"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process running or unreaped (the
+    child is reaped here if it has exited)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child {pid} unreaped, with status {status}" if pid
+                else "the test left a child process running")
 
 
 @pytest.fixture(scope="session")

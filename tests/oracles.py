@@ -448,6 +448,7 @@ def read_draws_rowwise(paths):
     values, chains, iters = [], [], []
     lines = array("q")
     sources = []
+    empty = []
     offset = 0
     for path in paths:
         with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -484,9 +485,13 @@ def read_draws_rowwise(paths):
                 iters.append(t)
                 values.append(row)
                 lines.append(reader.line_num)
+            if len(values) == sources[-1][0]:
+                empty.append(path)
         offset += local_max + 1
     if not values:
         raise SchemaError("draws files contain no rows")
+    if empty:
+        raise SchemaError(f"{empty[0]}: the draws file has a header and no rows")
     matrix = np.array(values)
     if not np.isfinite(matrix).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])

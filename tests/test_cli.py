@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ordquant
-from ordquant import cli, data, gibbs
+from ordquant import cli, data, gibbs, parallel
 from ordquant.cli import main
 from ordquant.diagnostics import MpsrfSeries, ReplicationReport, SummaryTable, summarize
 from ordquant.gibbs import PosteriorDraws, SamplerConfig, read_draws
@@ -547,8 +547,10 @@ class TestDiagnose:
         ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.3\n1,5,0.2\n1,6,0.5\n"}, ["--mpsrf"],
          "the multivariate shrink factor needs chains that share their iteration numbers, "
          "but draw 1 of chain 1 is at iteration 5, and chain 0's at 1"),
+        ({"a": "chain,iteration,beta_1\n0,1,0.1\n0,2,0.3\n", "e": "chain,iteration,beta_1\n"}, [],
+         "{e}: the draws file has a header and no rows"),
     ], ids=["repeated-column", "no-parameter", "repeated-iteration", "unequal-chains", "skipped-chain",
-            "iteration-grids"])
+            "iteration-grids", "header-only-file"])
     def test_bad_draws_exit_2_with_one_line(self, tmp_path, capsys, files, flags, message):
         paths = {}
         for name, text in files.items():
@@ -590,10 +592,13 @@ class TestTableBytes:
     NAMES = ["plain", "has,comma", 'has "quote"', "has\nnewline"]
     VALUES = [-0.0, 5e-324, 1e22, float("nan")]
 
-    @pytest.fixture(autouse=True, params=["chunk-1", "chunk-default"])
-    def chunk_cells(self, request, monkeypatch):
-        if request.param == "chunk-1":
+    @pytest.fixture(autouse=True, params=["chunk-1", "chunk-default", "chunk-1-in-4-parts"])
+    def chunk_cells(self, request, monkeypatch, thread_share):
+        if request.param != "chunk-default":
             monkeypatch.setattr(data, "_CHUNK_CELLS", 1)
+        if request.param == "chunk-1-in-4-parts":  # every table, on the caller and three forked children
+            thread_share(4)
+            monkeypatch.setattr(parallel, "_SPOOL_CELLS", 0)
 
     def test_summary_table(self, tmp_path):
         v = np.array(self.VALUES)

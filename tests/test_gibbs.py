@@ -1407,8 +1407,10 @@ class TestPosteriorDrawsIO:
         ({"a": "1,5,0.1\n0,1,0.2\n1,6,0.3\n0,1,0.4\n"}, "{a}:5: column iteration: chain 0 repeats iteration 1"),
         ({"a": "0,1,0.1\n0,2,0.2\n", "b": "3,7,0.1\n0,1,0.1\n3,7,0.2\n"},
          "{b}:4: column iteration: chain 3 repeats iteration 7"),
+        ({"e": "", "a": "0,1,0.1\n0,2,0.2\n"}, "{e}: the draws file has a header and no rows"),
+        ({"e": "", "a": "0,1,0.1\n0,x,0.2\n"}, "{a}:3: column iteration: 'x' is not an integer"),
     ], ids=["second-file-short", "first-file-short", "skipped-chain", "skipped-first-chain", "repeat",
-            "repeat-in-second-file"])
+            "repeat-in-second-file", "header-only-file", "bad-cell-after-header-only-file"])
     def test_chain_rows_name_file_and_chain(self, tmp_path, files, message):
         paths = {}
         for name, rows in files.items():

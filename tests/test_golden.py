@@ -1,7 +1,9 @@
 """Byte identity: the sha256 of every output file of a set of small, fast
 runs, manifests aside, and criterion 5's late shrink-factor maximum (from
 the fit ``conftest.py`` shares with the acceptance suite), each against its
-record in ``golden.json``.
+record in ``golden.json``.  The digests are checked twice: as the runs
+write their tables, and with every table written in parts by forked
+children.
 
 The BLAS can change the last bits of ``x @ beta``, so the records hold only
 on the numpy and BLAS that made them; on any other the test fails and says
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ordquant import parallel
 from ordquant.cli import main
 
 from .conftest import run_criterion_5
@@ -106,10 +109,23 @@ def load_golden() -> dict:
     return record
 
 
-def test_output_digests(tmp_path):
-    want, got = load_golden()["digests"], record_runs(tmp_path)
+def check_digests(root: Path) -> None:
+    want, got = load_golden()["digests"], record_runs(root)
     changed = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not changed, f"outputs differ from golden.json: {changed}"
+
+
+def test_output_digests(tmp_path):
+    check_digests(tmp_path)
+
+
+def test_output_digests_in_parts(tmp_path, thread_share, monkeypatch):
+    """The same records when every table, however small, is written in four
+    parts, three of them by forked children; the ``estimates.csv`` tables
+    of three rows have fewer rows than parts."""
+    thread_share(4)
+    monkeypatch.setattr(parallel, "_SPOOL_CELLS", 0)
+    check_digests(tmp_path)
 
 
 def test_criterion_5_late_max(criterion_5_fit):
