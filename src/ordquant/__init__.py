@@ -9,7 +9,7 @@ liability to the observed categories.
 
 __version__ = "0.1.0"
 
-from .data import CsvSchema, OrdinalDataset, ingest_csv, write_csv
+from .data import CsvSchema, OrdinalDataset, PosteriorDraws, ingest_csv, read_draws, write_csv
 from .diagnostics import (
     DicResult,
     MpsrfSeries,
@@ -22,7 +22,7 @@ from .diagnostics import (
     summarize,
 )
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
-from .gibbs import PosteriorDraws, SamplerConfig, parameter_names, read_draws, run_chain, write_draws
+from .gibbs import SamplerConfig, parameter_names, run_chain, write_draws
 from .model import ChainState, ModelSpec, Priors, initialize_state
 from .simulate import (
     ReplicationRun,

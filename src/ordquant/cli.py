@@ -23,10 +23,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import CsvSchema, _csv_cells, _write_table, ingest_csv
+from .data import CsvSchema, _csv_cells, _write_table, ingest_csv, read_draws
 from .diagnostics import dic, mpsrf, summarize
 from .errors import ChainDivergedError, ConfigError, DataError, SchemaError
-from .gibbs import SamplerConfig, read_draws, run_chain, write_draws
+from .gibbs import SamplerConfig, run_chain, write_draws
 from .kvfile import read_kv, write_kv
 from .model import ModelSpec, Priors
 from .parallel import usable_cpus
@@ -148,7 +148,7 @@ _ACTIONS = {
 }
 
 
-def _convert(opt: Opt, text: str, source: str):
+def _parse_option(opt: Opt, text: str, source: str):
     try:
         return _PARSERS[opt.kind](text.strip())
     except (KeyError, ValueError):
@@ -177,7 +177,7 @@ def _resolve(opts: list[Opt], texts: dict[str, str], source: str) -> dict:
         raise ConfigError(f"unknown option(s) {sorted(unknown)} in {source}")
     resolved = {}
     for opt in opts:
-        value = _convert(opt, texts[opt.name], source) if opt.name in texts else opt.default
+        value = _parse_option(opt, texts[opt.name], source) if opt.name in texts else opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option --{opt.name}")
         resolved[opt.name] = value

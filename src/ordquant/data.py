@@ -1,4 +1,4 @@
-"""Ordinal longitudinal dataset container and CSV ingestion.
+"""The package's CSV home: datasets and posterior draws, read and written.
 
 A dataset is a panel of subjects, each observed at one or more occasions.
 Each observation carries an ordinal response in ``1..C`` and a length-``p``
@@ -15,7 +15,8 @@ rows with one row format, by one ``%`` per chunk.  A table of at least
 ``parallel._SPOOL_CELLS`` cells is formatted in contiguous parts of rows,
 one per CPU of the process's share, on the caller and on children that
 ``parallel.spool_parts`` forks, and keeps its bytes.  Both readers,
-``ingest_csv`` here and ``gibbs.read_draws``, take records from
+``ingest_csv`` and ``read_draws`` (of the draws files that
+``PosteriorDraws.to_csv`` writes), take records from
 ``_record_chunks``, convert a chunk one column at a time with ``_convert``
 and ``_fit_intp``, each reader with its own cell rule, and name a bad
 record's line with ``_line_of``.  A chunk holds about ``_CHUNK_CELLS``
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -36,7 +38,7 @@ import numpy as np
 from . import parallel
 from .errors import DataError, SchemaError
 
-__all__ = ["CsvSchema", "OrdinalDataset", "ingest_csv", "write_csv"]
+__all__ = ["CsvSchema", "OrdinalDataset", "PosteriorDraws", "ingest_csv", "read_draws", "write_csv"]
 
 # Cells parsed per chunk by every CSV reader: a chunk holds
 # max(1, _CHUNK_CELLS // columns) rows, so a wide draws file and a narrow
@@ -133,6 +135,55 @@ class OrdinalDataset:
         return self._category_runs
 
 
+@dataclass
+class PosteriorDraws:
+    """Retained post-burn-in draws, chain-major, with equal chain lengths."""
+
+    names: list[str]
+    values: np.ndarray       # (rows, len(names))
+    chain: np.ndarray        # (rows,) chain index
+    iteration: np.ndarray    # (rows,) originating sweep number (1-based)
+    theta: float | None = None
+    config: object = None    # the run's gibbs.SamplerConfig, if any
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.chain = np.asarray(self.chain, dtype=np.intp)
+        self.iteration = np.asarray(self.iteration, dtype=np.intp)
+        if self.values.shape != (len(self.chain), len(self.names)):
+            raise ValueError("draw matrix shape does not match names/chain labels")
+        counts = np.bincount(self.chain)
+        if counts.size and not np.all(counts == counts[0]):
+            raise ValueError("chain segments must have equal length")
+
+    @property
+    def num_chains(self) -> int:
+        return int(self.chain.max()) + 1 if self.chain.size else 0
+
+    @property
+    def chain_length(self) -> int:
+        return self.values.shape[0] // max(self.num_chains, 1)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.names.index(name)]
+
+    def select(self, names) -> np.ndarray:
+        cols = [self.names.index(n) for n in names]
+        return self.values[:, cols]
+
+    def by_chain(self, names) -> np.ndarray:
+        """The draws of ``names`` as a (chains, draws, parameters) array."""
+        mat = self.select(names)
+        order = np.lexsort((self.iteration, self.chain))
+        return mat[order].reshape(self.num_chains, self.chain_length, mat.shape[1])
+
+    def to_csv(self, path) -> None:
+        """One row per draw, each draw written with ``%.17g``, streamed in
+        chunks, so no copy of the whole file is held."""
+        _write_table(path, ["chain", "iteration", *self.names], "%d,%d" + ",%.17g" * len(self.names),
+                     [self.chain, self.iteration, *self.values.T])
+
+
 def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> OrdinalDataset:
     """Read, validate, and re-index a dataset CSV per ``schema``.
 
@@ -198,10 +249,7 @@ def _resolve_columns(path, header, schema):
             raise SchemaError(f"{path}: covariate column {clash!r} is also the {roles[clash]} column")
     if not covariates:
         raise SchemaError(f"{path}: no covariate columns available")
-    repeated = next((c for c in (schema.subject, schema.response, time_col, *covariates)
-                     if c is not None and header.count(c) > 1), None)
-    if repeated is not None:
-        raise SchemaError(f"{path}: the header names column {repeated!r} {header.count(repeated)} times")
+    _check_repeats(path, header, (schema.subject, schema.response, time_col, *covariates))
     pos = {name: header.index(name) for name in header}
     return {
         "subject": pos[schema.subject],
@@ -209,6 +257,14 @@ def _resolve_columns(path, header, schema):
         "covariates": [(c, pos[c]) for c in covariates],
         "time": pos[time_col] if time_col else None,
     }
+
+
+def _check_repeats(path, header, read) -> None:
+    """Raise ``SchemaError`` at the first column of ``read`` that ``header`` names more than once."""
+    counts = Counter(header)
+    repeated = next((name for name in read if counts[name] > 1), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: the header names column {repeated!r} {counts[repeated]} times")
 
 
 def _parse_chunk(path, records, first, width, columns, schema, ids):
@@ -295,6 +351,121 @@ def _fit_intp(values, errors, label: str) -> np.ndarray:
     return values.astype(np.intp, copy=False)
 
 
+def read_draws(paths) -> PosteriorDraws:
+    """Load the draws CSVs of the list ``paths``; each extra file appends its chains.
+
+    Each file is parsed in chunks of records, one column at a time.  A header
+    that names a column twice or no parameter column raises ``SchemaError``
+    naming the file.  A row with the wrong number of fields, a ``chain`` or
+    ``iteration`` that is not an integer or does not fit in 64 bits, a
+    negative ``chain``, or a draw that does not parse as a number raises
+    ``SchemaError`` naming the file, the line and the column, at the first
+    such row in file order.  Once every cell of every file has parsed, so
+    that a later cell that does not parse wins over them, a file with a
+    header and no rows raises ``SchemaError`` naming the first such file
+    (or saying that no file has rows); then the same is raised at the first
+    draw that is not finite (``nan``, ``inf``), then at the first row that
+    repeats its chain's iteration.  Last, a chain with fewer
+    rows than the longest (a chain number a file skips has none) raises
+    ``SchemaError`` naming its file and its number in that file.
+    """
+    names: list[str] | None = None
+    chains, iters, values = [], [], []
+    sources = []  # (first row, first chain, path) of each file
+    empty = []  # the files with a header and no rows
+    rows = offset = 0
+    for path in paths:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            file_chunks = _record_chunks(fh, SchemaError)
+            header = next(file_chunks)
+            if header is None or header[:2] != ["chain", "iteration"]:
+                raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
+            _check_repeats(path, header, header)
+            if len(header) == 2:
+                raise SchemaError(f"{path}: the header names no parameter column after chain,iteration")
+            if names is None:
+                names = header[2:]
+            elif header[2:] != names:
+                raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
+            sources.append((rows, offset, path))
+            local_max = -1
+            for first, records in file_chunks:
+                chain, iteration, block = _parse_draws(path, header, records, first)
+                local_max = max(local_max, int(chain.max()))
+                chain += offset
+                chains.append(chain)
+                iters.append(iteration)
+                values.append(block)
+                rows += len(records)
+        if local_max < 0:
+            empty.append(path)
+        offset += local_max + 1
+    if not rows:
+        raise SchemaError("draws files contain no rows")
+    if empty:
+        raise SchemaError(f"{empty[0]}: the draws file has a header and no rows")
+
+    def at(row: int) -> str:  # "path:line" of a row in file order
+        first, _, path = next(src for src in reversed(sources) if src[0] <= row)
+        return f"{path}:{_line_of(path, row - first)}"
+
+    def numbered(c) -> tuple[int, object]:  # chain c as its file numbers it, and that file
+        _, first, path = next(src for src in reversed(sources) if src[1] <= c)
+        return int(c) - first, path
+
+    matrix = np.concatenate(values)
+    del values  # the chunks take as much memory as the matrix
+    if not np.isfinite(matrix).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
+        raise SchemaError(f"{at(row)}: column {names[col]}: {matrix[row, col]} is not finite")
+    chain, iteration = np.concatenate(chains), np.concatenate(iters)
+    order = np.lexsort((iteration, chain))
+    chain, iteration = chain[order], iteration[order]
+    repeats = np.flatnonzero((np.diff(chain) == 0) & (np.diff(iteration) == 0)) + 1
+    if repeats.size:
+        k = repeats[order[repeats].argmin()]  # a stable sort puts a repeat after the row it repeats
+        raise SchemaError(f"{at(int(order[k]))}: column iteration: chain {numbered(chain[k])[0]} "
+                          f"repeats iteration {iteration[k]}")
+    lengths = np.bincount(chain)
+    short = np.flatnonzero(lengths != lengths.max())
+    if short.size:
+        (c, path), (longest, other) = numbered(short[0]), numbered(lengths.argmax())
+        raise SchemaError(f"{path}: chain {c} has {lengths[short[0]]} draws, but chain {longest} of {other} "
+                          f"has {lengths.max()}; chains must have equal length")
+    return PosteriorDraws(names, matrix[order], chain, iteration)
+
+
+def _parse_draws(path, header: list[str], records: list[list[str]], first: int):
+    """Chains, iterations and draws of ``records``, the records of ``path``
+    from index ``first`` on, each column converted by ``_convert``.  The
+    earliest bad record raises its first failing check, in this order: width,
+    cells left to right, a negative chain, then the 64-bit range."""
+    width = len(header)
+    errors = []  # (record, message), in check order
+    if set(map(len, records)) != {width}:
+        bad = next(i for i, rec in enumerate(records) if len(rec) != width)
+        got = len(records[bad])
+        # A short row names its first missing column, a long one the number of its first extra column.
+        errors.append((bad, f"column {header[got] if got < width else width + 1}: expected {width} fields, got {got}"))
+        records = records[:bad]
+    cells = list(zip(*records)) or [()] * width
+    chain = _convert(cells[0], int, errors, lambda cell: f"column chain: {cell!r} is not an integer", str)
+    iteration = _convert(cells[1], int, errors, lambda cell: f"column iteration: {cell!r} is not an integer", str)
+    block = np.empty((len(records), width - 2))
+    for j, name in enumerate(header[2:]):
+        values = _convert(cells[j + 2], float, errors, lambda cell: f"column {name}: {cell!r} is not a number", str)
+        block[:values.size, j] = values
+    negative = np.flatnonzero(chain < 0)
+    if negative.size:
+        errors.append((negative[0], f"column chain: {chain[negative[0]]} is negative"))
+    chain = _fit_intp(chain, errors, "column chain:")
+    iteration = _fit_intp(iteration, errors, "column iteration:")
+    if errors:
+        bad, message = min(errors, key=lambda error: error[0])
+        raise SchemaError(f"{path}:{_line_of(path, first + bad)}: {message}")
+    return chain, iteration, block
+
+
 def write_csv(dataset: OrdinalDataset, path) -> None:
     """Write ``dataset`` in the column layout ``ingest_csv`` reads by default."""
     schema = CsvSchema()
@@ -351,10 +522,16 @@ def _record_chunks(fh, error):
     except csv.Error as exc:
         raise error(f"{fh.name}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        # A line decodes alone (no byte of a character is a newline); "ignore" drops its bad bytes.
-        with open(fh.name, "rb") as lines:
-            line = next((k for k, raw in enumerate(lines, 1) if raw.decode(errors="ignore").encode() != raw), 0)
-        raise error(f"{fh.name}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+        raise error(_not_utf8(fh.name, exc)) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """``exc``, raised while decoding the text file ``path``, as a message
+    naming the first line of ``path`` that is not UTF-8."""
+    # A line decodes alone (no byte of a character is a newline); "ignore" drops its bad bytes.
+    with open(path, "rb") as lines:
+        line = next((k for k, raw in enumerate(lines, 1) if raw.decode(errors="ignore").encode() != raw), 0)
+    return f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
 def _line_of(path, index: int) -> int:

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .data import _csv_cells, _write_table
+from .data import PosteriorDraws, _csv_cells, _write_table
 from .distributions import sld_cdf
-from .gibbs import PosteriorDraws
 from .model import ModelSpec, _shifted_cutpoints, linear_predictor
 
 __all__ = [

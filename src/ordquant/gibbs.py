@@ -1,4 +1,4 @@
-"""Eight-step Gibbs sampler and chain orchestration.
+"""Eight-step Gibbs sampler and chain scheduling; ``data`` holds the draws' container and reader.
 
 One sweep updates, in order: the per-observation mixing variables, the
 coefficients (one at a time against fresh partial residuals), the
@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -99,8 +98,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .data import _convert, _fit_intp, _line_of, _record_chunks, _write_table
-from .errors import ChainDivergedError, ConfigError, SchemaError
+from .data import PosteriorDraws
+from .errors import ChainDivergedError, ConfigError
 from .kvfile import write_kv
 from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
                     nonfinite_blocks, per_observation, stack_specs, stack_states)
@@ -109,11 +108,9 @@ from .streams import STREAM_CHAIN, substream
 
 __all__ = [
     "SamplerConfig",
-    "PosteriorDraws",
     "run_chain",
     "parameter_names",
     "write_draws",
-    "read_draws",
     "update_v",
     "update_beta",
     "update_s",
@@ -449,55 +446,6 @@ def parameter_names(spec: ModelSpec, retain_alpha: bool = False) -> list[str]:
     return names
 
 
-@dataclass
-class PosteriorDraws:
-    """Retained post-burn-in draws, chain-major, with equal chain lengths."""
-
-    names: list[str]
-    values: np.ndarray       # (rows, len(names))
-    chain: np.ndarray        # (rows,) chain index
-    iteration: np.ndarray    # (rows,) originating sweep number (1-based)
-    theta: float | None = None
-    config: SamplerConfig | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.chain = np.asarray(self.chain, dtype=np.intp)
-        self.iteration = np.asarray(self.iteration, dtype=np.intp)
-        if self.values.shape != (len(self.chain), len(self.names)):
-            raise ValueError("draw matrix shape does not match names/chain labels")
-        counts = np.bincount(self.chain)
-        if counts.size and not np.all(counts == counts[0]):
-            raise ValueError("chain segments must have equal length")
-
-    @property
-    def num_chains(self) -> int:
-        return int(self.chain.max()) + 1 if self.chain.size else 0
-
-    @property
-    def chain_length(self) -> int:
-        return self.values.shape[0] // max(self.num_chains, 1)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
-    def select(self, names) -> np.ndarray:
-        cols = [self.names.index(n) for n in names]
-        return self.values[:, cols]
-
-    def by_chain(self, names) -> np.ndarray:
-        """The draws of ``names`` as a (chains, draws, parameters) array."""
-        mat = self.select(names)
-        order = np.lexsort((self.iteration, self.chain))
-        return mat[order].reshape(self.num_chains, self.chain_length, mat.shape[1])
-
-    def to_csv(self, path) -> None:
-        """One row per draw, each draw written with ``%.17g``, streamed in
-        chunks, so no copy of the whole file is held."""
-        _write_table(path, ["chain", "iteration", *self.names], "%d,%d" + ",%.17g" * len(self.names),
-                     [self.chain, self.iteration, *self.values.T])
-
-
 def run_chain(spec: ModelSpec, config: SamplerConfig, jobs: int = 1) -> PosteriorDraws:
     """Run the sampler and collect retained draws from every chain.
 
@@ -646,7 +594,7 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
 # ---------------------------------------------------------------------------
 
 def write_draws(draws: PosteriorDraws, path, spec: ModelSpec) -> None:
-    """Write the draws CSV plus a ``.meta`` sidecar describing the run."""
+    """Write the draws CSV plus a ``.meta`` sidecar recording the priors and the ``SamplerConfig``."""
     path = Path(path)
     draws.to_csv(path)
     meta: dict[str, object] = {"version": __version__}
@@ -665,121 +613,3 @@ def write_draws(draws: PosteriorDraws, path, spec: ModelSpec) -> None:
             overdispersed_starts=cfg.overdispersed_starts, retain_alpha=cfg.retain_alpha,
         )
     write_kv(path.with_suffix(".meta"), meta)
-
-
-def read_draws(paths) -> PosteriorDraws:
-    """Load the draws CSVs of the list ``paths``; each extra file appends its chains.
-
-    Each file is parsed in chunks of records, one column at a time.  A header
-    that names a column twice or no parameter column raises ``SchemaError``
-    naming the file.  A row with the wrong number of fields, a ``chain`` or
-    ``iteration`` that is not an integer or does not fit in 64 bits, a
-    negative ``chain``, or a draw that does not parse as a number raises
-    ``SchemaError`` naming the file, the line and the column, at the first
-    such row in file order.  Once every cell of every file has parsed, so
-    that a later cell that does not parse wins over them, a file with a
-    header and no rows raises ``SchemaError`` naming the first such file
-    (or saying that no file has rows); then the same is raised at the first
-    draw that is not finite (``nan``, ``inf``), then at the first row that
-    repeats its chain's iteration.  Last, a chain with fewer
-    rows than the longest (a chain number a file skips has none) raises
-    ``SchemaError`` naming its file and its number in that file.
-    """
-    names: list[str] | None = None
-    chains, iters, values = [], [], []
-    sources = []  # (first row, first chain, path) of each file
-    empty = []  # the files with a header and no rows
-    rows = offset = 0
-    for path in paths:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            file_chunks = _record_chunks(fh, SchemaError)
-            header = next(file_chunks)
-            if header is None or header[:2] != ["chain", "iteration"]:
-                raise SchemaError(f"{path}: not a draws file (expected chain,iteration,... header)")
-            counts = Counter(header)
-            repeated = next((name for name in header if counts[name] > 1), None)
-            if repeated is not None:
-                raise SchemaError(f"{path}: the header names column {repeated!r} {counts[repeated]} times")
-            if len(header) == 2:
-                raise SchemaError(f"{path}: the header names no parameter column after chain,iteration")
-            if names is None:
-                names = header[2:]
-            elif header[2:] != names:
-                raise SchemaError(f"{path}: parameter columns {header[2:]} do not match {names}")
-            sources.append((rows, offset, path))
-            local_max = -1
-            for first, records in file_chunks:
-                chain, iteration, block = _parse_draws(path, header, records, first)
-                local_max = max(local_max, int(chain.max()))
-                chain += offset
-                chains.append(chain)
-                iters.append(iteration)
-                values.append(block)
-                rows += len(records)
-        if local_max < 0:
-            empty.append(path)
-        offset += local_max + 1
-    if not rows:
-        raise SchemaError("draws files contain no rows")
-    if empty:
-        raise SchemaError(f"{empty[0]}: the draws file has a header and no rows")
-
-    def at(row: int) -> str:  # "path:line" of a row in file order
-        first, _, path = next(src for src in reversed(sources) if src[0] <= row)
-        return f"{path}:{_line_of(path, row - first)}"
-
-    def numbered(c) -> tuple[int, object]:  # chain c as its file numbers it, and that file
-        _, first, path = next(src for src in reversed(sources) if src[1] <= c)
-        return int(c) - first, path
-
-    matrix = np.concatenate(values)
-    del values  # the chunks take as much memory as the matrix
-    if not np.isfinite(matrix).all():
-        row, col = (int(i) for i in np.argwhere(~np.isfinite(matrix))[0])
-        raise SchemaError(f"{at(row)}: column {names[col]}: {matrix[row, col]} is not finite")
-    chain, iteration = np.concatenate(chains), np.concatenate(iters)
-    order = np.lexsort((iteration, chain))
-    chain, iteration = chain[order], iteration[order]
-    repeats = np.flatnonzero((np.diff(chain) == 0) & (np.diff(iteration) == 0)) + 1
-    if repeats.size:
-        k = repeats[order[repeats].argmin()]  # a stable sort puts a repeat after the row it repeats
-        raise SchemaError(f"{at(int(order[k]))}: column iteration: chain {numbered(chain[k])[0]} "
-                          f"repeats iteration {iteration[k]}")
-    lengths = np.bincount(chain)
-    short = np.flatnonzero(lengths != lengths.max())
-    if short.size:
-        (c, path), (longest, other) = numbered(short[0]), numbered(lengths.argmax())
-        raise SchemaError(f"{path}: chain {c} has {lengths[short[0]]} draws, but chain {longest} of {other} "
-                          f"has {lengths.max()}; chains must have equal length")
-    return PosteriorDraws(names, matrix[order], chain, iteration)
-
-
-def _parse_draws(path, header: list[str], records: list[list[str]], first: int):
-    """Chains, iterations and draws of ``records``, the records of ``path``
-    from index ``first`` on, each column converted by ``_convert``.  The
-    earliest bad record raises its first failing check, in this order: width,
-    cells left to right, a negative chain, then the 64-bit range."""
-    width = len(header)
-    errors = []  # (record, message), in check order
-    if set(map(len, records)) != {width}:
-        bad = next(i for i, rec in enumerate(records) if len(rec) != width)
-        got = len(records[bad])
-        # A short row names its first missing column, a long one the number of its first extra column.
-        errors.append((bad, f"column {header[got] if got < width else width + 1}: expected {width} fields, got {got}"))
-        records = records[:bad]
-    cells = list(zip(*records)) or [()] * width
-    chain = _convert(cells[0], int, errors, lambda cell: f"column chain: {cell!r} is not an integer", str)
-    iteration = _convert(cells[1], int, errors, lambda cell: f"column iteration: {cell!r} is not an integer", str)
-    block = np.empty((len(records), width - 2))
-    for j, name in enumerate(header[2:]):
-        values = _convert(cells[j + 2], float, errors, lambda cell: f"column {name}: {cell!r} is not a number", str)
-        block[:values.size, j] = values
-    negative = np.flatnonzero(chain < 0)
-    if negative.size:
-        errors.append((negative[0], f"column chain: {chain[negative[0]]} is negative"))
-    chain = _fit_intp(chain, errors, "column chain:")
-    iteration = _fit_intp(iteration, errors, "column iteration:")
-    if errors:
-        bad, message = min(errors, key=lambda error: error[0])
-        raise SchemaError(f"{path}:{_line_of(path, first + bad)}: {message}")
-    return chain, iteration, block

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .data import _not_utf8
+
 
 def write_kv(path, items: dict) -> None:
     lines = [f"{key} = {value}" for key, value in items.items()]
@@ -15,13 +17,24 @@ def write_kv(path, items: dict) -> None:
 
 
 def read_kv(path) -> dict[str, str]:
+    """The pairs of ``path``.  Bytes that are not UTF-8, a line that is not a
+    pair, or a key set on two lines raise ``ValueError`` naming the file and the line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(_not_utf8(path, exc)) from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    lines: dict[str, int] = {}  # the line that set each key
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out

@@ -424,7 +424,7 @@ def update_l_full_bounds(state, spec, rng):
 
 
 def read_draws_rowwise(paths):
-    """Draws files parsed row by row into Python lists, as ``gibbs.read_draws``
+    """Draws files parsed row by row into Python lists, as ``read_draws``
     once parsed them; the chunked parse must give the same draws and the same
     ``SchemaError`` texts."""
     import csv
@@ -433,7 +433,7 @@ def read_draws_rowwise(paths):
     from pathlib import Path
 
     from ordquant.errors import SchemaError
-    from ordquant.gibbs import PosteriorDraws
+    from ordquant.data import PosteriorDraws
 
     def bad_cell(path, line, header, rec):
         for j, (name, cell) in enumerate(zip(header, rec)):

@@ -16,7 +16,8 @@ import ordquant
 from ordquant import cli, data, gibbs, parallel
 from ordquant.cli import main
 from ordquant.diagnostics import MpsrfSeries, ReplicationReport, SummaryTable, summarize
-from ordquant.gibbs import PosteriorDraws, SamplerConfig, read_draws
+from ordquant.data import PosteriorDraws, read_draws
+from ordquant.gibbs import SamplerConfig
 from ordquant.kvfile import read_kv
 from ordquant.simulate import ReplicationRun, run_replication_study
 
@@ -847,6 +848,32 @@ class TestOptionText:
         err = capsys.readouterr().err
         assert "option iterations in " in err and where in err and "'ten' is not a valid int" in err
         assert "usage:" not in err
+
+    @pytest.mark.parametrize("fault", ["key-twice", "not-utf8"])
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_bad_kv_file_names_file_and_line(self, tmp_path, toy_csv, capsys, source, fault):
+        out = tmp_path / "runs"
+        args = ["fit", "--input", toy_csv, "--seed", "2", "--out", out]
+        if source == "config":
+            path, lines = tmp_path / "fit.conf", [b"iterations = 40", b"burn-in = 10", b"theta = 0.25"]
+        else:
+            assert run([*args, "--iterations", "40", "--burn-in", "10", "--theta", "0.25"]) == 0
+            path = manifest_of(out, "fit", 2)
+            lines = path.read_bytes().splitlines()
+        first = lines.index(b"theta = 0.25") + 1
+        if fault == "key-twice":
+            lines.append(b"theta = 0.5")
+            message = f"{path}:{len(lines)}: key 'theta' is already set on line {first}"
+        else:
+            lines.insert(1, b"# caf\xe9")
+            message = f"{path}:2: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        capsys.readouterr()
+        replayed = tmp_path / "replayed"
+        code = run([*args, "--config", path] if source == "config" else ["replay", path, "--out", replayed])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out if source == "config" else replayed).exists()
 
     def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
         out = tmp_path / "runs"

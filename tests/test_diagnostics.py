@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordquant.data import OrdinalDataset
+from ordquant.data import OrdinalDataset, PosteriorDraws
 from ordquant.diagnostics import (
     dic,
     mpsrf,
@@ -13,7 +13,7 @@ from ordquant.diagnostics import (
     relative_efficiency,
     summarize,
 )
-from ordquant.gibbs import PosteriorDraws, SamplerConfig, run_chain
+from ordquant.gibbs import SamplerConfig, run_chain
 from ordquant.model import ModelSpec, Priors
 from ordquant.simulate import ScenarioConfig, generate
 from ordquant.streams import substream

@@ -10,10 +10,11 @@ import ordquant
 
 MODULES = ["ordquant"] + [f"ordquant.{m.name}" for m in pkgutil.iter_modules(ordquant.__path__)]
 
+PACKAGE_FILES = sorted(Path(ordquant.__file__).parent.glob("*.py"))
+BENCHMARK_FILES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 # The program files whose code counts as a caller of a public name: the
 # package's modules and the benchmark's scripts, not the tests.
-CALLER_FILES = sorted(Path(ordquant.__file__).parent.glob("*.py")) + sorted(
-    (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+CALLER_FILES = PACKAGE_FILES + BENCHMARK_FILES
 
 
 @functools.cache
@@ -59,11 +60,45 @@ def module_definitions(path: Path) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
-@pytest.mark.parametrize("path", sorted(Path(ordquant.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda path: path.stem)
 def test_every_definition_has_a_reader(path):
     used = referenced_names()
     orphans = [name for name in module_definitions(path) if name not in used]
     assert not orphans, f"{path.name} defines names that no program file reads: {orphans}"
+
+
+def test_no_two_modules_define_one_name():
+    # The reader check above matches bare names, so a read of one module's
+    # name would hide an orphan of the same name in another.
+    owners = {}
+    for path in PACKAGE_FILES:
+        for name in set(module_definitions(path)):
+            owners.setdefault(name, []).append(path.stem)
+    shared = {name: stems for name, stems in owners.items() if len(stems) > 1}
+    assert not shared, f"names defined by more than one module: {shared}"
+
+
+# The CSV reader's parts, which only ``data`` may import.
+READER_PARTS = {"csv", "_record_chunks", "_convert", "_fit_intp", "_line_of"}
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE_FILES if p.stem != "data"], ids=lambda path: path.stem)
+def test_only_data_reads_csv(path):
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & READER_PARTS, f"{path.name} imports CSV reader parts {sorted(imported & READER_PARTS)}"
+
+
+@pytest.mark.parametrize("path", BENCHMARK_FILES, ids=lambda path: path.stem)
+def test_every_benchmark_import_resolves(path):
+    failures = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "ordquant":
+            try:  # the statement itself, so a submodule imports as it does in the script
+                exec(compile(ast.Module(body=[node], type_ignores=[]), str(path), "exec"), {})
+            except ImportError as exc:
+                failures.append(f"line {node.lineno}: {exc}")
+    assert not failures, f"{path.name} imports names ordquant does not define: {failures}"
 
 
 # Defaulted parameters that no program call has to pass: ``cli.main`` reads
@@ -94,7 +129,7 @@ def passes(call: ast.Call, index, name: str, bound: bool) -> bool:
     return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) + bound > index
 
 
-@pytest.mark.parametrize("path", sorted(Path(ordquant.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda path: path.stem)
 def test_every_defaulted_parameter_is_passed(path):
     unpassed = []
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))

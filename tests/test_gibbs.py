@@ -8,14 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ordquant.data import OrdinalDataset
+from ordquant.data import OrdinalDataset, PosteriorDraws, read_draws
 from ordquant.distributions import _TAIL_CUTOFF
 from ordquant.errors import ChainDivergedError, ConfigError, SchemaError
 from ordquant import data, gibbs, model, parallel
 from ordquant.gibbs import (
-    PosteriorDraws,
     SamplerConfig,
-    read_draws,
     run_chain,
     update_alpha,
     update_beta,
