@@ -104,28 +104,25 @@ def _trunc_normal(mean, variance, lower, upper, rng):
     """Truncated-normal draws with no argument checks.
 
     The four arguments are 1-D float arrays of one length, with positive
-    variances and lower < upper.
+    variances and lower < upper; the draws are one chain's, from ``rng``.
     """
-    return _trunc_normal_gathered(mean, np.sqrt(variance), lower, upper, np.arange(mean.size), rng,
-                                  np.empty(mean.size))
+    return _trunc_normal_gathered(mean[None], np.sqrt(variance)[None], lower, upper, np.arange(mean.size)[None],
+                                  [rng], np.empty((1, mean.size)))[0]
 
 
 def _trunc_normal_gathered(mean, sd, lower, upper, index, rng, out):
     """Draw i from N(mean[i], sd[i]^2) restricted to (lower[index[i]], upper[index[i]]).
 
-    No argument checks: ``mean``, ``sd``, ``index`` and ``out`` are float
-    arrays of one shape (``index`` integer), ``index`` holds valid indices
-    into the flattened ``lower`` and ``upper``, the standard deviations are
-    positive and each interval is non-empty.  One-dimensional arrays are one
-    chain drawing from the generator ``rng``; (K, n) arrays are K chains,
-    row k drawing from ``rng[k]`` exactly what it would draw alone.  The
-    draws are written into ``out``, which is returned.  The bounds are
-    gathered into two arrays for the standardized draw and again for the
-    final clip, so besides ``mean``, ``sd`` and ``out`` a one-chain call
-    holds two full-length arrays, or three when some interval lies in a tail.
+    No argument checks: ``mean``, ``sd``, ``index`` and ``out`` are (K, n)
+    arrays of K chains, ``index`` holds valid indices into the flattened
+    ``lower`` and ``upper``, the standard deviations are positive and each
+    interval is non-empty.  Row k draws from ``rng[k]`` what it would draw
+    alone, into ``out``, which is returned.  The bounds are gathered for the
+    standardized draw and again for the final clip, so besides ``mean``,
+    ``sd`` and ``out`` a one-chain call holds two full-length arrays, or
+    three when some interval lies in a tail.
     """
-    z = _tn_standard(mean, sd, lower, upper, index, rng, out)
-    z *= sd
+    z = np.multiply(_tn_standard(mean, sd, lower, upper, index, rng, out), sd, out=out)
     z += mean
     # A draw strictly inside its bounds is left unchanged by the clip, so
     # only the draws at or past a bound are clipped.
@@ -133,7 +130,7 @@ def _trunc_normal_gathered(mean, sd, lower, upper, index, rng, out):
     at = z <= lower
     upper = upper.take(index, mode="clip")
     at |= z >= upper
-    if at.any():
+    if np.count_nonzero(at):
         z[at] = np.clip(z[at], np.nextafter(lower[at], np.inf), np.nextafter(upper[at], -np.inf))
     return z
 
@@ -141,43 +138,43 @@ def _trunc_normal_gathered(mean, sd, lower, upper, index, rng, out):
 def _tn_standard(mean, sd, lower, upper, index, rng, out):
     """Standard-normal draws, each restricted to its standardized interval,
     written into ``out``.  When no interval lies beyond ``_TAIL_CUTOFF``, the
-    uniforms are drawn into ``out`` and every draw takes the inverse-CDF body
-    in one pass; otherwise each chain's body elements are drawn first, then
-    its upper tail and its lower tail.  The standardized bounds are freed on
-    return, before the caller gathers the bounds again for its clip."""
-    # Every index is valid, so mode="clip" only skips take's bounds check.
-    a = lower.take(index, mode="clip")
-    a -= mean
-    a /= sd
-    b = upper.take(index, mode="clip")
-    b -= mean
-    b /= sd
-    if a.max(initial=-np.inf) <= _TAIL_CUTOFF and b.min(initial=np.inf) >= -_TAIL_CUTOFF:
-        if out.ndim == 1:
-            return _tn_body(a, b, rng.random(out=out))
+    uniforms are drawn into ``out``, each chain's row from its generator,
+    and every draw takes the inverse-CDF body in one pass.  Otherwise each
+    chain gathers its own standardized bounds again and draws its body
+    elements, then its upper tail, then its lower tail.  The standardized
+    bounds are freed before the caller gathers the bounds for its clip."""
+    a, b = _standardized(lower, index, mean, sd), _standardized(upper, index, mean, sd)
+    if (np.maximum.reduce(a, axis=None, initial=-np.inf) <= _TAIL_CUTOFF
+            and np.minimum.reduce(b, axis=None, initial=np.inf) >= -_TAIL_CUTOFF):
         for row, g in zip(out, rng):
             g.random(out=row)
         return _tn_body(a, b, out)
-    if out.ndim > 1:
-        # Some chain has a tail: each chain takes the one-chain path alone.
-        del a, b
-        for m, s, i, g, row in zip(mean, sd, index, rng, out):
-            _tn_standard(m, s, lower, upper, i, g, row)
-        return out
-    hi_tail = a > _TAIL_CUTOFF
-    lo_tail = b < -_TAIL_CUTOFF
-    hi = a[hi_tail], b[hi_tail]
-    lo = -b[lo_tail], -a[lo_tail]
-    body = ~(hi_tail | lo_tail)
-    a = a[body]  # one full-length array is released before the next is gathered
-    b = b[body]
-    if a.size:
-        out[body] = _tn_body(a, b, rng.random(a.size))
-    if hi[0].size:
-        out[hi_tail] = _tn_tail(*hi, rng)
-    if lo[0].size:
-        out[lo_tail] = -_tn_tail(*lo, rng)
+    del a, b
+    for m, s, i, g, row in zip(mean, sd, index, rng, out):
+        a, b = _standardized(lower, i, m, s), _standardized(upper, i, m, s)
+        hi_tail = a > _TAIL_CUTOFF
+        lo_tail = b < -_TAIL_CUTOFF
+        hi = a[hi_tail], b[hi_tail]
+        lo = -b[lo_tail], -a[lo_tail]
+        body = ~(hi_tail | lo_tail)
+        a = a[body]  # one full-length array is released before the next is gathered
+        b = b[body]
+        if a.size:
+            row[body] = _tn_body(a, b, g.random(a.size))
+        if hi[0].size:
+            row[hi_tail] = _tn_tail(*hi, g)
+        if lo[0].size:
+            row[lo_tail] = -_tn_tail(*lo, g)
     return out
+
+
+def _standardized(bound, index, mean, sd):
+    """``(bound[index] - mean) / sd``, the bounds gathered by ``index``."""
+    # Every index is valid, so mode="clip" only skips take's bounds check.
+    z = bound.take(index, mode="clip")
+    z -= mean
+    z /= sd
+    return z
 
 
 @functools.cache
@@ -199,7 +196,7 @@ def _tn_body(a, b, u):
     span -= pa
     u *= span
     u += pa
-    u.clip(1e-300, _BELOW_ONE, out=u)
+    np.minimum(np.maximum(u, 1e-300, out=u), _BELOW_ONE, out=u)  # u.clip's values, without its wrapper
     return ndtri(u, out=u)
 
 

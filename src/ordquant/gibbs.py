@@ -14,75 +14,49 @@ The cut-point spread still mixes slowly, because the uniform cut-point
 update moves each cut-point only within the gap between neighbouring
 liabilities.
 
-Chain scheduling.  A chain is strictly sequential, and each chain draws
-only from its own substream ``substream(seed, STREAM_CHAIN, c)``.
-``batched`` alone decides how chains become batches: at most
-``parallel._CHUNK_OBSERVATIONS`` (65,536) chain-observations and as many
-retained draw cells each.  ``sample_batch`` samples one: one call of a
-block advances every chain of it, and one chain alone runs on one-chain
-arrays.  A batch in which any chain fails, or ends a sweep non-finite, is
-sampled again one chain at a time, so a failure reads as it does in a
-one-chain run and the other chains keep their draws.
-``run_chain(spec, config, jobs)`` splits the chains into up to ``jobs``
-contiguous groups, each read through ``batched``, and
-``parallel.ordered_map`` runs the batches in up to ``jobs`` worker
-processes (in this process when ``jobs`` is 1).  The parent copies each
-chain's rows into the draws matrix in chain order, so the draws are
-identical for any ``jobs``.  ``ordquant fit`` runs the levels
-one after another, each with one worker per chain, capped by the usable
-CPUs, so up to the CPUs every chain samples alone.  The replication study
-reads each level's chains of a worker's replications through the same two
-functions, so a batch may hold chains of several replications' fits.
-Workers never start process pools of their own.
-
-Observation chunks.  A chain of more than ``parallel._CHUNK_OBSERVATIONS``
-(65,536) observations (``model.chunked``) runs its per-observation passes
-over equal contiguous chunks on a thread pool (``parallel.map_chunks``):
-``update_v``'s draws after the location move, ``update_l`` and
-``initialize_state``'s liability draw (``model.per_observation``),
-``update_beta``'s residual and inner-product passes, and ``update_alpha``'s
-per-subject sums.  The scalar draws and every other step stay on the
-calling thread in their one-chain order.  Such a chain holds more
-observations than a batch may, so ``batched`` gives it a batch of its own,
-and its threads are the CPUs its process is not already using for chain
-workers, so a one-chain ``fit`` on 2 CPUs samples on both.
+Chain scheduling.  A chain is strictly sequential and draws only from its
+own substream ``substream(seed, STREAM_CHAIN, c)``.  Every chain is
+sampled in a batch, one chain alone as a K = 1 batch: ``batched`` alone
+decides how chains become batches, ``sample_batch`` samples one, and one
+call of a block advances every chain of it.  ``run_chain`` runs the
+batches in up to ``jobs`` worker processes and copies each chain's rows in
+chain order, so the draws are identical for any ``jobs`` and any batching.
+A chain of more than ``parallel._CHUNK_OBSERVATIONS`` observations
+(``model.chunked``) is a batch of its own, whose per-observation passes
+run over observation chunks on the thread share (``model.per_observation``).
 
 Hot-path contract.  Arguments are validated only at public boundaries:
 ``SamplerConfig``, ``ModelSpec``, ``Priors``, ``OrdinalDataset`` and the
 public samplers in ``distributions``.  Each block is a pure function of
-``(state, spec, rng)``: what it writes into the state depends on nothing
-else, and it calls the unchecked cores ``_gig_half``, ``_trunc_normal`` and,
-through ``model.draw_liabilities``, ``_trunc_normal_gathered`` on arrays it
-built itself.  A one-chain call takes a ``ModelSpec``, a state of 1-D
-arrays and one generator.  A batch call takes ``model.stack_specs``'s
+``(state, spec, rng)`` that calls the unchecked cores ``_gig_half``,
+``_trunc_normal`` and ``_trunc_normal_gathered`` on arrays it built itself.
+Each block has one body, for a batch: ``model.stack_specs``'s
 ``BatchSpec``, ``model.stack_states``'s state, whose arrays carry a leading
-chain axis, and the chains' generators in chain order.  Every chain of a
-batch draws from its own generator in its one-chain order, and every
-reduction keeps the one-chain bits: a stacked ``matmul`` for ``x @ beta``,
-a ``take`` or ``bincount`` over chain-offset indices, a per-chain
-``np.dot`` or row sum; scalar draws and the truncated-normal tail stay
-per-chain loops.  A chunked chain draws chunk 0 from its generator and
-chunk j from child j of ``rng.spawn(k - 1)``, spawned inside the block at
-each pass that draws, so a block stays a pure function of
-``(state, spec, rng)``; it calls no BLAS: x beta one column at a time
-(``model.column_product``), sums over observations by ``np.einsum`` or as
-per-chunk sums added in chunk order.  So its draws depend on the
-observation count, but neither on the number of threads nor on the BLAS.
-An unchunked chain's ``np.dot`` and ``x @ beta`` do call the BLAS, whose
-last bits change with its thread count above about 10k elements.
-There is no cross-block cache; only constants of the dataset are cached,
-on the dataset.  ``run_chain`` turns a numerical failure inside a block, or
-a non-finite state after a sweep, into ``ChainDivergedError`` naming the
-chain, the sweep and the block; in a chunked pass every chunk runs, and the
-first failure in chunk order is the one raised.
+chain axis, and the chains' generators in chain order.  The entry shim,
+``model.takes_one_chain``, runs that body on one chain's own state,
+``ModelSpec`` and generator, viewed as a K = 1 batch.  Every chain draws
+from its own generator in its one-chain order, and every reduction gives a
+chain the bits it has alone: a stacked ``matmul`` for ``x @ beta``, a
+``take`` or ``bincount`` over chain-offset indices, a per-chain inner
+product or row sum.  Only the per-chain helpers (``_stacked``, ``_dots``,
+``model.linear_predictor``) read how many chains a batch holds.  A chunked
+chain calls no BLAS, so its draws depend on neither the thread count nor
+the BLAS (``model.per_observation``); an unchunked chain's inner products
+and ``x @ beta`` call the BLAS, whose last bits change with its thread
+count above about 10k elements.  There is no cross-block cache; only
+constants of the dataset are cached, on the dataset.  ``run_chain`` turns
+a numerical failure inside a block, or a non-finite state after a sweep,
+into ``ChainDivergedError`` naming the chain, the sweep and the block; in
+a chunked pass every chunk runs, and the first failure in chunk order is
+the one raised.
 
 Aliasing.  Blocks write into the state's arrays in place where they can:
 the location move shifts ``alpha``, the cut-points and ``latent_l``,
 ``update_v`` writes the new mixing variables over the previous
 ``latent_v`` array, and ``update_l`` draws the new liabilities over the
-previous ``latent_l`` array.  In a batch the same holds for the stacked
-arrays, and a chain's row is a view into them.  An array taken from the
-state before a block therefore holds the block's new values after it;
+previous ``latent_l`` array.  A chain's row of a batch, and the shim's
+``[None]`` view of one chain's array, are views, so an array taken from
+the state before a block holds the block's new values after it;
 ``ChainState.copy()`` keeps a draw.
 """
 
@@ -101,8 +75,8 @@ from . import __version__, parallel
 from .data import PosteriorDraws
 from .errors import ChainDivergedError, ConfigError
 from .kvfile import write_kv
-from .model import (RHO1_SQ_FLOOR, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
-                    nonfinite_blocks, per_observation, stack_specs, stack_states)
+from .model import (RHO1_SQ_FLOOR, BatchSpec, ChainState, ModelSpec, chunked, draw_liabilities, initialize_state,
+                    nonfinite_blocks, per_observation, stack_specs, stack_states, takes_one_chain)
 from .distributions import _gig_half, _trunc_normal
 from .streams import STREAM_CHAIN, substream
 
@@ -122,13 +96,6 @@ __all__ = [
 ]
 
 _SQRT_HALF = float(np.sqrt(0.5))
-# The inner product of two vectors without the BLAS, for a chunked chain.
-# Bits: above about 10k elements ``np.dot`` gives different bits at
-# OPENBLAS_NUM_THREADS=1 and 2.  Speed: the BLAS threads compete with the
-# chunk threads; ``np.vdot`` in ``_check_finite`` keeps every bit but took a
-# 200k-observation sweep from 31 to 49-53 ms (29.8 ms at one BLAS thread)
-# on 2 CPUs.
-_inner = partial(np.einsum, "i,i->")
 
 
 @dataclass(frozen=True)
@@ -164,16 +131,32 @@ class SamplerConfig:
 
 def _stacked(draw, rng, *blocks) -> np.ndarray:
     """``draw(rng[k], *parts)`` for each chain k of a batch, where ``parts``
-    is chain k's row of each of ``blocks``, stacked on a leading chain axis.
-
-    Each block writes its per-chain draws once, as ``draw``, and calls it
-    directly for one chain (``draw(rng, *blocks)``) or through this for a
-    batch, so a one-chain sweep pays no per-chain dispatch.
-    """
+    is chain k's row of each of ``blocks``, stacked on a leading chain axis:
+    each block writes its per-chain draws once, as ``draw``.  A K = 1
+    batch's one draw is viewed as a batch, without the list."""
+    if len(rng) == 1:
+        return np.asarray(draw(rng[0], *[block[0] for block in blocks]))[None]
     return np.array([draw(*chain) for chain in zip(rng, *blocks)])
 
 
-def _shift_location(state: ChainState, spec: ModelSpec, rng) -> None:
+def _dots(by_chunk: bool, a, b, w=None, term=None) -> list:
+    """Each chain's inner product of its rows of ``a`` and ``b``, weighted
+    by ``w`` when given (``term``, of the product's shape, is then scratch):
+    an unchunked chain's by ``np.vdot``, a K = 1 batch's without the loop
+    over chains, and a chunked chain's by ``np.einsum``, which calls no BLAS
+    (``np.vdot`` kept every bit there, but its threads competed with the
+    chunk threads: a 200k-observation sweep took 49-53 ms, not 31, on 2 CPUs)."""
+    if by_chunk:
+        rows = zip(a, b) if w is None else zip(a, b, w)
+        return [np.einsum("i,i->" if w is None else "i,i,i->", *row) for row in rows]
+    if w is not None:
+        a, b = np.multiply(a, b, out=term), w
+    if len(a) == 1:
+        return [np.vdot(a, b)]
+    return [np.vdot(u, v) for u, v in zip(a, b)]
+
+
+def _shift_location(state: ChainState, spec: BatchSpec, rng) -> None:
     """Exact translation move along the location ridge (Liu and Sabatti 2000).
 
     Adding one shift g to the subject effects, the interior cut-points and
@@ -187,28 +170,29 @@ def _shift_location(state: ChainState, spec: ModelSpec, rng) -> None:
     pri = spec.priors
     n = state.alpha.shape[-1]
 
-    def draw(g, cuts, alpha, phi):
+    def move(g, cuts, alpha, latent_l, phi):
         lo = pri.delta_min - cuts[1]
         hi = pri.delta_max - cuts[-2]
         if not lo < hi:
             # Both end cut-points pinned at the support: g = 0 exactly, and
-            # adding -0.0 leaves every bit of the state as it is.
-            return -0.0
-        mean = -float(alpha.sum()) / n
+            # the state keeps every bit.
+            return
+        mean = -float(np.add.reduce(alpha)) / n
         variance = phi / n
         shift = mean + math.sqrt(variance) * g.standard_normal()
         if not lo < shift < hi:
             shift = float(_trunc_normal(*(np.array([a]) for a in (mean, variance, lo, hi)), g)[0])
-        return shift
+        alpha += shift
+        cuts[1:-1] += shift
+        latent_l += shift
 
-    blocks = state.cutpoints, state.alpha, state.phi
-    shift = _stacked(draw, rng, *blocks)[:, None] if state.beta.ndim > 1 else draw(rng, *blocks)
-    state.alpha += shift
-    state.cutpoints[..., 1:-1] += shift
-    state.latent_l += shift
+    # Each chain's rows are views, so each chain moves its own in place.
+    for chain in zip(rng, state.cutpoints, state.alpha, state.latent_l, state.phi):
+        move(*chain)
 
 
-def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_v(state: ChainState, spec: BatchSpec, rng) -> None:
     """Mixing variables: GIG(1/2) with rho1^2 = residual^2 / 2, rho2^2 = 1/2.
 
     The location move runs first: it leaves the residual L - x beta - alpha,
@@ -218,7 +202,6 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
     """
     _shift_location(state, spec, rng)
     ds = spec.dataset
-    batch = state.beta.ndim > 1
 
     def wald(g, mean):
         return g.wald(mean, _SQRT_HALF * _SQRT_HALF)
@@ -234,74 +217,57 @@ def update_v(state: ChainState, spec: ModelSpec, rng) -> None:
         # The draws of _gig_half(rho1, sqrt(1/2)), with the Wald means written
         # over rho1 and the reciprocals over the mixing variables.
         means = np.divide(_SQRT_HALF, rho1_sq, out=rho1_sq)
-        v = _stacked(wald, g, means) if batch else wald(g, means)
-        np.divide(1.0, v, out=state.latent_v[rows])
+        np.divide(1.0, _stacked(wald, g, means), out=state.latent_v[rows])
 
     per_observation(state, spec, draw, rng)
 
 
-def update_beta(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_beta(state: ChainState, spec: BatchSpec, rng) -> None:
     """Coefficients, swept in ascending index against fresh partial residuals.
 
     One ``model.per_observation`` pass builds each part's residuals, weights
     1 / (2 v) and scratch: one part, or one per observation chunk.
     Coefficient k then runs one pass over the parts, which moves the
-    residuals from coefficient k - 1 to k and returns the part's two inner
-    products; the parts' sums are added in part order.  A chain's inner
-    products are its own ``np.dot`` (a chunk's ``np.einsum``, which calls no
-    BLAS) and its draw its own scalar call, so a batch draws every chain's
-    bits.
+    residuals from coefficient k - 1 to k and returns each chain's two
+    inner products of the part (``_dots``); the parts' sums are added in
+    part order.  Each chain's draw is its own scalar call, so a batch draws
+    every chain's bits.
     """
     ds = spec.dataset
     beta = state.beta
-    batch = beta.ndim > 1
     by_chunk = chunked(state)
 
-    def coefficient(k):
-        return beta[:, k, None] if batch else beta[k]
-
-    def inner(a, b, w, term):
-        """Each chain's sum of a b w, with ``term`` as scratch."""
-        if by_chunk:
-            return np.einsum("i,i,i->", a, b, w)
-        np.multiply(a, b, out=term)
-        return [np.dot(t, u) for t, u in zip(term, w)] if batch else np.dot(term, w)
-
     def residuals(rows, r, _):
-        x, v = ds.x[rows], state.latent_v[rows]
+        v = state.latent_v[rows]
         np.subtract(state.latent_l[rows], r, out=r)
         term = state.alpha.take(ds.subject_index[rows])
         r -= term
         r -= np.multiply(v, spec.xi, out=term)
-        return x, r, np.divide(0.5, v), term
+        return ds.columns[rows], r, np.divide(0.5, v), term
 
     def sums(k, j):
         x, r, inv2v, term = parts[j]
         if k > 0:
-            r -= np.multiply(x[..., k - 1], coefficient(k - 1), out=term)
-        xk = x[..., k]
-        r += np.multiply(xk, coefficient(k), out=term)
-        return inner(xk, xk, inv2v, term), inner(r, xk, inv2v, term)
+            r -= np.multiply(x[:, k - 1], coefficients[k - 1], out=term)
+        xk = x[:, k]
+        r += np.multiply(xk, coefficients[k], out=term)
+        return _dots(by_chunk, xk, xk, inv2v, term), _dots(by_chunk, r, xk, inv2v, term)
 
+    coefficients = beta.T[..., None]  # row k, (K, 1), is a view of coefficient k
     parts = per_observation(state, spec, residuals)
     for k, s_k in enumerate(state.s.T.tolist()):
         (precision, rx), *later = parallel.map_chunks(partial(sums, k), len(parts))
         for part_precision, part_rx in later:
-            precision += part_precision
-            rx += part_rx
-        if batch:
-            beta[:, k] = [_draw_coefficient(*chain) for chain in zip(rng, rx, precision, s_k)]
-        else:
-            beta[k] = _draw_coefficient(rng, rx, precision, s_k)
+            precision = np.add(precision, part_precision)
+            rx = np.add(rx, part_rx)
+        for chain, (g, chain_rx, chain_precision, chain_s) in enumerate(zip(rng, rx, precision, s_k)):
+            variance = 1.0 / (chain_precision + 1.0 / chain_s)
+            beta[chain, k] = variance * chain_rx + math.sqrt(variance) * g.standard_normal()
 
 
-def _draw_coefficient(g, rx: float, precision: float, s_k: float) -> float:
-    """One chain's coefficient k, from its sum of r x_k / (2 v) and its data precision."""
-    variance = 1.0 / (precision + 1.0 / s_k)
-    return variance * rx + math.sqrt(variance) * g.standard_normal()
-
-
-def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_s(state: ChainState, spec: BatchSpec, rng) -> None:
     """Coefficient scales: GIG(1/2) with rho1^2 = beta_k^2, rho2^2 = lambda^2.
 
     One scalar draw per coefficient, in index order: the generator gives the
@@ -312,22 +278,23 @@ def update_s(state: ChainState, spec: ModelSpec, rng) -> None:
         rho2 = math.sqrt(lambda_sq)
         return [_gig_half(math.sqrt(max(b_k * b_k, RHO1_SQ_FLOOR)), rho2, g) for b_k in beta.tolist()]
 
-    blocks = state.beta, state.lambda_sq
-    state.s = _stacked(draw, rng, *blocks) if state.beta.ndim > 1 else np.array(draw(rng, *blocks))
+    state.s = _stacked(draw, rng, state.beta, state.lambda_sq)
 
 
-def update_lambda_sq(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_lambda_sq(state: ChainState, spec: BatchSpec, rng) -> None:
     """Shrinkage rate squared: gamma(p + a1, rate = sum(s)/2 + a2)."""
     pri = spec.priors
-    shape = spec.dataset.num_covariates + pri.a1
+    shape = state.beta.shape[-1] + pri.a1
 
     def draw(g, s):
-        return g.gamma(shape, 1.0 / (0.5 * float(s.sum()) + pri.a2))
+        return g.gamma(shape, 1.0 / (0.5 * float(np.add.reduce(s)) + pri.a2))
 
-    state.lambda_sq = _stacked(draw, rng, state.s) if state.beta.ndim > 1 else draw(rng, state.s)
+    state.lambda_sq = _stacked(draw, rng, state.s)
 
 
-def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_alpha(state: ChainState, spec: BatchSpec, rng) -> None:
     """Subject effects: normal with data precision sum_j 1/(2 v_ij) + 1/phi.
 
     A chunked chain sums each chunk's terms per subject and adds the
@@ -348,14 +315,11 @@ def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
     for chunk_variance, chunk_mean in later:
         variance += chunk_variance
         mean += chunk_mean
-    variance += 1.0 / (state.phi[:, None] if state.beta.ndim > 1 else state.phi)
+    variance += 1.0 / state.phi[:, None]
     np.divide(1.0, variance, out=variance)
     mean *= variance
-    # The draws rng.normal(mean, sd) would make, without its array-parameter cost.
-    def draw(g):
-        return g.standard_normal(ds.num_subjects)
-
-    alpha = _stacked(draw, rng) if state.beta.ndim > 1 else draw(rng)
+    # The draws g.normal(mean, sd) would make, without its array-parameter cost.
+    alpha = _stacked(lambda g: g.standard_normal(ds.num_subjects), rng)
     alpha *= np.sqrt(variance, out=variance)
     alpha += mean
     state.alpha = alpha
@@ -363,34 +327,35 @@ def update_alpha(state: ChainState, spec: ModelSpec, rng) -> None:
 
 def _subject_sums(ds, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each chain's per-subject sums of ``weights``, the terms of the
-    observations ``index`` holds the subjects of.  In a batch, one
-    ``bincount`` over the chain-offset subject index adds each chain's
-    terms in its one-chain order."""
-    if weights.ndim == 1:
-        return np.bincount(index, weights=weights, minlength=ds.num_subjects)
-    sums = np.bincount(index.ravel(), weights=weights.ravel(), minlength=weights.shape[0] * ds.num_subjects)
-    return sums.reshape(weights.shape[0], ds.num_subjects)
+    observations ``index`` holds the subjects of: one ``bincount`` over the
+    chain-offset subject index adds each chain's terms in its one-chain
+    order."""
+    chains = len(weights)
+    sums = np.bincount(index.ravel(), weights=weights.ravel(), minlength=chains * ds.num_subjects)
+    return sums.reshape(chains, ds.num_subjects)
 
 
-def update_phi(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_phi(state: ChainState, spec: BatchSpec, rng) -> None:
     """Random-effect variance: inverse-gamma(N/2 + b1, scale = sum(alpha^2)/2 + b2)."""
     pri = spec.priors
     shape = 0.5 * spec.dataset.num_subjects + pri.b1
-    dot = _inner if chunked(state) else np.dot
 
-    def draw(g, alpha):
-        return 1.0 / g.gamma(shape, 1.0 / (0.5 * float(dot(alpha, alpha)) + pri.b2))
+    def draw(g, squares):
+        return 1.0 / g.gamma(shape, 1.0 / (0.5 * float(squares) + pri.b2))
 
-    state.phi = _stacked(draw, rng, state.alpha) if state.beta.ndim > 1 else draw(rng, state.alpha)
+    state.phi = _stacked(draw, rng, _dots(chunked(state), state.alpha, state.alpha))
 
 
-def update_l(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_l(state: ChainState, spec: BatchSpec, rng) -> None:
     """Liabilities: normal truncated to each observation's category interval,
     drawn over the previous liability array (``model.draw_liabilities``)."""
     draw_liabilities(state, spec, rng)
 
 
-def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
+@takes_one_chain
+def update_delta(state: ChainState, spec: BatchSpec, rng) -> None:
     """Interior cut-points, swept in increasing order with fresh neighbours.
 
     Cut-point c is uniform on (L_c, U_c).  L_c is the largest of: the
@@ -401,7 +366,7 @@ def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
     """
     ds = spec.dataset
     C = ds.num_categories
-    order, starts, present = ds.category_runs()
+    order, starts, present = ds.runs
     runs = state.latent_l.take(order)
     largest = [-math.inf] * state.cutpoints.size
     smallest = [math.inf] * state.cutpoints.size
@@ -410,8 +375,7 @@ def update_delta(state: ChainState, spec: ModelSpec, rng) -> None:
         largest[c] = top
         smallest[c] = bottom
     pri = spec.priors
-    chains = zip(rng, state.cutpoints) if state.beta.ndim > 1 else [(rng, state.cutpoints)]
-    for base, (g, row) in zip(range(0, state.cutpoints.size, C + 1), chains):
+    for base, g, row in zip(range(0, state.cutpoints.size, C + 1), rng, state.cutpoints):
         bounds = row.tolist()
         for c in range(1, C):
             lo = max(largest[base + c], bounds[c - 1], pri.delta_min)
@@ -520,29 +484,25 @@ def sample_batch(batch) -> list:
 def _sample_chains(tasks) -> np.ndarray:
     """The retained rows, (chains, rows, parameters), of chain tasks that
     share one design and one configuration but for its seed, sampled as one
-    batch; one task samples on one-chain arrays."""
+    batch; one task is a K = 1 batch."""
     spec, config, chain = tasks[0]
     rngs = [substream(cfg.seed, STREAM_CHAIN, c) for _, cfg, c in tasks]
     rows = np.empty((len(tasks), config.retained_per_chain, len(parameter_names(spec, config.retain_alpha))))
-
-    def start(s, g):
-        return initialize_state(s, g, overdispersed=config.overdispersed_starts)
-
-    if len(tasks) == 1:
-        _run_sweeps(start(spec, rngs[0]), spec, rngs[0], config, rows[0], chain)
-    else:
-        state = stack_states([start(s, g) for (s, _, _), g in zip(tasks, rngs)])
-        _run_sweeps(state, stack_specs([s for s, _, _ in tasks]), rngs, config, rows, chain)
+    state = stack_states([initialize_state(s, g, overdispersed=config.overdispersed_starts)
+                          for (s, _, _), g in zip(tasks, rngs)])
+    _run_sweeps(state, stack_specs([s for s, _, _ in tasks]), rngs, config, rows, chain)
     return rows
 
 
-def _run_sweeps(state: ChainState, spec, rng, config: SamplerConfig, rows: np.ndarray, chain: int) -> None:
-    """Run every sweep of ``config`` on ``state``, one chain or a batch, and
-    write each retained draw into ``rows``."""
+def _run_sweeps(state: ChainState, spec: BatchSpec, rng, config: SamplerConfig, rows: np.ndarray,
+                chain: int) -> None:
+    """Run every sweep of ``config`` on the batch ``state``, and write each
+    chain's retained draws into its row of ``rows``."""
     row = 0
+    bodies = [getattr(op, "__wrapped__", op) for op in _SWEEP]  # each batch body, past the entry shim
     for t in range(1, config.iterations + 1):
         try:
-            for op in _SWEEP:
+            for op in bodies:
                 op(state, spec, rng)
         except (ValueError, ArithmeticError, ChainDivergedError) as exc:
             bad = nonfinite_blocks(state)
@@ -552,7 +512,7 @@ def _run_sweeps(state: ChainState, spec, rng, config: SamplerConfig, rows: np.nd
             ) from exc
         _check_finite(state, chain, t)
         if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-            _flatten(state, rows[..., row, :], config.retain_alpha)
+            _flatten(state, rows[:, row], config.retain_alpha)
             row += 1
 
 
@@ -576,13 +536,10 @@ def _check_finite(state: ChainState, chain: int, t: int) -> None:
     only a non-finite one (or a finite state so large that the probe
     overflows) pays for the per-block scan.
     """
-    scalars = state.lambda_sq + state.phi
-    if state.beta.ndim > 1:
-        dot, scalars = np.vdot, scalars.sum()
-    else:
-        dot = _inner if chunked(state) else np.dot
+    # A chunked chain's inner products without the BLAS.
+    dot = (lambda a, b: np.einsum("i,i->", np.ravel(a), np.ravel(b))) if chunked(state) else np.vdot
     probe = (dot(state.latent_l, state.latent_v) + dot(state.alpha, state.alpha) + dot(state.beta, state.s)
-             + state.cutpoints[..., 1:-1].sum() + scalars)
+             + dot(state.lambda_sq, state.phi) + np.add.reduce(state.cutpoints[:, 1:-1], axis=None))
     if not math.isfinite(probe):
         bad = nonfinite_blocks(state)
         if bad:

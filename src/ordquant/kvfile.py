@@ -25,7 +25,8 @@ def read_kv(path) -> dict[str, str]:
         raise ValueError(_not_utf8(path, exc)) from None
     out: dict[str, str] = {}
     lines: dict[str, int] = {}  # the line that set each key
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, not also at the form feeds and U+2028 str.splitlines breaks at.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,7 +11,7 @@ a per-observation exponential mixing variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -71,6 +71,14 @@ class ModelSpec:
         """Mixing-variable exponential rate theta (1 - theta)."""
         return self.theta * (1.0 - self.theta)
 
+    @cached_property
+    def one_chain(self) -> "BatchSpec":
+        """This spec as a K = 1 batch's (``stack_specs``, ``takes_one_chain``):
+        its index arrays are ``[None]`` views of the dataset's, so it copies neither."""
+        ds = self.dataset
+        stacked = StackedDataset(ds.x, ds.y[None], ds.subject_index[None], ds.num_subjects, ds.num_categories, (ds,))
+        return BatchSpec(stacked, self.xi, self.priors)
+
 
 @dataclass
 class ChainState:
@@ -78,8 +86,9 @@ class ChainState:
 
     ``cutpoints`` has length C + 1 with fixed -inf / +inf endpoints; the
     C - 1 interior values are strictly increasing within the prior support.
-    A batch of K chains (``stack_states``) holds every array with a leading
-    chain axis, and ``lambda_sq`` and ``phi`` as (K,) arrays.
+    One chain's own state has the shapes noted below; a batch of K chains
+    (``stack_states``), which the Gibbs blocks take, adds a leading chain
+    axis to each, so ``lambda_sq`` and ``phi`` are (K,) arrays.
     """
 
     beta: np.ndarray       # (p,)
@@ -108,8 +117,8 @@ class StackedDataset:
     batch state, so one ``take`` or ``bincount`` serves every chain and
     visits each chain's elements in its one-chain order: row k of
     ``subject_index`` indexes ``alpha.ravel()`` and row k of ``y`` the
-    flattened (K, C + 1) cut-points, and ``category_runs()`` orders the
-    flattened liabilities, its categories numbered k (C + 1) + c.
+    flattened (K, C + 1) cut-points, and ``runs`` orders the flattened
+    liabilities, its categories numbered k (C + 1) + c.
     """
 
     x: np.ndarray
@@ -117,23 +126,34 @@ class StackedDataset:
     subject_index: np.ndarray  # (K, n)
     num_subjects: int
     num_categories: int
-    runs: tuple[np.ndarray, np.ndarray, list[int]]
+    datasets: tuple            # chain k's dataset
 
-    @property
-    def num_covariates(self) -> int:
-        return self.x.shape[-1]
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """x by column, (K, p, n): chain k's covariate j as one contiguous
+        row, a view of one (p, n) array where the chains share x."""
+        rows = np.ascontiguousarray(np.swapaxes(self.x, -1, -2))
+        return np.broadcast_to(rows, (len(self.y), *rows.shape[-2:]))
 
-    def category_runs(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        return self.runs
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Every chain's ``OrdinalDataset.category_runs()``, over the flattened batch."""
+        n, C = self.y.shape[-1], self.num_categories
+        runs = [ds.category_runs() for ds in self.datasets]
+        order = np.concatenate([o + k * n for k, (o, _, _) in enumerate(runs)])
+        starts = np.concatenate([s + k * n for k, (_, s, _) in enumerate(runs)])
+        return order, starts, [c + k * (C + 1) for k, (_, _, cats) in enumerate(runs) for c in cats]
+
 
 
 @dataclass(frozen=True, eq=False)
 class BatchSpec:
     """The model constants of a batch of K chains (``stack_specs``): what a
-    Gibbs block reads from a ``ModelSpec``, with ``xi`` as a (K, 1) array."""
+    Gibbs block reads from a ``ModelSpec``, with ``xi`` the chains' one float
+    or, where their quantile levels differ, a (K, 1) array."""
 
     dataset: StackedDataset
-    xi: np.ndarray
+    xi: float | np.ndarray
     priors: Priors
 
 
@@ -141,9 +161,12 @@ def stack_specs(specs) -> BatchSpec:
     """One ``BatchSpec`` for chains that fit ``specs``, one spec per chain.
 
     The specs may differ in their quantile level and their dataset, but the
-    datasets must share one design and the specs one set of priors."""
+    datasets must share one design and the specs one set of priors.  One
+    spec's batch is its ``one_chain``, which copies no index array."""
+    if len(specs) == 1:
+        return specs[0].one_chain
     first = specs[0].dataset
-    n, N, C = first.num_observations, first.num_subjects, first.num_categories
+    N, C = first.num_subjects, first.num_categories
     datasets = [spec.dataset for spec in specs]
     for spec, ds in zip(specs, datasets):
         if (spec.priors != specs[0].priors or ds.x.shape != first.x.shape or ds.num_subjects != N
@@ -151,20 +174,17 @@ def stack_specs(specs) -> BatchSpec:
             raise ConfigError("the chains of one batch must share their priors and their design")
     x = first.x if all(ds is first for ds in datasets) else np.stack([ds.x for ds in datasets])
     chains = np.arange(len(specs))[:, None]
-    runs = [ds.category_runs() for ds in datasets]
-    order = np.concatenate([o + k * n for k, (o, _, _) in enumerate(runs)])
-    starts = np.concatenate([s + k * n for k, (_, s, _) in enumerate(runs)])
-    present = [c + k * (C + 1) for k, (_, _, cats) in enumerate(runs) for c in cats]
     dataset = StackedDataset(x, np.stack([ds.y for ds in datasets]) + (C + 1) * chains,
-                             first.subject_index + N * chains, N, C, (order, starts, present))
-    return BatchSpec(dataset, np.array([[spec.xi] for spec in specs]), specs[0].priors)
+                             first.subject_index + N * chains, N, C, tuple(datasets))
+    xi = specs[0].xi
+    if any(spec.xi != xi for spec in specs):
+        xi = np.array([[spec.xi] for spec in specs])
+    return BatchSpec(dataset, xi, specs[0].priors)
 
 
 def stack_states(states) -> ChainState:
     """One batch state holding copies of the one-chain ``states``."""
-    def stacked(values):
-        return np.stack(values) if isinstance(values[0], np.ndarray) else np.array(values)
-    return ChainState(*(stacked([getattr(s, f.name) for s in states]) for f in fields(ChainState)))
+    return ChainState(*(np.array([getattr(s, f.name) for s in states]) for f in fields(ChainState)))
 
 
 def interior_cutpoints(num_categories: int, delta_min: float, delta_max: float) -> np.ndarray:
@@ -179,8 +199,9 @@ def interior_cutpoints(num_categories: int, delta_min: float, delta_max: float) 
 
 
 def initialize_state(spec: ModelSpec, rng, overdispersed: bool = False) -> ChainState:
-    """Deterministic neutral start; ``overdispersed`` perturbs the
-    coefficients with N(0, 4) noise for multi-chain diagnostics."""
+    """One chain's deterministic neutral start, as its own state (1-D
+    arrays); ``overdispersed`` perturbs the coefficients with N(0, 4) noise
+    for multi-chain diagnostics."""
     ds = spec.dataset
     p, N, C = ds.num_covariates, ds.num_subjects, ds.num_categories
     beta = np.zeros(p)
@@ -190,20 +211,44 @@ def initialize_state(spec: ModelSpec, rng, overdispersed: bool = False) -> Chain
     cuts = np.concatenate([[-np.inf], interior_cutpoints(C, spec.priors.delta_min, spec.priors.delta_max), [np.inf]])
     v = rng.exponential(1.0 / spec.zeta, size=ds.num_observations)
     state = ChainState(beta, alpha, np.empty(ds.num_observations), v, np.ones(p), 1.0, 1.0, cuts)
-    draw_liabilities(state, spec, rng)
+    takes_one_chain(draw_liabilities)(state, spec, rng)
     return state
 
 
-def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
+def takes_one_chain(body):
+    """The entry shim: ``body``, a block written for a batch, also called
+    as ``op(state, spec, rng)`` on one chain's own state, its ``ModelSpec``
+    and its generator.  That state is viewed as a K = 1 batch, its arrays
+    as ``[None]`` views that the body writes in place; an array the body
+    replaces is put back as its row, and ``lambda_sq`` and ``phi`` as
+    floats."""
+    names = [f.name for f in fields(ChainState)]
+
+    @wraps(body)
+    def block(state: ChainState, spec, rng) -> None:
+        if isinstance(spec, BatchSpec):
+            return body(state, spec, rng)
+        views = [np.asarray(getattr(state, name))[None] for name in names]
+        batch = ChainState(*views)
+        body(batch, spec.one_chain, [rng])
+        for name, view in zip(names, views):
+            value = getattr(batch, name)
+            if value is not view:
+                setattr(state, name, value[0] if value.ndim > 1 else float(value[0]))
+
+    return block
+
+
+def draw_liabilities(state: ChainState, spec, rng) -> None:
     """Draw every liability from its full conditional, over ``state.latent_l``.
 
     L_ij is N(x_ij beta + alpha_i + xi v_ij, 2 v_ij) truncated to the
     interval (delta_{y_ij - 1}, delta_{y_ij}) of its category.  The centre
     and the standard deviation take two arrays, the uniforms are drawn into
     the previous liability array, whose values are lost, and the cut-point
-    bounds are gathered inside the truncated-normal draw.  A batch state
-    draws with ``rng``, the chains' generators, under a ``BatchSpec``.  A
-    chunked state (``per_observation``) holds these arrays per chunk.
+    bounds are gathered inside the truncated-normal draw, chain k's from
+    ``rng[k]``.  A chunked chain (``per_observation``) holds these arrays
+    per chunk.
     """
     ds = spec.dataset
     v, cuts = state.latent_v, state.cutpoints
@@ -222,47 +267,54 @@ def draw_liabilities(state: ChainState, spec: ModelSpec, rng) -> None:
 def per_observation(state: ChainState, spec, func, rng=None) -> list:
     """``func(rows, xbeta, g)`` over a pass's observations, in a list.
 
-    ``rows`` indexes the observation axis, ``xbeta`` is a fresh array of
-    x beta on those rows and ``g`` the generator for them (None when
-    ``rng`` is).  A batch, and a chain of at most
-    ``parallel._CHUNK_OBSERVATIONS`` observations, run as one call on every
-    row, with ``linear_predictor`` and ``rng``.  A larger chain is chunked
+    ``rows`` indexes the batch's arrays on their last, observation axis
+    (``...``, or ``(..., chunk)``), ``xbeta`` is a fresh (K, m) array of each
+    chain's x beta on those m observations and ``g`` the chains' generators
+    (None when ``rng`` is).  A batch runs as one call, with
+    ``linear_predictor`` and ``rng``, unless it is one chunked chain
     (``chunked``): its ``parallel.observation_chunks`` run on the thread
     share, each with x beta from ``column_product``, chunk 0 drawing from
-    ``rng`` and chunk j from child j of ``rng.spawn(k - 1)``, spawned at
-    each call.  So the draws depend on the observation count, never on the
-    number of threads, and each call is a pure function of the state, the
-    spec and ``rng``.
+    ``rng`` and chunk j from child j of each generator's ``spawn(k - 1)``,
+    spawned at each call.  So the draws depend on the observation count,
+    never on the number of threads, and each call is a pure function of the
+    state, the spec and ``rng``.
     """
     x, beta = spec.dataset.x, state.beta
     if not chunked(state):
-        return [func(slice(None), linear_predictor(x, beta), rng)]
-    chunks = parallel.observation_chunks(x.shape[0])
-    gens = [None] * len(chunks) if rng is None else [rng, *rng.spawn(len(chunks) - 1)]
-    return parallel.map_chunks(lambda j: func(chunks[j], column_product(x[chunks[j]], beta), gens[j]), len(chunks))
+        return [func(..., linear_predictor(x, beta), rng)]
+    chunks = parallel.observation_chunks(state.latent_l.shape[-1])
+    gens = [None] * len(chunks) if rng is None else [rng, *zip(*(g.spawn(len(chunks) - 1) for g in rng))]
+    return parallel.map_chunks(lambda j: func((..., chunks[j]), column_product(x[chunks[j]], beta), gens[j]),
+                               len(chunks))
 
 
 def chunked(state: ChainState) -> bool:
     """Whether the per-observation passes of ``state`` run over observation
-    chunks: one chain of more than ``parallel._CHUNK_OBSERVATIONS``
-    observations.  A batch never chunks (``gibbs.batched`` gives a chain of
-    that size a batch of its own)."""
-    return state.beta.ndim == 1 and parallel.is_chunked(state.latent_l.shape[0])
+    chunks: one chain, alone in its batch, of more than
+    ``parallel._CHUNK_OBSERVATIONS`` observations.  A batch of more chains
+    never chunks, because ``gibbs.batched`` gives a chain of that size a
+    batch of its own."""
+    n = state.latent_l.shape[-1]
+    return state.latent_l.size == n and parallel.is_chunked(n)
 
 
 def linear_predictor(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``x @ beta`` for one chain; for a batch, each chain's product by one
-    stacked matmul, which gives every chain the bits of its own ``x @ beta``."""
-    return x @ beta if beta.ndim == 1 else np.matmul(x, beta[..., None])[..., 0]
+    """Each chain's ``x @ beta``, (K, n), by one stacked matmul, which gives
+    every chain the bits of its own ``x @ beta``; a K = 1 batch's by one
+    ``np.dot``, the same BLAS product without the stacking."""
+    if len(beta) == 1:
+        return np.dot(beta, x.T)
+    return np.matmul(x, beta[..., None])[..., 0]
 
 
 def column_product(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``x @ beta`` for one chain, one column at a time in coefficient
-    order, so its bits depend on no BLAS; a chunked chain's x beta."""
-    out = np.multiply(x[:, 0], beta[0])
+    """Each chain's ``x @ beta``, (K, n), one column at a time in
+    coefficient order, so its bits depend on no BLAS; a chunked chain's x
+    beta."""
+    out = np.multiply(x[..., 0], beta[:, 0, None])
     term = np.empty_like(out)
-    for k in range(1, beta.size):
-        out += np.multiply(x[:, k], beta[k], out=term)
+    for k in range(1, beta.shape[-1]):
+        out += np.multiply(x[..., k], beta[:, k, None], out=term)
     return out
 
 
@@ -277,14 +329,6 @@ def _shifted_cutpoints(cuts: np.ndarray) -> np.ndarray:
 
 def nonfinite_blocks(state: ChainState) -> list[str]:
     """Names of the state blocks that hold an inf or NaN, in ``ChainState`` field order."""
-    blocks = (
-        ("beta", state.beta),
-        ("alpha", state.alpha),
-        ("latent_l", state.latent_l),
-        ("latent_v", state.latent_v),
-        ("s", state.s),
-        ("lambda_sq", state.lambda_sq),
-        ("phi", state.phi),
-        ("delta", state.cutpoints[..., 1:-1]),
-    )
-    return [name for name, block in blocks if not np.all(np.isfinite(block))]
+    blocks = {f.name: getattr(state, f.name) for f in fields(ChainState)}
+    blocks["delta"] = blocks.pop("cutpoints")[..., 1:-1]
+    return [name for name, block in blocks.items() if not np.all(np.isfinite(block))]

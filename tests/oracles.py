@@ -519,3 +519,35 @@ def read_draws_rowwise(paths):
     draws = PosteriorDraws(names, matrix, np.array(chains), np.array(iters))
     order = np.lexsort((draws.iteration, draws.chain))
     return replace(draws, values=draws.values[order], chain=draws.chain[order], iteration=draws.iteration[order])
+
+
+def prior_state(spec: ModelSpec, rng) -> ChainState:
+    """One chain's parameters drawn from the prior, with its latent arrays
+    unset: lambda^2 ~ gamma(a1, rate a2), s_k ~ Exp(rate lambda^2 / 2),
+    beta_k ~ N(0, s_k), phi ~ inverse-gamma(b1, scale b2), alpha_i ~ N(0,
+    phi), and the interior cut-points the order statistics of C - 1
+    uniforms on [delta_min, delta_max].  ``rng`` may be any generator; only
+    ``spec``'s design, quantile level and priors are read."""
+    ds, pri = spec.dataset, spec.priors
+    lambda_sq = rng.gamma(pri.a1, 1.0 / pri.a2)
+    s = rng.exponential(2.0 / lambda_sq, size=ds.num_covariates)
+    beta = rng.normal(0.0, np.sqrt(s))
+    phi = 1.0 / rng.gamma(pri.b1, 1.0 / pri.b2)
+    alpha = rng.normal(0.0, np.sqrt(phi), size=ds.num_subjects)
+    interior = np.sort(rng.uniform(pri.delta_min, pri.delta_max, size=ds.num_categories - 1))
+    n = ds.num_observations
+    return ChainState(beta, alpha, np.empty(n), np.empty(n), s, float(lambda_sq), float(phi),
+                      np.concatenate([[-np.inf], interior, [np.inf]]))
+
+
+def mixture_form(spec: ModelSpec, beta: np.ndarray, alpha: np.ndarray, cutpoints: np.ndarray, rng):
+    """One chain's latent data and responses given its parameters, from the
+    model's normal scale-mixture form: v ~ Exp(rate theta (1 - theta)),
+    L = x beta + alpha + xi v + sqrt(2 v) z with z ~ N(0, 1), and y the
+    category of L among the cut-points, as (v, L, y).  Only ``spec``'s
+    design (x and the subject index) and quantile level are read."""
+    ds = spec.dataset
+    n = ds.num_observations
+    v = rng.exponential(1.0 / spec.zeta, size=n)
+    liabilities = ds.x @ beta + alpha[ds.subject_index] + spec.xi * v + np.sqrt(2.0 * v) * rng.standard_normal(n)
+    return v, liabilities, np.searchsorted(cutpoints[1:-1], liabilities) + 1

@@ -849,7 +849,7 @@ class TestOptionText:
         assert "option iterations in " in err and where in err and "'ten' is not a valid int" in err
         assert "usage:" not in err
 
-    @pytest.mark.parametrize("fault", ["key-twice", "not-utf8"])
+    @pytest.mark.parametrize("fault", ["key-twice", "not-utf8", "form-feed", "line-separator"])
     @pytest.mark.parametrize("source", ["config", "manifest"])
     def test_bad_kv_file_names_file_and_line(self, tmp_path, toy_csv, capsys, source, fault):
         out = tmp_path / "runs"
@@ -864,9 +864,14 @@ class TestOptionText:
         if fault == "key-twice":
             lines.append(b"theta = 0.5")
             message = f"{path}:{len(lines)}: key 'theta' is already set on line {first}"
-        else:
+        elif fault == "not-utf8":
             lines.insert(1, b"# caf\xe9")
             message = f"{path}:2: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        else:
+            # Neither a form feed nor U+2028 ends a line, so the bad line is line 2.
+            within = b"\x0c" if fault == "form-feed" else "\u2028".encode()
+            lines[:2] = [lines[0] + within + lines[1], b"bogus line"]
+            message = f"{path}:2: expected 'key = value', got 'bogus line'"
         path.write_bytes(b"\n".join(lines) + b"\n")
         capsys.readouterr()
         replayed = tmp_path / "replayed"

@@ -147,3 +147,45 @@ def test_every_defaulted_parameter_is_passed(path):
                          if (func.name, name) not in UNPASSED_BY_DESIGN
                          and not any(passes(call, index, name, bound) for call in program_calls().get(func.name, []))]
     assert not unpassed, f"{path.name} has defaulted parameters that no program call passes: {unpassed}"
+
+
+# The modules whose Gibbs blocks have one body, for a batch of chains, and
+# the functions of them that may read how many chains a state holds: the
+# entry shim, which views one chain's state as a K = 1 batch; the per-chain
+# helpers, which take a K = 1 batch without their loop or stacking over
+# chains (each chain's draws, inner products and x beta) or answer whether
+# a state is one chunked chain; ``stack_specs``, which gives one spec the
+# K = 1 batch that copies no index array; and the retry of a failed batch
+# one chain at a time.
+ONE_BODY_FILES = ("gibbs", "model", "distributions")
+READS_CHAIN_COUNT = {"takes_one_chain", "_stacked", "_dots", "linear_predictor", "chunked", "stack_specs",
+                     "sample_batch"}
+
+
+def chain_count_tests(node: ast.AST) -> list[str]:
+    """The tests of the chain count under ``node``: reads of ``.ndim``, and
+    comparisons of a ``len(...)`` with 1 or of a ``.size`` with anything."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "ndim":
+            found.append(f"line {sub.lineno}: .ndim")
+        elif isinstance(sub, ast.Compare):
+            operands = [sub.left, *sub.comparators]
+            lengths = [o for o in operands if isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+                       and o.func.id == "len"]
+            ones = [o for o in operands if isinstance(o, ast.Constant) and o.value == 1]
+            sizes = [o for o in operands if isinstance(o, ast.Attribute) and o.attr == "size"]
+            if (lengths and ones) or sizes:
+                found.append(f"line {sub.lineno}: {ast.unparse(sub)}")
+    return found
+
+
+@pytest.mark.parametrize("stem", ONE_BODY_FILES)
+def test_the_chain_count_is_read_in_one_place(stem):
+    path = Path(ordquant.__file__).parent / f"{stem}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in READS_CHAIN_COUNT):
+            found += chain_count_tests(node)
+    assert not found, f"{path.name} tests the chain count outside {sorted(READS_CHAIN_COUNT)}: {found}"

@@ -589,10 +589,11 @@ class TestShiftLocation:
     def shift_draws(self, spec, state, n=100000):
         g = rng(16)
         alpha0, l0, cuts0 = state.alpha, state.latent_l, state.cutpoints
+        shift_location = model.takes_one_chain(gibbs._shift_location)
         draws = np.empty(n)
         for i in range(n):
             state.alpha, state.latent_l, state.cutpoints = alpha0.copy(), l0.copy(), cuts0.copy()
-            gibbs._shift_location(state, spec, g)
+            shift_location(state, spec, g)
             draws[i] = state.alpha[0] - alpha0[0]
         return draws
 
@@ -691,7 +692,7 @@ class TestRunChain:
             if block in ("lambda_sq", "phi"):
                 setattr(state, block, np.nan)
             else:
-                (state.cutpoints[1:-1] if block == "delta" else getattr(state, block))[0] = np.nan
+                (state.cutpoints[..., 1:-1] if block == "delta" else getattr(state, block))[0] = np.nan
 
         state = initialize_state(spec, substream(3, 0, 0))
         poison(state)
@@ -918,6 +919,63 @@ class TestBatchedBlocks:
     def test_stack_specs_rejects_different_designs(self):
         with pytest.raises(ConfigError, match="share"):
             stack_specs([liability_spec(0.5, subjects=40), liability_spec(0.5, subjects=30)])
+
+
+class TestEntryShim:
+    """``model.takes_one_chain`` lets every block take one chain's own state,
+    a ``ModelSpec`` and one generator: it runs the block's batch body on the
+    state viewed as a K = 1 batch, and leaves the state in its own form."""
+
+    @pytest.mark.parametrize("block", gibbs._SWEEP, ids=lambda op: op.__name__)
+    def test_one_chain_state_keeps_its_form(self, block):
+        spec = liability_spec(0.3, subjects=40)
+        g = rng(80)
+        state = initialize_state(spec, g, overdispersed=True)
+        taken = {name: getattr(state, name) for name in ("latent_v", "latent_l")}
+        values = {name: array.copy() for name, array in taken.items()}
+        block(state, spec, g)
+        assert type(state.lambda_sq) is float and type(state.phi) is float
+        for name in ("beta", "alpha", "latent_l", "latent_v", "s", "cutpoints"):
+            assert getattr(state, name).ndim == 1, name
+        written = {update_v: "latent_v", update_l: "latent_l"}.get(block)
+        if written:
+            assert getattr(state, written) is taken[written]
+            assert not np.array_equal(taken[written], values[written])
+
+    @pytest.mark.parametrize("bound", [1 << 16, 128], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("block", gibbs._SWEEP, ids=lambda op: op.__name__)
+    def test_one_chain_call_draws_the_k1_batch_bits(self, monkeypatch, block, bound):
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", bound)
+        spec = desk_spec()
+        g = substream(9, STREAM_CHAIN, 0)
+        state = initialize_state(spec, g, overdispersed=True)
+        for _ in range(2):
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
+        batch = stack_states([state])
+        assert chunked(state) == chunked(batch) == (bound == 128)
+        g_batch = copy.deepcopy(g)
+        block(state, spec, g)
+        block(batch, stack_specs([spec]), [g_batch])
+        assert_same_state(chain_of(batch, 0), state)
+        assert g.bit_generator.state == g_batch.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [1 << 16, 128], ids=["whole", "chunked"])
+    def test_one_chain_sweeps_draw_the_sampled_rows(self, monkeypatch, bound):
+        monkeypatch.setattr(parallel, "_CHUNK_OBSERVATIONS", bound)
+        spec = desk_spec()
+        config = SamplerConfig(iterations=12, burn_in=4, seed=9, overdispersed_starts=True, retain_alpha=True)
+        expected = gibbs._sample_chains([(spec, config, 0)])[0]
+        g = substream(config.seed, STREAM_CHAIN, 0)
+        state = initialize_state(spec, g, overdispersed=True)
+        rows = []
+        for t in range(1, config.iterations + 1):
+            for op in gibbs._SWEEP:
+                op(state, spec, g)
+            if t > config.burn_in:
+                rows.append(np.concatenate([state.beta, state.cutpoints[1:-1], [state.lambda_sq, state.phi],
+                                            state.alpha]))
+        assert np.array(rows).tobytes() == expected.tobytes()
 
 
 class TestBatchedChains:
@@ -1221,7 +1279,7 @@ class TestChunkedPasses:
         thread_share(threads)
         spec = desk_spec()
         g = substream(9, STREAM_CHAIN, 3)
-        state = initialize_state(spec, g)
+        state = stack_states([initialize_state(spec, g)])  # the chain as the K = 1 batch it samples as
         starts = [rows.start for rows in parallel.observation_chunks(spec.dataset.num_observations)]
         later_failed = threading.Event()
         calls = []
@@ -1239,9 +1297,9 @@ class TestChunkedPasses:
 
         monkeypatch.setattr(model, "_trunc_normal_gathered", draw)
         config = SamplerConfig(iterations=5, burn_in=0)
-        rows = np.empty((config.retained_per_chain, len(gibbs.parameter_names(spec))))
+        rows = np.empty((1, config.retained_per_chain, len(gibbs.parameter_names(spec))))
         with pytest.raises(ChainDivergedError, match=r"^chain 3: update_l failed at sweep 1: chunk 1 failed$"):
-            gibbs._run_sweeps(state, spec, g, config, rows, 3)
+            gibbs._run_sweeps(state, stack_specs([spec]), [g], config, rows, 3)
         assert sorted(calls) == [0, 1, 2, 3]
 
 
